@@ -26,10 +26,8 @@ from .green1d import (
     DiskGreen,
     covering_capacity_bound,
     covering_map,
-    green_disk,
     level_flux_and_isoperimetric,
     robin_capacity,
-    solve_green_annulus,
     sublevel_curve,
     sublevel_volume,
 )

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import bergman, domains, green1d, indicatrix, suita
+from . import bergman, checks, domains, green1d, indicatrix, suita
 from .domains import Annulus, EllipsoidFamilyParams
 from .indicatrix import EnvelopeGapError
 from .numerics import BracketError, ConvergenceError, SampleStream, Tolerance
@@ -150,7 +150,7 @@ def _cmd_kernel(args):
 
 def _cmd_green(args):
     w = _parse_w(args.w, args.r)
-    g = green1d.solve_green_annulus(args.r, w, _tol(args))
+    g = green1d.AnnulusGreen(args.r, w, _tol(args))
     payload = {
         "r": args.r,
         "w": [w.real, w.imag],
@@ -274,160 +274,21 @@ def _cmd_experiment(args):
     return 2 if failed else 0
 
 
-def _verification_table(quick):
-    """(name, ok, detail) rows mirroring the acceptance checks."""
+def _cmd_verify_all(args):
     rows = []
-
-    def add(name, fn):
+    for check in checks.CHECKS:
+        if args.quick and check.sampling:
+            continue
         try:
-            ok, detail = fn()
+            verdicts, detail = check.fn()
+            ok = all(verdicts.values())
         except _NUMERICAL_ERRORS as exc:
             ok, detail = False, f"numerical failure: {exc}"
-        rows.append((name, ok, detail))
-
-    def product_grid():
-        worst = 0.0
-        for b in (0.1, 0.5, 0.9):
-            for m in (0.5, 1.0, 2.0):
-                for n in (2, 3, 4):
-                    params = EllipsoidFamilyParams(m=m, n=n, b=b)
-                    v = suita.product_closed_form(params)
-                    f = bergman.kernel_deflated(params).value * indicatrix.indicatrix_volume_closed(params)
-                    worst = max(worst, abs(f / v - 1.0))
-        return worst < 1e-12, f"max rel dev {worst:.2e}"
-
-    add("product formula vs factors (27-point grid)", product_grid)
-
-    def family_max():
-        b_star, f_star = suita.maximize_F(0.5, 3)
-        ok = abs(b_star - 0.163501) <= 5e-5 and abs(f_star - 1.004178) <= 5e-6
-        return ok, f"b*={b_star:.6f} F*={f_star:.7f} (printed target 1.004178)"
-
-    add("ellipsoid family maximum (m=1/2, n=3)", family_max)
-
-    def g2():
-        ratio = suita.suita_F(domains.SymmetrizedBidisk())
-        return abs(ratio.F - 2.0 / math.sqrt(3.0)) <= 1e-10, f"F={ratio.F:.10f}"
-
-    add("symmetrized bidisk F = 2/sqrt(3)", g2)
-
-    def volumes():
-        worst = 0.0
-        for p in (1, 2, 5):
-            v = domains.volume(domains.Ellipsoid((0.5, 1.0 / p)))
-            worst = max(worst, abs(v / (2 * math.pi**2 / ((p + 1) * (p + 2))) - 1.0))
-        return worst < 1e-12, f"max rel dev {worst:.2e}"
-
-    add("Gamma-product ellipsoid volumes", volumes)
-
-    def kernels():
-        worst = 0.0
-        for p in (1, 2):
-            for b in (0.3, 0.6):
-                dom = domains.Ellipsoid((0.5, 1.0 / p))
-                k = bergman.kernel_reinhardt(dom, np.array([b, 0.0], dtype=complex))
-                kc = bergman.kernel_ellipsoid_closed(p, b)
-                worst = max(worst, abs(k.value / kc.value - 1.0))
-        return worst < 1e-8, f"max rel dev {worst:.2e}"
-
-    add("monomial series vs closed-form kernels", kernels)
-
-    def geodesic():
-        worst = 0.0
-        for m in (0.5, 1.0, 2.0):
-            for b in (0.2, 0.5):
-                v = indicatrix.indicatrix_volume_numeric((0.5, m), b)
-                c = indicatrix.indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=2, b=b))
-                worst = max(worst, abs(v / c - 1.0))
-        return worst < 1e-4, f"max rel dev {worst:.2e}"
-
-    add("extremal-disc pipeline vs closed volumes", geodesic)
-
-    def large_m():
-        _, f_star = suita.maximize_F(128.0, family="p")
-        return abs(f_star - 1.010182) <= 2e-3, f"F*={f_star:.7f}"
-
-    add("large-m limit of the second family", large_m)
-
-    def annulus_ratio():
-        ok = True
-        for r in (0.5, 0.1, 0.01):
-            res = suita.check_reverse_suita(r)
-            ok = ok and res.ratio >= res.bound
-        growing = suita.check_reverse_suita(1e-4).ratio > suita.check_reverse_suita(1e-2).ratio
-        suita_dir = all(
-            math.pi * bergman.kernel_annulus(0.2, w).value
-            >= green1d.robin_capacity(green1d.solve_green_annulus(0.2, w)) ** 2
-            for w in np.linspace(0.25, 0.95, 10)
-        )
-        return ok and growing and suita_dir, f"unbounded={growing}, suita direction={suita_dir}"
-
-    add("reverse capacity inequality fails on annuli", annulus_ratio)
-
-    def green_quality():
-        g = green1d.solve_green_annulus(0.2, math.sqrt(0.2))
-        th = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-        res = max(
-            float(np.abs(g.value(np.exp(1j * th))).max()),
-            float(np.abs(g.value(0.2 * np.exp(1j * th))).max()),
-        )
-        flux_dev = max(
-            abs(green1d.level_flux_and_isoperimetric(g, t).flux - 2 * math.pi)
-            for t in (-1.0, -2.0, -3.0)
-        )
-        return res < 1e-8 and flux_dev < 1e-6, f"residual {res:.2e}, flux dev {flux_dev:.2e}"
-
-    add("Green solver boundary residual and flux", green_quality)
-
-    if not quick:
-
-        def monotone():
-            report = suita.monotonicity_experiment(
-                0.2, math.sqrt(0.2), [-6, -5, -4, -3, -2, -1, -0.5], SampleStream(2, seed=0)
-            )
-            ok = report.verdicts["normalized_non_decreasing_3sigma"] and report.verdicts["limit_within_2pct"]
-            return ok, f"limit dev {report.metadata['limit_rel_dev']:.3%}"
-
-        add("normalized sublevel monotonicity and limit", monotone)
-
-        def est1():
-            exact = all(
-                suita.check_lower_bound_est1(domains.disk(), None, t) == (0.0, 0.0)
-                for t in (-3.0, -2.0, -1.0)
-            )
-            margin, sigma = suita.check_lower_bound_est1(
-                Annulus(0.2), math.sqrt(0.2), -2.0, SampleStream(2, seed=1)
-            )
-            return exact and margin >= -3 * sigma and margin > 0, f"annulus margin {margin:.4f} (sigma {sigma:.1e})"
-
-        add("kernel lower bound margins", est1)
-
-    def convex_bounds():
-        vals = []
-        for m in (0.5, 1.0, 2.0):
-            for n in (2, 3):
-                for b in (0.1, 0.5, 0.9):
-                    vals.append(
-                        suita.product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
-                    )
-        ok = all(1.0 - 1e-10 <= v <= 4.0 for v in vals)
-        center_ok = 1.0 <= 16.0 / math.pi**2
-        return ok and center_ok, f"range [{min(vals):.6f}, {max(vals):.6f}]"
-
-    add("convex bounds on computed F values", convex_bounds)
-
-    return rows
-
-
-def _cmd_verify_all(args):
-    rows = _verification_table(args.quick)
+        rows.append((check.name, ok, detail))
     width = max(len(name) for name, _, _ in rows)
-    failures = 0
     for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
+    failures = sum(not ok for _, ok, _ in rows)
     print(f"{failures} of {len(rows)} checks failed" if failures else "all checks passed")
     return 2 if failures else 0
 

@@ -24,13 +24,11 @@ __all__ = [
     "EllipsoidFamilyParams",
     "ball",
     "disk",
-    "dimension",
     "is_balanced",
     "contains",
     "minkowski_functional",
     "volume",
     "monomial_norm",
-    "angular_overlap_integral",
     "to_json",
     "from_json",
 ]
@@ -113,10 +111,6 @@ def ball(n):
 
 def disk():
     return ball(1)
-
-
-def dimension(domain):
-    return domain.dimension
 
 
 def is_balanced(domain):
@@ -251,17 +245,6 @@ def monomial_norm(domain, alpha):
         )
         return math.exp(lg)
     raise TypeError(f"unsupported domain {domain!r}")
-
-
-def angular_overlap_integral(k):
-    """Integral of e^{i k theta} over a full period.
-
-    This is the angular factor of the inner product of two monomials on any
-    Reinhardt domain; it vanishes identically for k != 0, which is the exact
-    reason distinct monomials are orthogonal there.
-    """
-    k = int(k)
-    return 2.0 * math.pi if k == 0 else 0.0
 
 
 @dataclass(frozen=True)

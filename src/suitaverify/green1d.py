@@ -20,12 +20,9 @@ from .numerics import DEFAULT_TOL, SampleStream, find_root_monotone
 __all__ = [
     "DiskGreen",
     "AnnulusGreen",
-    "GreenSeries1D",
     "CriticalLevelError",
     "LevelStats",
     "SublevelCurve",
-    "green_disk",
-    "solve_green_annulus",
     "robin_capacity",
     "covering_map",
     "covering_capacity_bound",
@@ -121,7 +118,8 @@ class AnnulusGreen:
         self._a = p_out - self._btil * rk
         self.c0 = 0.0
         self.c_log = -math.log(w0) / math.log(r)
-        self.robin = self._harmonic(np.array([w0 + 0j]))[0]
+        # _harmonic rotates its argument onto the positive axis itself
+        self.robin = self._harmonic(np.array([w]))[0]
         self.tail_bound = rate ** (self.n_modes + 1) / ((self.n_modes + 1) * (1.0 - rate))
 
     def _polar(self, z):
@@ -176,18 +174,6 @@ class AnnulusGreen:
         return np.minimum(s_out, s_in)
 
 
-# the series solve is the canonical truncated representation
-GreenSeries1D = AnnulusGreen
-
-
-def green_disk(w=0.0):
-    return DiskGreen(w)
-
-
-def solve_green_annulus(r, w, tol=DEFAULT_TOL):
-    return AnnulusGreen(r, w, tol)
-
-
 def robin_capacity(green):
     """Logarithmic capacity c(w) = exp of the Robin constant."""
     return math.exp(green.robin)
@@ -224,11 +210,17 @@ def _ray_crossing(green, t, phi, coarse=False):
         if s_lo < 1e-300:
             raise CriticalLevelError(f"could not start below the level along ray phi={phi}")
     factor = 1.5 if coarse else 1.2
-    while s_lo < s_max:
-        s_hi = min(s_lo * factor, s_max)
-        if f(s_hi) >= 0.0:
-            return find_root_monotone(f, s_lo, s_hi)
-        s_lo = s_hi
+    steps = [s_lo]
+    while steps[-1] < s_max:
+        steps.append(min(steps[-1] * factor, s_max))
+    # the bracket ends at the first step at or above the level; steps are
+    # evaluated eight per call, and 1.2^8 > 4 covers the usual distance from
+    # the start to the crossing near exp(t - robin) in one call
+    for lo in range(1, len(steps), 8):
+        above = np.flatnonzero(green.value(w + np.array(steps[lo : lo + 8]) * d) >= t)
+        if above.size:
+            k = lo + int(above[0])
+            return find_root_monotone(f, steps[k - 1], steps[k])
     # G = 0 > t on the boundary, so a crossing must exist; landing here means
     # the level hugs the boundary beyond resolution
     raise CriticalLevelError(f"no level crossing found along ray phi={phi}")

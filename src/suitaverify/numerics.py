@@ -20,7 +20,6 @@ __all__ = [
     "SampleStream",
     "find_root_monotone",
     "integrate_1d",
-    "sample_unit_cube",
     "golden_section_max",
 ]
 
@@ -153,11 +152,6 @@ class SampleStream:
     def split(self, index):
         """Derived stream for parallel cell ``index`` of a grid."""
         return replace(self, seed=(self.seed ^ (0x9E3779B9 * (index + 1))) & (2**64 - 1))
-
-
-def sample_unit_cube(stream, count):
-    """Points of ``stream`` in [0,1]^dimension, shape (count, dimension)."""
-    return stream.points(count)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -132,7 +132,7 @@ def suita_F(domain, w=None, tol=DEFAULT_TOL):
     if isinstance(domain, Annulus):
         wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
         k = bergman.kernel_annulus(domain.inner, wc, tol)
-        g = green1d.solve_green_annulus(domain.inner, wc, tol)
+        g = green1d.AnnulusGreen(domain.inner, wc, tol)
         vol = math.pi / green1d.robin_capacity(g) ** 2
         return SuitaRatio(k, vol, 1, k.value * vol, "none")
     if isinstance(domain, (Ellipsoid, Polydisk)):
@@ -208,7 +208,7 @@ def check_lower_bound_est1(domain, w, t, stream=None, count=2**20, tol=DEFAULT_T
     if isinstance(domain, Annulus):
         wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
         k = bergman.kernel_annulus(domain.inner, wc, tol)
-        g = green1d.solve_green_annulus(domain.inner, wc, tol)
+        g = green1d.AnnulusGreen(domain.inner, wc, tol)
         vol, err = green1d.sublevel_volume(g, t, stream, count)
         norm = math.exp(-2.0 * t) * vol
         norm_err = math.exp(-2.0 * t) * err
@@ -235,7 +235,7 @@ def check_reverse_suita(r, tol=DEFAULT_TOL):
     """
     w = math.sqrt(r)
     k = bergman.kernel_annulus(r, w, tol)
-    g = green1d.solve_green_annulus(r, w, tol)
+    g = green1d.AnnulusGreen(r, w, tol)
     c = green1d.robin_capacity(g)
     ratio = k.value / c**2
     bound = -2.0 * math.log(r) / math.pi**3
@@ -255,7 +255,7 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
     wc = complex(w)
-    g = green1d.solve_green_annulus(r, wc, tol)
+    g = green1d.AnnulusGreen(r, wc, tol)
     curve = green1d.sublevel_curve(g, t_grid, stream, count, n=1)
     c = green1d.robin_capacity(g)
     limit = math.pi / c**2

@@ -1,17 +1,29 @@
-"""Acceptance suite: one test (or closely split pair) per pinned criterion.
+"""Acceptance suite: one test per pinned criterion.
 
-Each test prints a PASS/FAIL line with the measured quantity before
-asserting, so a full run doubles as a verification report.
+Criteria 1-12 are the entries of ``suitaverify.checks.CHECKS``, the same
+registry ``suitaverify verify-all`` renders; entry ``i`` becomes
+``test_criterion_<i+1>_<check function name>``.  The family maximum
+(criterion 2) gives one test per verdict, so its location (2a) and value
+(2b) pass or fail separately.  Criterion 13, the property suite, is
+test-only.  Each test prints a PASS/FAIL line with the measured quantity
+before asserting, so a full run doubles as a verification report.
 """
 import functools
 import math
 
 import numpy as np
-import pytest
 
-from suitaverify import bergman, domains, green1d, indicatrix, suita
-from suitaverify.domains import Annulus, Ellipsoid, EllipsoidFamilyParams
-from suitaverify.numerics import SampleStream
+from suitaverify import bergman, checks, domains, green1d, suita
+from suitaverify.domains import Ellipsoid
+from suitaverify.numerics import Tolerance
+
+# checks whose verdicts are separate criteria: 2a (location) and 2b (value)
+SPLIT_BY_VERDICT = {"family_maximum": ("location", "value")}
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome(index):
+    return checks.CHECKS[index].fn()
 
 
 def _report(label, ok, detail):
@@ -19,196 +31,25 @@ def _report(label, ok, detail):
     return ok
 
 
-@functools.lru_cache(maxsize=None)
-def _family_maximum():
-    return suita.maximize_F(0.5, 3)
+def _make_test(name, index, verdict=None):
+    check = checks.CHECKS[index]
+
+    def test():
+        verdicts, detail = _outcome(index)
+        keys = list(verdicts) if verdict is None else [verdict]
+        failed = [k for k in keys if not verdicts[k]]
+        label = f"criterion {index + 1}: {check.name}" + (f" [{verdict}]" if verdict else "")
+        assert _report(label, not failed, detail), f"failed verdicts: {failed}"
+
+    test.__name__ = name
+    return test
 
 
-def test_criterion_01_product_formula_consistency():
-    worst = 0.0
-    for b in (0.1, 0.5, 0.9):
-        for m in (0.5, 1.0, 2.0):
-            for n in (2, 3, 4):
-                params = EllipsoidFamilyParams(m=m, n=n, b=b)
-                v = suita.product_closed_form(params)
-                f = (
-                    bergman.kernel_deflated(params).value
-                    * indicatrix.indicatrix_volume_closed(params)
-                )
-                worst = max(worst, abs(f / v - 1.0))
-    ok = worst < 1e-12
-    assert _report("criterion 1: product formula vs factors", ok, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_02_family_maximum_location():
-    b_star, _ = _family_maximum()
-    ok = abs(b_star - 0.163501) <= 5e-5
-    assert _report("criterion 2a: maximizer location", ok, f"b* = {b_star:.6f}")
-
-
-def test_criterion_02_family_maximum_value():
-    _, f_star = _family_maximum()
-    ok = abs(f_star - 1.004178) <= 5e-6
-    assert _report(
-        "criterion 2b: maximum value",
-        ok,
-        f"F* = {f_star:.7f} vs pinned target 1.004178 +- 5e-6",
-    )
-
-
-def test_criterion_03_symmetrized_bidisk():
-    res = suita.suita_F(domains.SymmetrizedBidisk())
-    dev = abs(res.F - 2.0 / math.sqrt(3.0))
-    k_ok = res.kernel.value == pytest.approx(2.0 / math.pi**2, abs=0.0)
-    vol_ok = res.indicatrix_volume == pytest.approx(2.0 * math.pi**2 / 3.0, abs=0.0)
-    ok = dev <= 1e-10 and k_ok and vol_ok
-    assert _report("criterion 3: symmetrized bidisk F = 2/sqrt(3)", ok, f"F = {res.F:.12f}")
-
-
-def test_criterion_04_volume_formula():
-    worst = 0.0
-    for p in (1, 2, 5):
-        v = domains.volume(Ellipsoid((0.5, 1.0 / p)))
-        exact = 2.0 * math.pi**2 / ((p + 1) * (p + 2))
-        worst = max(worst, abs(v / exact - 1.0))
-    ok = worst < 1e-12
-    assert _report("criterion 4: Gamma-product volumes", ok, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_05_kernel_cross_validation():
-    worst = 0.0
-    for p in (1, 2):
-        for b in (0.3, 0.6):
-            dom = Ellipsoid((0.5, 1.0 / p))
-            k = bergman.kernel_reinhardt(dom, np.array([b, 0.0], dtype=complex))
-            kc = bergman.kernel_ellipsoid_closed(p, b)
-            worst = max(worst, abs(k.value / kc.value - 1.0))
-    ok = worst < 1e-8
-    assert _report("criterion 5: series vs closed kernels", ok, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_06_geodesic_pipeline():
-    worst = 0.0
-    for m in (0.5, 1.0, 2.0):
-        for b in (0.2, 0.5):
-            v = indicatrix.indicatrix_volume_numeric((0.5, m), b)
-            c = indicatrix.indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=2, b=b))
-            worst = max(worst, abs(v / c - 1.0))
-    ok = worst < 1e-4
-    assert _report("criterion 6: extremal-disc volumes", ok, f"max rel dev {worst:.2e}")
-
-
-def test_criterion_07_large_m_limit():
-    _, f_star = suita.maximize_F(128.0, family="p")
-    dev = abs(f_star - 1.010182)
-    ok = dev <= 2e-3
-    assert _report("criterion 7: large-m maximum", ok, f"F* = {f_star:.7f}, dev {dev:.2e}")
-
-
-def test_criterion_08_reverse_suita_failure():
-    held = all(
-        suita.check_reverse_suita(r).ratio >= suita.check_reverse_suita(r).bound
-        for r in (0.5, 0.1, 0.01)
-    )
-    growing = suita.check_reverse_suita(1e-4).ratio > suita.check_reverse_suita(1e-2).ratio
-    forward = all(
-        green1d.robin_capacity(green1d.solve_green_annulus(0.2, w)) ** 2
-        < math.pi * bergman.kernel_annulus(0.2, w).value
-        for w in np.linspace(0.25, 0.95, 10)
-    )
-    ok = held and growing and forward
-    assert _report(
-        "criterion 8: reverse capacity inequality fails",
-        ok,
-        f"bound held={held}, unbounded={growing}, forward strict={forward}",
-    )
-
-
-def test_criterion_09_green_solver_quality():
-    r = 0.2
-    g = green1d.solve_green_annulus(r, math.sqrt(r))
-    th = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    residual = max(
-        float(np.abs(g.value(np.exp(1j * th))).max()),
-        float(np.abs(g.value(r * np.exp(1j * th))).max()),
-    )
-    flux_dev = max(
-        abs(green1d.level_flux_and_isoperimetric(g, t).flux - 2.0 * math.pi)
-        for t in (-1.0, -2.0, -3.0)
-    )
-    rng = np.random.default_rng(0)
-    sym_dev, pairs = 0.0, 0
-    while pairs < 20:
-        z = complex(*rng.uniform(-1, 1, 2))
-        w = complex(*rng.uniform(-1, 1, 2))
-        if r + 0.02 < abs(z) < 0.98 and r + 0.02 < abs(w) < 0.98 and abs(z - w) > 0.05:
-            a = green1d.solve_green_annulus(r, z).value(np.array([w]))[0]
-            b = green1d.solve_green_annulus(r, w).value(np.array([z]))[0]
-            sym_dev = max(sym_dev, abs(a - b))
-            pairs += 1
-    ok = residual < 1e-8 and flux_dev < 1e-6 and sym_dev < 1e-8
-    assert _report(
-        "criterion 9: Green solver quality",
-        ok,
-        f"residual {residual:.2e}, flux dev {flux_dev:.2e}, symmetry dev {sym_dev:.2e}",
-    )
-
-
-def test_criterion_10_normalized_sublevel_curve():
-    r = 0.2
-    w = math.sqrt(r)
-    g = green1d.solve_green_annulus(r, w)
-    t_grid = [-6, -5, -4, -3, -2, -1, -0.5]
-    curve = green1d.sublevel_curve(g, t_grid, SampleStream(2, seed=0), 2**20)
-    norm = np.asarray(curve.normalized)
-    err = np.asarray(curve.normalized_stderrs)
-    diffs = np.diff(norm)
-    sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
-    monotone = bool(np.all(diffs >= -3.0 * sigma))
-    limit = math.pi / green1d.robin_capacity(g) ** 2
-    limit_dev = abs(norm[0] / limit - 1.0)
-    ok = monotone and limit_dev <= 0.02
-    assert _report(
-        "criterion 10: normalized sublevel monotonicity",
-        ok,
-        f"monotone within 3 sigma={monotone}, limit dev {limit_dev:.3%}",
-    )
-
-
-def test_criterion_11_lower_bound_margins():
-    exact = all(
-        suita.check_lower_bound_est1(domains.disk(), None, t) == (0.0, 0.0)
-        for t in (-3.0, -2.0, -1.0)
-    )
-    margin, sigma = suita.check_lower_bound_est1(
-        Annulus(0.2), math.sqrt(0.2), -2.0, SampleStream(2, seed=1)
-    )
-    ok = exact and margin >= -3.0 * sigma and margin > 0.0
-    assert _report(
-        "criterion 11: kernel lower bound margins",
-        ok,
-        f"disk exact={exact}, annulus margin {margin:.4f} (sigma {sigma:.1e})",
-    )
-
-
-def test_criterion_12_convex_bounds():
-    vals = []
-    for m in (0.5, 1.0, 2.0):
-        for n in (2, 3):
-            for b in (0.1, 0.5, 0.9):
-                vals.append(
-                    suita.product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b))
-                    ** (1.0 / n)
-                )
-    in_range = all(1.0 - 1e-10 <= v <= 4.0 for v in vals)
-    centers = [suita.suita_F(dom).F for dom in (domains.ball(2), Ellipsoid((0.5, 1.0)))]
-    center_ok = all(f <= 16.0 / math.pi**2 for f in centers)
-    ok = in_range and center_ok
-    assert _report(
-        "criterion 12: convex bounds",
-        ok,
-        f"family range [{min(vals):.6f}, {max(vals):.6f}], centers <= 16/pi^2: {center_ok}",
-    )
+for _i, _check in enumerate(checks.CHECKS):
+    _stem = f"test_criterion_{_i + 1:02d}_{_check.fn.__name__}"
+    for _verdict in SPLIT_BY_VERDICT.get(_check.fn.__name__, [None]):
+        _name = f"{_stem}_{_verdict}" if _verdict else _stem
+        globals()[_name] = _make_test(_name, _i, _verdict)
 
 
 def test_criterion_13_property_suite():
@@ -237,8 +78,6 @@ def test_criterion_13_property_suite():
             )
 
     # scaling covariance: K_{c Omega}(c w) = K_Omega(w) / c^{2n}
-    from suitaverify.numerics import Tolerance
-
     tight = Tolerance(abs_tol=1e-16, rel_tol=1e-14)
     c = 1.7
     scale_dev = 0.0

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from suitaverify import checks
 from suitaverify.cli import run
+from suitaverify.numerics import ConvergenceError
 
 
 def _json_out(capsys):
@@ -211,3 +213,58 @@ class TestParser:
 
     def test_bad_base_point(self, capsys):
         assert run(["kernel", "--annulus", "0.2", "--w", "zebra"]) == 1
+
+
+def _stub(name, verdicts, sampling=False):
+    return checks.Check(name, lambda: (verdicts, f"detail of {name}"), sampling)
+
+
+def _raises():
+    raise ConvergenceError("budget exhausted")
+
+
+class TestVerifyAllCommand:
+    def test_rows_and_all_passed_footer(self, monkeypatch, capsys):
+        stubs = (_stub("first", {"a": True}), _stub("second check", {"a": True, "b": True}))
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert run(["verify-all"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "first         PASS  detail of first",
+            "second check  PASS  detail of second check",
+            "all checks passed",
+        ]
+
+    def test_one_false_verdict_fails_the_row(self, monkeypatch, capsys):
+        stubs = (_stub("ok", {"a": True}), _stub("bad", {"a": True, "b": False}))
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert run(["verify-all"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "bad  FAIL  detail of bad"
+        assert lines[-1] == "1 of 2 checks failed"
+
+    def test_quick_skips_exactly_the_sampling_checks(self, monkeypatch, capsys):
+        stubs = (
+            _stub("cheap", {"a": True}),
+            _stub("sampled", {"a": False}, sampling=True),
+            _stub("also cheap", {"a": True}),
+        )
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert run(["verify-all", "--quick"]) == 0
+        names = [line.split("  ")[0].strip() for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert names == ["cheap", "also cheap"]
+        assert run(["verify-all"]) == 2
+
+    def test_numerical_error_is_a_failed_row(self, monkeypatch, capsys):
+        stubs = (checks.Check("raises", _raises), _stub("ok", {"a": True}))
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert run(["verify-all"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "raises  FAIL  numerical failure: budget exhausted"
+        assert lines[-1] == "1 of 2 checks failed"
+
+    def test_registry_is_the_acceptance_table(self):
+        assert len(checks.CHECKS) == 12
+        assert [c.name for c in checks.CHECKS if c.sampling] == [
+            "normalized sublevel monotonicity and limit",
+            "kernel lower bound margins",
+        ]

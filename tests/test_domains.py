@@ -9,7 +9,6 @@ from suitaverify.domains import (
     EllipsoidFamilyParams,
     Polydisk,
     SymmetrizedBidisk,
-    angular_overlap_integral,
     ball,
     contains,
     disk,
@@ -170,14 +169,6 @@ class TestMonomialNorm:
 
             oracle = (2 * math.pi) ** 2 * integrate_1d(radial, 0.0, 1.0)
             assert monomial_norm(dom, [a1, a2]) == pytest.approx(oracle, rel=1e-8)
-
-    def test_orthogonality_angular_factor(self):
-        # distinct monomials on a Reinhardt domain are orthogonal because the
-        # angular factor of the inner product vanishes identically
-        assert angular_overlap_integral(0) == 2 * math.pi
-        for k in range(-6, 7):
-            if k != 0:
-                assert angular_overlap_integral(k) == 0.0
 
     def test_radii_scaling(self):
         base = monomial_norm(Ellipsoid((0.5, 1.0)), [2, 1])

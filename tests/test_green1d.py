@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,17 +6,18 @@ import pytest
 
 from suitaverify import domains
 from suitaverify.green1d import (
+    AnnulusGreen,
     CriticalLevelError,
+    DiskGreen,
     covering_capacity_bound,
     covering_map,
-    green_disk,
     level_flux_and_isoperimetric,
     robin_capacity,
-    solve_green_annulus,
     sublevel_curve,
     sublevel_volume,
+    trace_level,
 )
-from suitaverify.numerics import SampleStream
+from suitaverify.numerics import SampleStream, find_root_monotone
 
 R = 0.2
 W = math.sqrt(R)
@@ -23,38 +25,38 @@ W = math.sqrt(R)
 
 @pytest.fixture(scope="module")
 def annulus_green():
-    return solve_green_annulus(R, W)
+    return AnnulusGreen(R, W)
 
 
 class TestDiskGreen:
     def test_closed_form_values(self):
-        g = green_disk(0.3 + 0.1j)
+        g = DiskGreen(0.3 + 0.1j)
         z = np.array([0.5 - 0.2j])
         w = 0.3 + 0.1j
         expected = math.log(abs(z[0] - w) / abs(1 - np.conj(w) * z[0]))
         assert g.value(z)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_vanishes_on_boundary(self):
-        g = green_disk(0.4)
+        g = DiskGreen(0.4)
         th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         assert np.abs(g.value(np.exp(1j * th))).max() < 1e-14
 
     def test_capacity_center(self):
-        assert robin_capacity(green_disk(0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert robin_capacity(DiskGreen(0.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_capacity_offcenter(self):
         # exp of the Robin constant: G - log|z-w| -> -log(1 - |w|^2)
-        assert robin_capacity(green_disk(0.5)) == pytest.approx(1.0 / 0.75, rel=1e-14)
+        assert robin_capacity(DiskGreen(0.5)) == pytest.approx(1.0 / 0.75, rel=1e-14)
 
     def test_pole_outside_rejected(self):
         with pytest.raises(ValueError):
-            green_disk(1.2)
+            DiskGreen(1.2)
 
 
 class TestAnnulusSolve:
     @pytest.mark.parametrize("r", [0.1, 0.2, 0.5])
     def test_boundary_residual(self, r):
-        g = solve_green_annulus(r, math.sqrt(r))
+        g = AnnulusGreen(r, math.sqrt(r))
         th = np.linspace(0, 2 * math.pi, 720, endpoint=False)
         outer = np.abs(g.value(np.exp(1j * th))).max()
         inner = np.abs(g.value(r * np.exp(1j * th))).max()
@@ -69,8 +71,8 @@ class TestAnnulusSolve:
             if R + 0.02 < abs(z) < 0.98 and R + 0.02 < abs(w) < 0.98 and abs(z - w) > 0.05:
                 pairs.append((z, w))
         for z, w in pairs:
-            gz = solve_green_annulus(R, z)
-            gw = solve_green_annulus(R, w)
+            gz = AnnulusGreen(R, z)
+            gw = AnnulusGreen(R, w)
             assert gz.value(np.array([w]))[0] == pytest.approx(
                 gw.value(np.array([z]))[0], abs=1e-8
             )
@@ -97,11 +99,18 @@ class TestAnnulusSolve:
         assert c <= covering_capacity_bound(R)
         assert c == pytest.approx(covering_capacity_bound(R), rel=1e-4)
 
+    @pytest.mark.parametrize("theta", [0.7, 2.0, 3.1])
+    def test_robin_rotation_invariant(self, theta):
+        # rotations are automorphisms of the annulus, so the Robin constant
+        # depends on |w| only
+        base = AnnulusGreen(R, 0.5).robin
+        assert AnnulusGreen(R, 0.5 * np.exp(1j * theta)).robin == pytest.approx(base, abs=1e-12)
+
     def test_pole_validation(self):
         with pytest.raises(ValueError):
-            solve_green_annulus(0.2, 0.1)
+            AnnulusGreen(0.2, 0.1)
         with pytest.raises(ValueError):
-            solve_green_annulus(0.9995, 0.9997)
+            AnnulusGreen(0.9995, 0.9997)
 
     def test_gradient_matches_finite_differences(self, annulus_green):
         h = 1e-7
@@ -159,7 +168,7 @@ class TestLevelCurves:
         assert stats.density >= 2.0 * stats.area
 
     def test_disk_circles(self):
-        g = green_disk(0.0)
+        g = DiskGreen(0.0)
         for t in (-0.5, -1.5):
             stats = level_flux_and_isoperimetric(g, t)
             assert stats.flux == pytest.approx(2 * math.pi, abs=1e-9)
@@ -169,7 +178,7 @@ class TestLevelCurves:
 
     def test_disk_density_near_zero_level(self):
         # d/dt lambda({G<t}) -> 2 lambda(disk) = 2 pi as t -> 0^-
-        g = green_disk(0.0)
+        g = DiskGreen(0.0)
         stats = level_flux_and_isoperimetric(g, -1e-3)
         assert stats.density == pytest.approx(2 * math.pi, rel=1e-2)
 
@@ -190,10 +199,33 @@ class TestLevelCurves:
         with pytest.raises(ValueError):
             level_flux_and_isoperimetric(annulus_green, 0.5)
 
+    def test_trace_matches_one_call_per_step_walk(self):
+        # reference: the same geometric walk with one value() call per step;
+        # at t = -0.3 some rays need more than eight steps
+        g = AnnulusGreen(R, 0.5 * cmath.exp(2.0j))
+        t = -0.3
+
+        def walk(phi):
+            d = cmath.exp(1j * phi)
+
+            def f(s):
+                return float(g.value(np.array([g.pole + s * d]))[0]) - t
+
+            s_max = float(g.boundary_distance(phi)) * (1.0 - 1e-12)
+            s_lo = min(0.25 * math.exp(t - g.robin), 0.5 * s_max)
+            while f(s_lo) >= 0.0:
+                s_lo *= 0.5
+            while f(min(s_lo * 1.2, s_max)) < 0.0:
+                s_lo = min(s_lo * 1.2, s_max)
+            return find_root_monotone(f, s_lo, min(s_lo * 1.2, s_max))
+
+        phis, s = trace_level(g, t, 64)
+        assert s.tolist() == [walk(p) for p in phis]
+
 
 class TestSublevelVolume:
     def test_disk_center_monte_carlo(self):
-        g = green_disk(0.0)
+        g = DiskGreen(0.0)
         for t in (-1.0, -2.0):
             v, e = sublevel_volume(g, t, SampleStream(2, seed=0), 2**18)
             assert abs(v - math.pi * math.exp(2 * t)) < max(3 * e, 1e-4)

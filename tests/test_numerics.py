@@ -13,7 +13,6 @@ from suitaverify.numerics import (
     find_root_monotone,
     golden_section_max,
     integrate_1d,
-    sample_unit_cube,
 )
 
 
@@ -86,8 +85,8 @@ class TestSampleStream:
     def test_determinism_byte_identical(self):
         for kind in ("pseudo-random", "low-discrepancy"):
             s = SampleStream(dimension=3, seed=42, kind=kind)
-            a = sample_unit_cube(s, 1000)
-            b = sample_unit_cube(SampleStream(dimension=3, seed=42, kind=kind), 1000)
+            a = s.points(1000)
+            b = SampleStream(dimension=3, seed=42, kind=kind).points(1000)
             assert a.tobytes() == b.tobytes()
 
     def test_seeds_differ(self):

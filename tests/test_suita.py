@@ -154,7 +154,7 @@ class TestReverseSuita:
 
         for w in np.linspace(0.25, 0.95, 8):
             k = bergman.kernel_annulus(0.2, w).value
-            c = green1d.robin_capacity(green1d.solve_green_annulus(0.2, w))
+            c = green1d.robin_capacity(green1d.AnnulusGreen(0.2, w))
             assert math.pi * k >= c**2
 
 
