@@ -127,14 +127,21 @@ def kernel_annulus(r, w, tol=DEFAULT_TOL):
 def kernel_ellipsoid_closed(p, b):
     """Closed form for { |z1| + |z2|^{2/p} < 1 } at (b, 0).
 
-    K = (p+1)/(4 pi^2 b) ((1-b)^{-p-2} - (1+b)^{-p-2}).
+    K = (p+1)/(4 pi^2 b) ((1-b)^{-p-2} - (1+b)^{-p-2}), with the difference
+    evaluated without cancellation.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
-    val = (p + 1.0) / (4.0 * math.pi**2 * b) * ((1.0 - b) ** (-p - 2) - (1.0 + b) ** (-p - 2))
+    val = (p + 1.0) / (4.0 * math.pi**2 * b) * _power_difference(p + 2.0, b)
     return KernelValue(val, "closed-form")
+
+
+def _power_difference(q, b):
+    """(1-b)^{-q} - (1+b)^{-q}; ((1-b)/(1+b))^q = exp(-2q atanh b), and expm1 of
+    the negated exponent neither cancels at small b nor amplifies rounding at large b."""
+    return -((1.0 - b) ** (-q)) * math.expm1(-2.0 * q * math.atanh(b))
 
 
 def kernel_deflated(params: EllipsoidFamilyParams):
@@ -147,9 +154,7 @@ def kernel_deflated(params: EllipsoidFamilyParams):
     """
     a = params.a
     b = params.b
-    val = (a - 1.0) / (4.0 * math.pi * params.omega * b) * (
-        (1.0 - b) ** (-a) - (1.0 + b) ** (-a)
-    )
+    val = (a - 1.0) / (4.0 * math.pi * params.omega * b) * _power_difference(a, b)
     other = kernel_deflated_via_identity(params).value
     if abs(other / val - 1.0) > 1e-10:
         raise ArithmeticError(

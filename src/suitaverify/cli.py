@@ -93,7 +93,6 @@ def _build_parser():
 
     p = sub.add_parser("verify-all", help="run the full verification table")
     p.add_argument("--quick", action="store_true", help="skip sampling-heavy checks")
-    common(p)
     return parser
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .numerics import SampleStream, Tolerance, find_root_monotone
+from .numerics import Tolerance, find_root_monotone
 
 __all__ = [
     "Ellipsoid",
@@ -165,7 +165,7 @@ def minkowski_functional(domain, z, tol=None):
         return float(np.sqrt(np.sum((a / r) ** 2)))
 
     def defect(s):
-        return float(np.sum((a / (r * s)) ** (2 * p))) - 1.0
+        return np.sum((a / (r * np.asarray(s)[..., None])) ** (2 * p), axis=-1) - 1.0
 
     hi = float(np.sum(a / r)) + 1.0
     lo = 1e-12 * hi
@@ -185,13 +185,12 @@ def _log_ellipsoid_volume(exponents, radii):
     )
 
 
-def volume(domain, stream=None, count=2**21):
+def volume(domain):
     """Lebesgue volume of the domain.
 
     Ellipsoids use the Gamma-product formula, the annulus is pi (1 - r^2),
-    and the symmetrized bidisk is estimated by hit counting (it has no
-    elementary closed form here); ``stream`` defaults to a deterministic
-    low-discrepancy stream.
+    and the symmetrized bidisk is pi^2 / 2: (s, t) -> (s + t, s t) is 2-to-1
+    with Jacobian |s - t|^2, whose integral over the bidisk is pi^2.
     """
     if isinstance(domain, Ellipsoid):
         return math.exp(_log_ellipsoid_volume(domain.exponents, domain.radii))
@@ -200,18 +199,7 @@ def volume(domain, stream=None, count=2**21):
     if isinstance(domain, Polydisk):
         return math.pi**domain.dim
     if isinstance(domain, SymmetrizedBidisk):
-        if stream is None:
-            stream = SampleStream(dimension=4, seed=0)
-        # bounding box: |z1| <= 2, |z2| <= 1
-        u = stream.points(count)
-        z1 = (4.0 * u[:, 0] - 2.0) + 1j * (4.0 * u[:, 1] - 2.0)
-        z2 = (2.0 * u[:, 2] - 1.0) + 1j * (2.0 * u[:, 3] - 1.0)
-        # both roots inside the unit disk iff |s|,|t| < 1 for x^2 - z1 x + z2
-        d = np.sqrt(z1 * z1 - 4.0 * z2)
-        r1 = np.abs(z1 + d) / 2.0
-        r2 = np.abs(z1 - d) / 2.0
-        hits = (r1 < 1.0) & (r2 < 1.0)
-        return 64.0 * float(np.mean(hits))
+        return math.pi**2 / 2.0
     raise TypeError(f"unsupported domain {domain!r}")
 
 

@@ -194,36 +194,34 @@ def covering_capacity_bound(r):
     return math.pi / (-2.0 * math.sqrt(r) * math.log(r))
 
 
-def _ray_crossing(green, t, phi, coarse=False):
-    """First s > 0 with G(pole + s e^{i phi}) = t along the ray."""
+def _crossings(green, t, phis):
+    """First s > 0 with G(pole + s e^{i phi}) = t along each ray phi."""
     w = green.pole
-    d = cmath.exp(1j * phi)
-    s_bnd = float(green.boundary_distance(phi))
-
-    def f(s):
-        return float(green.value(np.array([w + s * d]))[0]) - t
-
-    s_max = s_bnd * (1.0 - 1e-12)
-    s_lo = min(0.25 * math.exp(t - green.robin), 0.5 * s_max)
-    while f(s_lo) >= 0.0:
-        s_lo *= 0.5
-        if s_lo < 1e-300:
-            raise CriticalLevelError(f"could not start below the level along ray phi={phi}")
-    factor = 1.5 if coarse else 1.2
-    steps = [s_lo]
-    while steps[-1] < s_max:
-        steps.append(min(steps[-1] * factor, s_max))
-    # the bracket ends at the first step at or above the level; steps are
-    # evaluated eight per call, and 1.2^8 > 4 covers the usual distance from
-    # the start to the crossing near exp(t - robin) in one call
-    for lo in range(1, len(steps), 8):
-        above = np.flatnonzero(green.value(w + np.array(steps[lo : lo + 8]) * d) >= t)
-        if above.size:
-            k = lo + int(above[0])
-            return find_root_monotone(f, steps[k - 1], steps[k])
-    # G = 0 > t on the boundary, so a crossing must exist; landing here means
-    # the level hugs the boundary beyond resolution
-    raise CriticalLevelError(f"no level crossing found along ray phi={phi}")
+    d = np.exp(1j * phis)
+    s_max = green.boundary_distance(phis) * (1.0 - 1e-12)
+    lo = np.minimum(0.25 * math.exp(t - green.robin), 0.5 * s_max)
+    # halve the start of every ray that does not yet start below the level
+    todo = np.arange(phis.size)
+    while (todo := todo[green.value(w + lo[todo] * d[todo]) >= t]).size:
+        lo[todo] *= 0.5
+        if lo[todo].min() < 1e-300:
+            raise CriticalLevelError(f"could not start below the level along ray phi={phis[todo[0]]}")
+    # geometric x1.2 steps, one value() call per step for all unbracketed
+    # rays; a bracket ends at the first step at or above the level
+    hi = np.empty_like(lo)
+    todo = np.arange(phis.size)
+    while todo.size:
+        stuck = todo[lo[todo] >= s_max[todo]]
+        if stuck.size:
+            # G = 0 > t on the boundary, so a crossing must exist; landing here
+            # means the level hugs the boundary beyond resolution
+            raise CriticalLevelError(f"no level crossing found along ray phi={phis[stuck[0]]}")
+        step = np.minimum(lo[todo] * 1.2, s_max[todo])
+        above = green.value(w + step * d[todo]) >= t
+        hi[todo[above]] = step[above]
+        lo[todo[~above]] = step[~above]
+        todo = todo[~above]
+    return find_root_monotone(lambda s, d: green.value(w + s * d) - t, lo, hi, args=(d,))
 
 
 @dataclass
@@ -248,8 +246,7 @@ def trace_level(green, t, n_nodes=2048):
     if t >= 0.0:
         raise ValueError("levels must be negative")
     phis = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-    s = np.array([_ray_crossing(green, t, p) for p in phis])
-    return phis, s
+    return phis, _crossings(green, t, phis)
 
 
 def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
@@ -306,11 +303,7 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
 def _sublevel_box(green, t, n_rays=128):
     """Axis-aligned bounding box of { G < t }, from a coarse polar trace."""
     phis = np.arange(n_rays) * (2.0 * math.pi / n_rays)
-    pts = []
-    for p in phis:
-        s = _ray_crossing(green, t, p, coarse=True)
-        pts.append(green.pole + s * cmath.exp(1j * p))
-    pts = np.array(pts)
+    pts = green.pole + _crossings(green, t, phis) * np.exp(1j * phis)
     x0, x1 = pts.real.min(), pts.real.max()
     y0, y1 = pts.imag.min(), pts.imag.max()
     pad = 0.2 * max(x1 - x0, y1 - y0)

@@ -9,7 +9,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
+from scipy.optimize import elementwise
 from scipy.stats import qmc
 
 __all__ = [
@@ -49,34 +50,30 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# brentq refuses rtol below 4*eps
-_MIN_RTOL = 4 * np.finfo(float).eps
 
-
-def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL):
+def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=()):
     """Root of a continuous monotone function on a bracketing interval.
 
-    Raises BracketError when f(lo) and f(hi) have the same strict sign and
-    ConvergenceError when the iteration budget is exceeded.
+    Chandrupatla's bracketing method (``scipy.optimize.elementwise``): ``f``
+    acts elementwise, ``lo``/``hi`` may be arrays of brackets broadcast with
+    the per-element data in ``args``, and every bracket is solved at once.
+    Raises BracketError when some f(lo) and f(hi) have the same strict sign
+    and ConvergenceError when any other element fails (iteration budget,
+    non-finite values).
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    try:
-        return optimize.brentq(
-            f,
-            lo,
-            hi,
-            xtol=max(tol.abs_tol, 1e-300),
-            rtol=max(tol.rel_tol, _MIN_RTOL),
-            maxiter=tol.max_iter,
-        )
-    except RuntimeError as exc:  # brentq signals maxiter this way
-        raise ConvergenceError(str(exc)) from exc
+    res = elementwise.find_root(
+        f,
+        (lo, hi),
+        args=args,
+        tolerances=dict(xatol=max(tol.abs_tol, 1e-300), xrtol=max(tol.rel_tol, 4 * np.finfo(float).eps)),
+        maxiter=tol.max_iter,
+    )
+    status = np.asarray(res.status)
+    if np.any(status == -1):
+        raise BracketError(f"no sign change on {np.count_nonzero(status == -1)} of {status.size} brackets")
+    if np.any(status != 0):
+        raise ConvergenceError(f"root finder failed (status {status.min()}) within {tol.max_iter} iterations")
+    return float(res.x) if np.ndim(res.x) == 0 else res.x
 
 
 def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):

@@ -262,6 +262,21 @@ class TestVerifyAllCommand:
         assert lines[0] == "raises  FAIL  numerical failure: budget exhausted"
         assert lines[-1] == "1 of 2 checks failed"
 
+    def test_out_is_refused_and_writes_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(checks, "CHECKS", (_stub("ok", {"a": True}),))
+        path = tmp_path / "table.json"
+        assert run(["verify-all", "--out", str(path)]) == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--format", "csv"]],
+        ids=["tol", "seed", "samples", "format"],
+    )
+    def test_other_shared_options_are_refused(self, monkeypatch, option):
+        monkeypatch.setattr(checks, "CHECKS", (_stub("ok", {"a": True}),))
+        assert run(["verify-all", *option]) == 1
+
     def test_registry_is_the_acceptance_table(self):
         assert len(checks.CHECKS) == 12
         assert [c.name for c in checks.CHECKS if c.sampling] == [

@@ -18,6 +18,7 @@ from suitaverify.domains import (
     to_json,
     volume,
 )
+from suitaverify.bergman import kernel_g2_center
 from suitaverify.numerics import SampleStream, integrate_1d
 
 
@@ -127,11 +128,22 @@ class TestVolume:
         scaled = Ellipsoid((0.5, 1.0), radii=(2.0, 2.0))
         assert volume(scaled) == pytest.approx(16.0 * volume(base), rel=1e-12)
 
-    def test_g2_volume_is_deterministic(self):
-        v1 = volume(SymmetrizedBidisk(), count=2**18)
-        v2 = volume(SymmetrizedBidisk(), count=2**18)
-        assert v1 == v2
-        assert 0.0 < v1 < 64.0
+    def test_g2_volume_hit_counting_cross_check(self):
+        # (z1, z2) lies in the symmetrized bidisk iff both roots of
+        # x^2 - z1 x + z2 lie in the unit disk; box |z1| <= 2, |z2| <= 1
+        count = 2**21
+        u = SampleStream(4, seed=0).points(count)
+        z1 = (4.0 * u[:, 0] - 2.0) + 1j * (4.0 * u[:, 1] - 2.0)
+        z2 = (2.0 * u[:, 2] - 1.0) + 1j * (2.0 * u[:, 3] - 1.0)
+        d = np.sqrt(z1 * z1 - 4.0 * z2)
+        frac = float(np.mean((np.abs(z1 + d) < 2.0) & (np.abs(z1 - d) < 2.0)))
+        sigma = 64.0 * math.sqrt(frac * (1.0 - frac) / count)
+        assert abs(64.0 * frac - volume(SymmetrizedBidisk())) < 3.0 * sigma
+
+    def test_g2_volume_is_the_center_kernel_reciprocal(self):
+        # (z1, z2) -> (c z1, c^2 z2) with |c| <= 1 maps the symmetrized bidisk
+        # into itself, so only the constants reach the center: K(0) = 1 / volume
+        assert kernel_g2_center().value == pytest.approx(1.0 / volume(SymmetrizedBidisk()), rel=1e-15)
 
 
 class TestMonomialNorm:

@@ -1,0 +1,48 @@
+"""The ell1-family closed forms against mpmath at 40 digits.
+
+The family is { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 } at (b, 0, ..., 0),
+with a = (n-1)/m + 2.  The grid reaches b = 1e-12, where the textbook
+expressions cancel catastrophically, and b = 1 - 1e-6.
+"""
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from suitaverify.bergman import kernel_ellipsoid_closed
+from suitaverify.domains import EllipsoidFamilyParams
+from suitaverify.suita import product_closed_form
+
+B_GRID = [1e-12, 1e-8, 1e-6, *np.logspace(-5.0, math.log10(1.0 - 1e-6), 30).tolist(), 0.1, 1.0 - 1e-6]
+
+
+def _mp_F(m, n, b):
+    with mp.workdps(40):
+        a = (n - 1) / mp.mpf(m) + 2
+        b = mp.mpf(b)
+        prod = ((1 - b) ** (-a) - (1 + b) ** (-a)) * (1 - b) ** a * ((1 - b) ** a + 2 * a * b) / (2 * a * b)
+        return prod ** (mp.mpf(1) / n)
+
+
+def _mp_kernel(p, b):
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        b = mp.mpf(b)
+        return (p + 1) / (4 * mp.pi**2 * b) * ((1 - b) ** (-p - 2) - (1 + b) ** (-p - 2))
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_F_matches_oracle_and_is_at_least_one(m, n):
+    for b in B_GRID:
+        f = product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
+        assert f >= 1.0, b
+        assert abs(f / _mp_F(m, n, b) - 1) <= 1e-15, b
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])
+def test_kernel_matches_oracle(m):
+    for b in B_GRID:
+        k = kernel_ellipsoid_closed(1.0 / m, b).value
+        assert abs(k / _mp_kernel(1.0 / m, b) - 1) <= 4e-15, b

@@ -8,6 +8,7 @@ from suitaverify.indicatrix import indicatrix_volume_closed, kobayashi_profile_p
 from suitaverify.numerics import (
     DEFAULT_TOL,
     BracketError,
+    ConvergenceError,
     SampleStream,
     Tolerance,
     find_root_monotone,
@@ -40,7 +41,7 @@ class TestRootFinder:
         assert find_root_monotone(lambda x: x - 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_log(self):
-        assert find_root_monotone(math.log, 0.5, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert find_root_monotone(np.log, 0.5, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
@@ -52,6 +53,26 @@ class TestRootFinder:
         x = find_root_monotone(f, 1.0, 3.0)
         x2 = find_root_monotone(f, x - 1e-6, x + 1e-6)
         assert abs(x2 - x) <= 1e-10
+
+    def test_array_of_brackets(self):
+        c = np.array([0.5, 2.0, 7.0])
+        x = find_root_monotone(lambda x, c: x * x - c, np.zeros(3), np.full(3, 3.0), args=(c,))
+        assert x.shape == (3,)
+        assert np.abs(x - np.sqrt(c)).max() <= 1e-12
+
+    def test_root_on_an_endpoint(self):
+        c = np.array([0.0, 0.5, 1.0])
+        x = find_root_monotone(lambda x, c: x - c, np.zeros(3), np.ones(3), args=(c,))
+        assert x.tolist() == [0.0, pytest.approx(0.5, abs=1e-12), 1.0]
+
+    def test_one_element_without_sign_change(self):
+        c = np.array([0.5, -1.0, 2.0])
+        with pytest.raises(BracketError):
+            find_root_monotone(lambda x, c: x * x - c, np.zeros(3), np.full(3, 3.0), args=(c,))
+
+    def test_iteration_budget(self):
+        with pytest.raises(ConvergenceError):
+            find_root_monotone(lambda x: x**3 - 2.0 * x - 5.0, 1.0, 3.0, Tolerance(max_iter=1))
 
 
 class TestQuadrature:
