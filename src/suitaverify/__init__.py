@@ -1,5 +1,7 @@
 """Numerical verification of kernel and indicatrix inequalities on model domains."""
 
+import logging
+
 from .bergman import (
     KernelValue,
     kernel_annulus,
@@ -55,3 +57,5 @@ from .suita import (
 )
 
 __version__ = "0.1.0"
+# convergence shortfalls are logged; nothing prints unless the application configures logging
+logging.getLogger("suitaverify").addHandler(logging.NullHandler())

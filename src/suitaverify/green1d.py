@@ -1,6 +1,6 @@
 """One-dimensional Green functions with logarithmic pole.
 
-Closed form on the unit disk, separated Fourier series on the annulus
+Closed form on the unit disk, prime-function product on the annulus
 { r < |z| < 1 }, plus the quantities built on top of them: Robin constant
 and logarithmic capacity, traced level curves with flux / co-area density /
 isoperimetric ratio, sublevel-set volumes by deterministic hit counting,
@@ -55,16 +55,10 @@ class DiskGreen:
         return np.log(np.abs(z - w)) - np.log(np.abs(1.0 - np.conj(w) * z))
 
     def grad(self, z):
-        """Gradient of G as a complex vector gx + i gy."""
+        """Gradient gx + i gy; conj(f') for f = log(z - w) - log(1 - conj(w) z)."""
         z = np.asarray(z, dtype=complex)
-        w = self.pole
-        # grad log|z - a| = (z - a)/|z - a|^2; the Blaschke factor contributes
-        # with a = 1/conj(w) and opposite sign
-        g = (z - w) / np.abs(z - w) ** 2
-        if w != 0:
-            a = 1.0 / np.conj(w)
-            g = g - (z - a) / np.abs(z - a) ** 2
-        return g
+        wc = np.conj(self.pole)
+        return np.conj(1.0 / (z - self.pole) + wc / (1.0 - wc * z))
 
     def in_domain(self, z):
         return np.abs(z) < 1.0
@@ -77,13 +71,13 @@ class DiskGreen:
 
 
 class AnnulusGreen:
-    """Green function of { r < |z| < 1 } as pole term plus harmonic series.
+    """Green function of { r < |z| < 1 } from the Schottky-Klein prime function.
 
-    G(z) = log|z - w| + H(z) where H solves the Dirichlet problem with data
-    -log|z - w| on both boundary circles.  After rotating the pole onto the
-    positive real axis the data is even, so H needs only a constant, a
-    log rho term, and cosine modes A_k rho^k + B_k rho^{-k}; each mode is a
-    2x2 linear solve against the cosine expansion of log|z - w0| on a circle.
+    With q = r^2 and P(x) = (1 - x) prod_{k>=1} (1 - q^k x)(1 - q^k / x),
+    G(z) = log|w| + log|P(z/w)| - log|P(z conj w)| + c log|z|, c = -log|w| / log r
+    (Crowdy, CMFT 2010).  The (1 - x) factors make the disk Green function; the
+    product stops after ``n_modes`` pairs, and ``tail_bound`` bounds what the
+    omitted pairs add to G and to ``robin``.
     """
 
     def __init__(self, r, w, tol=DEFAULT_TOL):
@@ -92,86 +86,80 @@ class AnnulusGreen:
         if not 0.0 < r < 1.0:
             raise ValueError("inner radius must lie in (0, 1)")
         if r > 0.999:
-            raise ValueError("inner radius too close to 1: series ill-conditioned")
+            # the pair count grows like 1 / (1 - r): 22158 pairs at r = 0.999
+            raise ValueError("inner radius too close to 1: the product converges like r^(2k), too slowly")
         w0 = abs(w)
         if not r < w0 < 1.0:
             raise ValueError("pole must lie inside the annulus")
         self.inner = r
         self.pole = w
         self.domain = domains.Annulus(r)
-        self._w0 = w0
-        self._phase = w / w0
-        rate = max(w0, r / w0)
-        target = max(tol.abs_tol, 1e-15)
-        n_modes = max(16, int(math.log(target * (1.0 - rate)) / math.log(rate)) + 1)
-        self.n_modes = min(n_modes, 4000)
-        k = np.arange(1, self.n_modes + 1, dtype=float)
-        self._k = k
-        # cosine data of -log|z - w0|: constant 0 on rho=1, -log w0 on rho=r
-        p_out = w0**k / k
-        p_in = (r / w0) ** k / k
-        rk = r**k
-        denom = 1.0 - rk * rk
-        # B rho^{-k} is stored as Btil (r/rho)^k with Btil = B r^{-k}, which
-        # stays bounded for every mode
-        self._btil = (p_in - p_out * rk) / denom
-        self._a = p_out - self._btil * rk
-        self.c0 = 0.0
+        self._disk = DiskGreen(w)
+        q = r * r
+        # in the annulus |x|, 1/|x| < m for x = z/w and for x = z conj(w), so the k-th
+        # pairs' factors are 1 - u, |u| < q^k m, and |log|1 - u|| <= |u| / (1 - |u|)
+        self._m = (max(1.0 / w0, w0 / r), 1.0 / (r * w0))
+        tail = lambda n: sum(2.0 * a / (1.0 - a) for a in (q ** (n + 1) * m for m in self._m)) / (1.0 - q)
+        # G is of order one near the pole and pairs are cheap: truncate below rounding
+        n = 1
+        while tail(n) > min(tol.abs_tol, 2.0**-53):
+            n += 1
+        self.n_modes, self.tail_bound = n, tail(n)
+        self._qk = qk = q ** np.arange(1, n + 1)
         self.c_log = -math.log(w0) / math.log(r)
-        # _harmonic rotates its argument onto the positive axis itself
-        self.robin = self._harmonic(np.array([w]))[0]
-        self.tail_bound = rate ** (self.n_modes + 1) / ((self.n_modes + 1) * (1.0 - rate))
-
-    def _polar(self, z):
-        zeta = np.asarray(z, dtype=complex) * np.conj(self._phase)
-        return zeta, np.abs(zeta), np.angle(zeta)
-
-    def _harmonic(self, z):
-        zeta, rho, th = self._polar(z)
-        k = self._k
-        rr = rho[..., None]
-        modes = self._a * rr**k + self._btil * (self.inner / rr) ** k
-        return (
-            self.c0
-            + self.c_log * np.log(rho)
-            + np.sum(modes * np.cos(k * th[..., None]), axis=-1)
-        )
+        # the disk's robin plus the pairs of log(P(1)^2 / P(|w|^2)), which combine to
+        # 1 + q^k (1 - a)^2 / (a (1 - q^k a)(1 - q^k / a)), a = |w|^2: no term cancels
+        a = w0 * w0
+        pairs = np.log1p(qk * (1.0 - a) ** 2 / (a * (1.0 - qk * a) * (1.0 - qk / a)))
+        self.robin = self._disk.robin + float(np.sum(pairs)) + self.c_log * math.log(w0)
 
     def value(self, z):
-        zeta, rho, _ = self._polar(z)
-        return np.log(np.abs(zeta - self._w0)) + self._harmonic(z)
+        z = np.asarray(z, dtype=complex)
+        w, qk = self.pole, self._qk
+        # summing the differences keeps the partial sums, and their rounding, of the order of G
+        twice = np.zeros(z.shape)
+        pairs = zip(_twice_log_pairs(z / w, self._m[0], qk), _twice_log_pairs(z * np.conj(w), self._m[1], qk))
+        for a, b in pairs:
+            twice += a - b
+        return self._disk.value(z) + 0.5 * twice + self.c_log * np.log(np.abs(z))
 
     def grad(self, z):
-        zeta, rho, th = self._polar(z)
-        k = self._k
-        rr = rho[..., None]
-        ck = np.cos(k * th[..., None])
-        sk = np.sin(k * th[..., None])
-        pk = self._a * rr**k
-        qk = self._btil * (self.inner / rr) ** k
-        h_rho = self.c_log / rho + np.sum(k * (pk - qk) * ck, axis=-1) / rho
-        h_th = -np.sum(k * (pk + qk) * sk, axis=-1)
-        g_pole = (zeta - self._w0) / np.abs(zeta - self._w0) ** 2
-        e_rho = zeta / rho
-        g = g_pole + e_rho * (h_rho + 1j * h_th / rho)
-        return g * self._phase
+        """Gradient gx + i gy; conj(f') for the analytic f with G = Re f."""
+        z = np.asarray(z, dtype=complex)
+        w, qk = self.pole, self._qk
+        df = _dlog_pairs(z / w, qk) / w - np.conj(w) * _dlog_pairs(z * np.conj(w), qk) + self.c_log / z
+        return self._disk.grad(z) + np.conj(df)
 
     def in_domain(self, z):
-        a = np.abs(z)
-        return (a > self.inner) & (a < 1.0)
+        return self._disk.in_domain(z) & (np.abs(z) > self.inner)
 
     def boundary_distance(self, phi):
         d = np.exp(1j * np.asarray(phi, dtype=float))
-        w = self.pole
-        beta = np.real(np.conj(w) * d)
-        s_out = -beta + np.sqrt(beta**2 + 1.0 - abs(w) ** 2)
-        disc = beta**2 - (abs(w) ** 2 - self.inner**2)
-        s_in = np.where(
-            (disc >= 0) & (-beta - np.sqrt(np.abs(disc)) > 0),
-            -beta - np.sqrt(np.abs(disc)),
-            np.inf,
-        )
-        return np.minimum(s_out, s_in)
+        beta = np.real(np.conj(self.pole) * d)
+        disc = beta**2 - (abs(self.pole) ** 2 - self.inner**2)
+        root = np.sqrt(np.abs(disc))
+        s_in = np.where((disc >= 0) & (-beta - root > 0), -beta - root, np.inf)
+        return np.minimum(self._disk.boundary_distance(phi), s_in)
+
+
+def _twice_log_pairs(x, m, qk):
+    """2 log|(1 - c x)(1 - c / x)| = 2 log|1 + c^2 - c (x + 1/x)| for each c in qk."""
+    xinv = 1.0 / x
+    v = x + xinv
+    vr, vv = v.real, v.real**2 + v.imag**2
+    for c in qk:
+        if c * m > 0.3:
+            # a factor may come close to 0, where the pair and |pair|^2 - 1 both cancel
+            yield 2.0 * (np.log(np.abs(1.0 - c * x)) + np.log(np.abs(1.0 - c * xinv)))
+        else:
+            # log1p(|pair|^2 - 1), rounded to the order of the pair's distance from 1
+            yield np.log1p(c * (c * (vv + (2.0 + c * c)) - (2.0 * (1.0 + c * c)) * vr))
+
+
+def _dlog_pairs(x, qk):
+    """d/dx sum_{c in qk} log((1 - c x)(1 - c / x)) = sum c / (c x - 1) + c / (x (x - c))."""
+    xinv = 1.0 / x
+    return sum(c / (c * x - 1.0) + c * xinv / (x - c) for c in qk)
 
 
 def robin_capacity(green):
@@ -333,7 +321,7 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     u = stream.points(count)
     z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
     hit_count = 0
-    for lo in range(0, count, 65536):  # chunked: series evaluation is wide
+    for lo in range(0, count, 65536):  # chunked: bounds the per-factor temporaries
         chunk = z[lo : lo + 65536]
         mask = green.in_domain(chunk)
         if np.any(mask):

@@ -8,6 +8,7 @@ disc parametrization, whose upper envelope gives the volume numerically.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from scipy.special import gammaln
 from . import domains
 from .domains import EllipsoidFamilyParams
 from .numerics import DEFAULT_TOL, integrate_1d
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "IndicatrixProfile",
@@ -260,18 +263,21 @@ def indicatrix_volume_numeric(p, b, n_grid=2048, rel_change=1e-5, max_doublings=
 
     Samples both extremal-disc arcs, builds the upper envelope of
     |X_2| against |X_1| and integrates the resulting body of revolution;
-    the grid is doubled until the volume stabilizes.
+    the grid is doubled until the volume stabilizes, or until ``max_doublings``
+    runs out: then the last estimate is returned with a logged warning.
     """
     p = tuple(float(q) for q in p)
     if len(p) != 2:
         raise ValueError("numeric pipeline is two-dimensional")
     if any(q < 0.5 for q in p):
         raise ValueError("extremal-disc parametrization needs convex exponents >= 1/2")
-    prev = _envelope_volume(p, b, n_grid, 2 * n_grid + 1)
+    prev, change = _envelope_volume(p, b, n_grid, 2 * n_grid + 1), math.inf
     for _ in range(max_doublings):
         n_grid *= 2
         cur = _envelope_volume(p, b, n_grid, 2 * n_grid + 1)
-        if abs(cur - prev) <= rel_change * abs(cur):
+        change, prev = abs(cur - prev) / abs(cur), cur
+        if change <= rel_change:
             return cur
-        prev = cur
+    log.warning("indicatrix_volume_numeric(p=%s, b=%g): grid %d, last relative change %.2g > %.2g",
+                p, b, n_grid, change, rel_change)
     return prev

@@ -2,17 +2,20 @@
 
 The family is { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 } at (b, 0, ..., 0),
 with a = (n-1)/m + 2.  The grid reaches b = 1e-12, where the textbook
-expressions cancel catastrophically, and b = 1 - 1e-6.
+expressions cancel catastrophically, and b = 1 - 1e-6.  The family maximum
+is checked against the oracle's, and F >= 1 as a property over (m, n, b).
 """
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suitaverify.bergman import kernel_ellipsoid_closed
 from suitaverify.domains import EllipsoidFamilyParams
-from suitaverify.suita import product_closed_form
+from suitaverify.suita import maximize_F, product_closed_form
 
 B_GRID = [1e-12, 1e-8, 1e-6, *np.logspace(-5.0, math.log10(1.0 - 1e-6), 30).tolist(), 0.1, 1.0 - 1e-6]
 
@@ -46,3 +49,35 @@ def test_kernel_matches_oracle(m):
     for b in B_GRID:
         k = kernel_ellipsoid_closed(1.0 / m, b).value
         assert abs(k / _mp_kernel(1.0 / m, b) - 1) <= 4e-15, b
+
+
+def test_family_maximum_matches_oracle():
+    """maximize_F(1/2, 3) against the maximum of the 40-digit F.
+
+    The oracle gives F* = 1.00411786609845 at b* = 0.163501754936633.
+    Criterion 2b pins F* = 1.004178, which is this value with two digits
+    transposed; that pinned value and its tolerance stay as published.
+    """
+    with mp.workdps(40):
+        h = mp.mpf(10) ** -12
+        slope = lambda b: (_mp_F(0.5, 3, b + h) - _mp_F(0.5, 3, b - h)) / (2 * h)
+        b_star = mp.findroot(slope, (mp.mpf("0.15"), mp.mpf("0.18")), solver="anderson")
+        f_star = _mp_F(0.5, 3, b_star)
+    assert abs(float(b_star) - 0.163501754936633) <= 1e-14
+    assert abs(float(f_star) - 1.00411786609845) <= 1e-14
+    b, f = maximize_F(0.5, 3)
+    assert abs(f - float(f_star)) <= 1e-12
+    assert abs(b - float(b_star)) <= 1e-6
+
+
+# b log-uniform near 0 and near 1
+_B = st.one_of(
+    st.floats(-12.0, math.log10(0.5)).map(lambda s: 10.0**s),
+    st.floats(-6.0, math.log10(0.5)).map(lambda s: 1.0 - 10.0**s),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(m=st.floats(0.5, 128.0), n=st.integers(2, 8), b=_B)
+def test_F_is_at_least_one(m, n, b):
+    assert product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n) >= 1.0

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from suitaverify import domains
 from suitaverify.green1d import (
@@ -18,7 +19,7 @@ from suitaverify.green1d import (
     sublevel_volume,
     trace_level,
 )
-from suitaverify.numerics import SampleStream
+from suitaverify.numerics import DEFAULT_TOL, SampleStream
 
 R = 0.2
 W = math.sqrt(R)
@@ -27,6 +28,85 @@ W = math.sqrt(R)
 @pytest.fixture(scope="module")
 def annulus_green():
     return AnnulusGreen(R, W)
+
+
+class SeriesGreen:
+    """Reference route for the annulus: G = log|z - w| + H, H a cosine-mode series.
+
+    H solves the Dirichlet problem with data -log|z - w| on both circles.
+    After rotating the pole onto the positive axis the data is even, so H
+    needs a log rho term and modes A_k rho^k + B_k rho^{-k}; each mode is a
+    2x2 solve against the cosine expansion of log|z - w0| on a circle.  The
+    modes converge like max(w0, r/w0)^k, independently of the product.
+    """
+
+    def __init__(self, r, w, target=1e-16):
+        w0 = abs(w)
+        self.r, self.w0, self.phase = r, w0, w / w0
+        rate = max(w0, r / w0)
+        n_modes = max(16, int(math.log(target * (1.0 - rate)) / math.log(rate)) + 1)
+        k = np.arange(1, n_modes + 1, dtype=float)
+        # cosine data of -log|z - w0|: 0 on rho = 1, -log w0 on rho = r; B rho^{-k}
+        # is stored as btil (r/rho)^k with btil = B r^{-k}, bounded for every mode
+        p_out = w0**k / k
+        p_in = (r / w0) ** k / k
+        rk = r**k
+        self.btil = (p_in - p_out * rk) / (1.0 - rk * rk)
+        self.a = p_out - self.btil * rk
+        self.k = k
+        self.c_log = -math.log(w0) / math.log(r)
+        self.robin = self._harmonic(np.array([w]))[0]
+
+    def _polar(self, z):
+        zeta = np.asarray(z, dtype=complex) * np.conj(self.phase)
+        return zeta, np.abs(zeta), np.angle(zeta)
+
+    def _harmonic(self, z):
+        _, rho, th = self._polar(z)
+        rr = rho[..., None]
+        modes = self.a * rr**self.k + self.btil * (self.r / rr) ** self.k
+        return self.c_log * np.log(rho) + np.sum(modes * np.cos(self.k * th[..., None]), axis=-1)
+
+    def value(self, z):
+        zeta, _, _ = self._polar(z)
+        return np.log(np.abs(zeta - self.w0)) + self._harmonic(z)
+
+    def grad(self, z):
+        zeta, rho, th = self._polar(z)
+        k = self.k
+        rr = rho[..., None]
+        pk = self.a * rr**k
+        qk = self.btil * (self.r / rr) ** k
+        h_rho = self.c_log / rho + np.sum(k * (pk - qk) * np.cos(k * th[..., None]), axis=-1) / rho
+        h_th = -np.sum(k * (pk + qk) * np.sin(k * th[..., None]), axis=-1)
+        g_pole = (zeta - self.w0) / np.abs(zeta - self.w0) ** 2
+        return (g_pole + zeta / rho * (h_rho + 1j * h_th / rho)) * self.phase
+
+
+def _mp_green(r, w, z):
+    """G from the prime-function product at 40 digits, factors down to 1e-42."""
+    with mp.workdps(40):
+        r, w, z = mp.mpf(r), mp.mpc(w), mp.mpc(z)
+        q = r * r
+
+        def prime(x):
+            p, c = 1 - x, q
+            while c > mp.mpf(10) ** -42:
+                p *= (1 - c * x) * (1 - c / x)
+                c *= q
+            return p
+
+        lw = mp.log(abs(w))
+        pw = mp.log(abs(prime(z / w))) - mp.log(abs(prime(z * mp.conj(w))))
+        return lw + pw - lw / mp.log(r) * mp.log(abs(z))
+
+
+# on-axis pole sqrt(r) and an off-axis pole nearer the inner circle
+SERIES_CASES = [
+    pytest.param(r, w, id=f"r{r}-{where}")
+    for r in (0.05, 0.2, 0.5, 0.9)
+    for where, w in (("axis", math.sqrt(r)), ("off-axis", r**0.6 * cmath.exp(2.3j)))
+]
 
 
 class TestDiskGreen:
@@ -97,6 +177,36 @@ class TestAnnulusSolve:
             AnnulusGreen(0.2, 0.1)
         with pytest.raises(ValueError):
             AnnulusGreen(0.9995, 0.9997)
+
+    @pytest.mark.parametrize("r,w", SERIES_CASES)
+    def test_product_matches_mode_series(self, r, w):
+        g, ref = AnnulusGreen(r, w), SeriesGreen(r, w)
+        rng = np.random.default_rng(7)
+        rho = r + (1.0 - r) * rng.uniform(0.02, 0.98, 400)
+        z = rho * np.exp(2j * math.pi * rng.random(400))
+        # keep off the pole, where both routes' rounding grows with |grad G|
+        z = z[np.abs(z - w) > 0.2 * min(1.0 - abs(w), abs(w) - r)]
+        assert np.abs(g.value(z) - ref.value(z)).max() <= 1e-12
+        assert np.abs(g.grad(z) - ref.grad(z)).max() <= 1e-12
+        assert g.robin == pytest.approx(ref.robin, abs=1e-13)
+
+    @pytest.mark.parametrize("r,w", [(0.2, 0.3 + 0.25j), (0.9, 0.93 * cmath.exp(-1j))], ids=["r0.2", "r0.9"])
+    def test_value_matches_mpmath_product(self, r, w):
+        g = AnnulusGreen(r, w)
+        d = min(1.0 - abs(w), abs(w) - r)
+        z = w + d * np.linspace(0.2, 0.6, 5) * np.exp(1j * np.linspace(0.0, 5.0, 5))
+        ref = np.array([float(_mp_green(r, w, c)) for c in z])
+        assert np.all(np.abs(ref) > 0.1)
+        assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
+
+    def test_no_silent_cap_near_one(self):
+        # the mode series stopped at 4000 modes here, with a tail bound of 9.2e-11
+        r = 0.99
+        g = AnnulusGreen(r, math.sqrt(r))
+        assert g.tail_bound <= DEFAULT_TOL.abs_tol
+        th = np.linspace(0, 2 * math.pi, 720, endpoint=False)
+        assert np.abs(g.value(np.exp(1j * th))).max() <= 1e-12
+        assert np.abs(g.value(r * np.exp(1j * th))).max() <= 1e-12
 
     def test_gradient_matches_finite_differences(self, annulus_green):
         h = 1e-7
@@ -170,8 +280,6 @@ class TestLevelCurves:
 
     def test_critical_level_refused(self, annulus_green):
         # the saddle sits on the negative real axis between the two circles
-        from scipy.optimize import minimize_scalar
-
         res = minimize_scalar(
             lambda x: float(np.abs(annulus_green.grad(np.array([x + 0j]))[0])),
             bounds=(-0.95, -R - 0.02),
@@ -186,31 +294,56 @@ class TestLevelCurves:
             level_flux_and_isoperimetric(annulus_green, 0.5)
 
     def test_trace_matches_one_call_per_step_walk(self):
-        # reference: the same geometric walk with one value() call per step and
-        # a scalar brentq at machine precision; at t = -0.3 the rays need
-        # different numbers of steps
+        # at t = -0.3 the rays need different numbers of steps
         g = AnnulusGreen(R, 0.5 * cmath.exp(2.0j))
-        t = -0.3
+        _assert_trace_matches_walk(g, -0.3, 64)
 
-        def walk(phi):
-            d = cmath.exp(1j * phi)
+    def test_trace_takes_the_first_crossing_near_the_saddle(self):
+        # just below the saddle value a ray past the inner circle leaves the
+        # sublevel set, enters it again and leaves it once more; the trace
+        # must bracket the first crossing, as the x1.2 walk does
+        g = AnnulusGreen(R, 0.5 * cmath.exp(2.0j))
+        e = cmath.exp(1j * (2.0 - math.pi))
+        res = minimize_scalar(
+            lambda x: float(np.abs(g.grad(np.array([x * e]))[0])),
+            bounds=(R + 0.02, 0.95),
+            method="bounded",
+        )
+        t = float(g.value(np.array([res.x * e]))[0]) - 0.02
+        phis = np.arange(64) * (2.0 * math.pi / 64)
+        crossings = []
+        for phi in phis:
+            s = np.linspace(0.0, float(g.boundary_distance(phi)) * (1.0 - 1e-12), 20001)[1:]
+            above = g.value(g.pole + s * cmath.exp(1j * phi)) >= t
+            crossings.append(int(np.count_nonzero(np.diff(above))))
+        assert max(crossings) > 1
+        _assert_trace_matches_walk(g, t, 64)
 
-            def f(s):
-                return float(g.value(np.array([g.pole + s * d]))[0]) - t
 
-            s_max = float(g.boundary_distance(phi)) * (1.0 - 1e-12)
-            s_lo = min(0.25 * math.exp(t - g.robin), 0.5 * s_max)
-            while f(s_lo) >= 0.0:
-                s_lo *= 0.5
-            while f(min(s_lo * 1.2, s_max)) < 0.0:
-                s_lo = min(s_lo * 1.2, s_max)
-            s_hi = min(s_lo * 1.2, s_max)
-            return s_lo, s_hi, brentq(f, s_lo, s_hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+def _assert_trace_matches_walk(g, t, n_rays):
+    """The traced radii lie in the brackets of a one-call-per-step walk and
+    match a scalar brentq root at machine precision."""
 
-        phis, s = trace_level(g, t, 64)
-        lo, hi, root = np.array([walk(p) for p in phis]).T
-        assert np.all((lo <= s) & (s <= hi))
-        assert np.all(np.abs(s - root) <= 1e-12 + 1e-10 * s)
+    def walk(phi):
+        d = cmath.exp(1j * phi)
+
+        def f(s):
+            return float(g.value(np.array([g.pole + s * d]))[0]) - t
+
+        s_max = float(g.boundary_distance(phi)) * (1.0 - 1e-12)
+        s_lo = min(0.25 * math.exp(t - g.robin), 0.5 * s_max)
+        while f(s_lo) >= 0.0:
+            s_lo *= 0.5
+        while f(min(s_lo * 1.2, s_max)) < 0.0:
+            s_lo = min(s_lo * 1.2, s_max)
+        s_hi = min(s_lo * 1.2, s_max)
+        return s_lo, s_hi, brentq(f, s_lo, s_hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+    phis, s = trace_level(g, t, n_rays)
+    lo, hi, root = np.array([walk(p) for p in phis]).T
+    assert np.all((lo <= s) & (s <= hi))
+    assert np.all(np.abs(s - root) <= 1e-12 + 1e-10 * s)
+
 
 class TestSublevelVolume:
     def test_disk_center_monte_carlo(self):

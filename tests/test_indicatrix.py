@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -148,6 +149,22 @@ class TestNumericVolume:
         for b in (0.2, 0.4):
             v = indicatrix_volume_numeric((1.0, 1.0), b)
             assert v == pytest.approx(math.pi**2 / 2.0 * (1 - b * b) ** 3, rel=1e-5)
+
+    def test_shortfall_is_logged(self, caplog):
+        # at p = (128, 1), b = 0.02 the last doubling still moves the volume by 2e-4
+        with caplog.at_level(logging.WARNING, logger="suitaverify"):
+            v = indicatrix_volume_numeric((128.0, 1.0), 0.02)
+        (rec,) = caplog.records
+        assert rec.name == "suitaverify.indicatrix"
+        assert rec.levelno == logging.WARNING
+        assert "grid 32768" in rec.getMessage()
+        assert "last relative change 0.0002" in rec.getMessage()
+        assert v == pytest.approx(9.784452792514628, rel=1e-10)
+
+    def test_converged_volume_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify"):
+            indicatrix_volume_numeric((2.0, 1.0), 0.3)
+        assert caplog.records == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
