@@ -6,6 +6,7 @@ deflation identity linking them, and the symmetrized bidisk center value.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ __all__ = [
     "kernel_g2_center",
 ]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -38,27 +41,62 @@ class KernelValue:
         return self.value
 
 
-def _degree_block(n, degree):
-    """Multi-indices alpha >= 0 with |alpha| = degree."""
-    if n == 0:
-        if degree == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (degree,)
-        return
-    for head in range(degree + 1):
-        for tail in _degree_block(n - 1, degree - head):
-            yield (head,) + tail
+# The default stop: a degree block below this share of the running total no
+# longer moves a double.
+ROUNDING_SHARE = 1e-17
+# Most terms the series may evaluate before it gives up.
+TERM_BUDGET = 2**22
+# Chunk sizes in terms: the first chunk, and the cap on memory held at once.
+_FIRST_CHUNK = 2**8
+_CHUNK = 2**16
 
 
-def kernel_reinhardt(domain, w, tol=DEFAULT_TOL, max_degree=20000):
+def _chunk_end(k, lo, rows):
+    """Degree hi > lo such that degrees lo .. hi-1 hold at most ``rows``
+    multi-indices in N^k, or just degree lo when that alone holds more."""
+    if k == 1:
+        return lo + rows
+    hi, count = lo + 1, math.comb(lo + k - 1, k - 1)
+    while count + (nxt := math.comb(hi + k - 1, k - 1)) <= rows:
+        count += nxt
+        hi += 1
+    return hi
+
+
+def _multi_indices(k, lo, hi):
+    """All alpha in N^k with lo <= |alpha| < hi, one row each.
+
+    The first k-1 coordinates range over every head of total at most hi-1,
+    and each head is repeated once per admissible value of the last one.
+    """
+    alpha = np.zeros((1, 0), dtype=np.int64)
+    for col in range(k):
+        s = alpha.sum(axis=1)
+        start = np.maximum(lo - s, 0) if col == k - 1 else np.zeros_like(s)
+        counts = hi - s - start
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        alpha = np.column_stack((np.repeat(alpha, counts, axis=0), np.repeat(start, counts) + within))
+    return alpha
+
+
+def kernel_reinhardt(domain, w, tol=None):
     """K(w) = sum over monomials of |w^alpha|^2 / ||z^alpha||^2.
 
-    Terms are summed in blocks of equal total degree; the block sums decay
-    geometrically in the Minkowski functional of w, which also provides the
-    tail estimate.  Points on or outside the boundary trip the divergence
-    guard.
+    Terms are evaluated in log space, exp(2 alpha . log|w| - log ||z^alpha||^2),
+    so degrees in the thousands neither overflow nor underflow.  They are
+    taken in chunks of whole degree blocks that grow from 2^8 to 2^16
+    multi-indices; only a single block in four or more active coordinates
+    can hold more.  The block sums
+    decay geometrically in the Minkowski functional of w, which also gives
+    the tail estimate reported in ``error_bound``.  All terms are positive,
+    so the partial sum is a one-sided lower bound on K(w).
+
+    By default the series is summed to rounding: it stops at the first
+    degree from 8 on whose block is below ROUNDING_SHARE of the total.  An
+    explicit ``tol`` stops earlier, at the first block below
+    ``tol.abs_tol + tol.rel_tol * total``.  Past TERM_BUDGET terms the series
+    raises ConvergenceError; it never returns a truncated sum.  Points on or
+    outside the boundary trip the divergence guard.
     """
     if not isinstance(domain, (Ellipsoid, Polydisk)):
         raise TypeError("monomial-series kernel needs a Reinhardt spec")
@@ -67,28 +105,43 @@ def kernel_reinhardt(domain, w, tol=DEFAULT_TOL, max_degree=20000):
         raise ValueError("base point has wrong dimension")
     if not domains.contains(domain, w):
         raise ValueError("base point on or outside the boundary: series diverges")
-    absw = np.abs(w)
-    active = absw > 0.0  # coordinates with w_j = 0 contribute only alpha_j = 0
-    total = 0.0
-    last_blocks = []
-    degree = 0
-    while degree <= max_degree:
-        block = 0.0
-        for alpha in _degree_block(int(np.sum(active)), degree):
-            full = np.zeros(domain.dimension, dtype=int)
-            full[active] = alpha
-            term = float(np.prod(absw[active] ** (2 * np.asarray(alpha))))
-            block += term / domains.monomial_norm(domain, full)
-        total += block
-        last_blocks.append(block)
-        if degree >= 8 and block <= tol.abs_tol + tol.rel_tol * total:
+    abs_tol, rel_tol = (0.0, ROUNDING_SHARE) if tol is None else (tol.abs_tol, tol.rel_tol)
+    # coordinates with w_j = 0 contribute only alpha_j = 0
+    active = np.flatnonzero(w)
+    if active.size == 0:
+        norm = domains.monomial_norm(domain, np.zeros(domain.dimension), log=True)
+        return KernelValue(math.exp(-norm), "monomial-series")
+    log_w2 = 2.0 * np.log(np.abs(w[active]))
+    k = active.size
+    total, prev, lo, terms = 0.0, 0.0, 0, 0
+    while True:
+        room = TERM_BUDGET - terms
+        if math.comb(lo + k - 1, k - 1) > room:
+            raise ConvergenceError(f"kernel series did not converge within {TERM_BUDGET} terms")
+        hi = _chunk_end(k, lo, min(_CHUNK, max(_FIRST_CHUNK, terms), room))
+        alpha = _multi_indices(k, lo, hi)
+        full = np.zeros((len(alpha), domain.dimension))
+        full[:, active] = alpha
+        log_terms = alpha @ log_w2 - domains.monomial_norm(domain, full, log=True)
+        blocks = np.bincount(alpha.sum(axis=1) - lo, weights=np.exp(log_terms), minlength=hi - lo)
+        terms += len(alpha)
+        running = total + np.cumsum(blocks)
+        before = np.concatenate(([prev], blocks[:-1]))
+        ratio = np.divide(blocks, before, out=np.zeros_like(blocks), where=before > 0)
+        done = (np.arange(lo, hi) >= 8) & (blocks <= abs_tol + rel_tol * running) & (ratio < 1.0)
+        if done.any():
+            stop = int(np.argmax(done))
+            total += float(np.sum(blocks[: stop + 1]))
+            block, r = blocks[stop], ratio[stop]
             # geometric tail estimate from the last two block ratios
-            ratio = last_blocks[-1] / last_blocks[-2] if last_blocks[-2] > 0 else 0.0
-            if ratio < 1.0:
-                tail = block * ratio / (1.0 - ratio) if ratio > 0 else block
-                return KernelValue(total, "monomial-series", tail)
-        degree += 1
-    raise ConvergenceError("kernel series did not converge within the degree budget")
+            tail = float(block * r / (1.0 - r) if r > 0 else block)
+            log.debug(
+                "monomial series: degree %d, %d terms, tail estimate %.3g",
+                lo + stop, terms, tail,
+            )
+            return KernelValue(total, "monomial-series", tail)
+        total += float(np.sum(blocks))
+        prev, lo = blocks[-1], hi
 
 
 def kernel_annulus(r, w, tol=DEFAULT_TOL):

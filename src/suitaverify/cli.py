@@ -40,8 +40,8 @@ def _build_parser():
     parser = _Parser(prog="suitaverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-12, help="absolute tolerance")
+    def common(p, tol=1e-12, tol_help="absolute tolerance"):
+        p.add_argument("--tol", type=float, default=tol, help=tol_help)
         p.add_argument("--seed", type=int, default=0, help="sample stream seed")
         p.add_argument("--samples", type=int, default=2**20, help="sample count")
         p.add_argument("--out", default=None, help="output file path")
@@ -52,7 +52,12 @@ def _build_parser():
     p.add_argument("--annulus", type=float, help="annulus inner radius")
     p.add_argument("--g2", action="store_true", help="symmetrized bidisk at 0")
     p.add_argument("--w", default="0", help="base point ('sqrt' = sqrt of the inner radius)")
-    common(p)
+    common(
+        p,
+        None,
+        "absolute tolerance; truncates a series earlier (default: the monomial series "
+        "is summed to rounding, the annulus series to 1e-12)",
+    )
 
     p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': prime-function factor pairs)")
     p.add_argument("--r", type=float, required=True)
@@ -130,17 +135,19 @@ def _tol(args):
 
 
 def _cmd_kernel(args):
+    # without --tol each series keeps its own default stopping rule
+    tol = {} if args.tol is None else {"tol": _tol(args)}
     if args.g2:
         k = bergman.kernel_g2_center()
     elif args.annulus is not None:
         if not 0.0 < args.annulus < 1.0:
             raise _ArgumentError(f"annulus radius {args.annulus} outside (0, 1)")
         w = _parse_w(args.w, args.annulus)
-        k = bergman.kernel_annulus(args.annulus, w, _tol(args))
+        k = bergman.kernel_annulus(args.annulus, w, **tol)
     elif args.domain:
         dom = domains.from_json(args.domain)
         w = np.asarray(json.loads(args.w), dtype=complex) if args.w != "0" else np.zeros(dom.dimension)
-        k = bergman.kernel_reinhardt(dom, w, _tol(args))
+        k = bergman.kernel_reinhardt(dom, w, **tol)
     else:
         raise _ArgumentError("choose one of --g2, --annulus, --domain")
     _emit(args, {"value": k.value, "method": k.method, "error_bound": k.error_bound})

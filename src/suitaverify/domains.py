@@ -203,36 +203,43 @@ def volume(domain):
     raise TypeError(f"unsupported domain {domain!r}")
 
 
-def monomial_norm(domain, alpha):
-    """Squared L^2 norm of z^alpha over the domain.
+def monomial_norm(domain, alpha, log=False):
+    """Squared L^2 norm of z^alpha over the domain, or its natural log.
 
-    For the annulus ``alpha`` is a single (possibly negative) integer; for
-    ellipsoids and polydisks it is a multi-index of non-negative integers.
+    For the annulus ``alpha`` is a single (possibly negative) integer.  For
+    ellipsoids and polydisks it is a multi-index of non-negative integers,
+    or an array of them indexed by the last axis, which gives an array of
+    norms.  The log form neither overflows nor underflows at high degree.
     """
     if isinstance(domain, Annulus):
         j = int(alpha) if np.isscalar(alpha) else int(np.asarray(alpha).item())
         r = domain.inner
         if j == -1:
-            return -2.0 * math.pi * math.log(r)
-        return math.pi * (1.0 - r ** (2 * j + 2)) / (j + 1)
+            norm = -2.0 * math.pi * math.log(r)
+        else:
+            norm = math.pi * (1.0 - r ** (2 * j + 2)) / (j + 1)
+        return math.log(norm) if log else norm
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.shape != (domain.dimension,) or np.any(alpha < 0):
+    if alpha.shape[-1] != domain.dimension or np.any(alpha < 0):
         raise ValueError("multi-index must be non-negative of the domain dimension")
+    a1 = alpha + 1.0
+    n = domain.dimension
     if isinstance(domain, Polydisk):
-        return float(np.prod(math.pi / (alpha + 1.0)))
-    if isinstance(domain, Ellipsoid):
+        lg = n * math.log(math.pi) - np.sum(np.log(a1), axis=-1)
+    elif isinstance(domain, Ellipsoid):
         p = np.asarray(domain.exponents)
         r = np.asarray(domain.radii)
-        n = domain.dimension
         lg = (
             n * math.log(math.pi)
             - float(np.sum(np.log(p)))
-            + float(np.sum(gammaln((alpha + 1.0) / p)))
-            - float(gammaln(1.0 + np.sum((alpha + 1.0) / p)))
-            + 2.0 * float(np.sum((alpha + 1.0) * np.log(r)))
+            + np.sum(gammaln(a1 / p), axis=-1)
+            - gammaln(1.0 + np.sum(a1 / p, axis=-1))
+            + 2.0 * np.sum(a1 * np.log(r), axis=-1)
         )
-        return math.exp(lg)
-    raise TypeError(f"unsupported domain {domain!r}")
+    else:
+        raise TypeError(f"unsupported domain {domain!r}")
+    out = lg if log else np.exp(lg)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from suitaverify import domains
+from suitaverify import bergman, domains
 from suitaverify.bergman import (
     KernelValue,
     kernel_annulus,
@@ -14,7 +18,24 @@ from suitaverify.bergman import (
     kernel_reinhardt,
 )
 from suitaverify.domains import Ellipsoid, EllipsoidFamilyParams, Polydisk, ball, disk
-from suitaverify.numerics import Tolerance
+from suitaverify.numerics import ConvergenceError, Tolerance
+
+
+def _ball_kernel_mp(w):
+    """n! / (pi^n (1 - |w|^2)^(n+1)) at 40 digits."""
+    with mp.workdps(40):
+        n = len(w)
+        x = mp.fsum(mp.mpf(c.real) ** 2 + mp.mpf(c.imag) ** 2 for c in w)
+        return float(mp.factorial(n) / (mp.pi**n * (1 - x) ** (n + 1)))
+
+
+def _polydisk_kernel_mp(w):
+    """prod_j 1 / (pi (1 - |w_j|^2)^2) at 40 digits."""
+    with mp.workdps(40):
+        out = mp.mpf(1)
+        for c in w:
+            out /= mp.pi * (1 - mp.mpf(c.real) ** 2 - mp.mpf(c.imag) ** 2) ** 2
+        return float(out)
 
 
 class TestKernelReinhardt:
@@ -51,6 +72,63 @@ class TestKernelReinhardt:
         kc = kernel_ellipsoid_closed(p, b)
         assert k.value == pytest.approx(kc.value, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [0.5, 2.0, 8.0, 128.0])
+    @pytest.mark.parametrize("b", [1e-3, 0.1, 0.5, 0.9, 0.99])
+    def test_axis_kernel_closed_form(self, m, b):
+        # on {|z1|^{2m} + |z2|^2 < 1}, ||z1^j||^2 = pi^2 m / ((j+1)(j+1+m)), so
+        # K((b,0)) = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3) with x = b^2
+        # (Boas, Fu & Straube, Proc. AMS 1999)
+        x, omx = b * b, (1.0 - b) * (1.0 + b)
+        expected = ((1.0 + x) + m * omx) / (math.pi**2 * m * omx**3)
+        k = kernel_reinhardt(Ellipsoid((m, 1.0)), np.array([b, 0.0], dtype=complex))
+        assert k.value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "dom,w,oracle",
+        [
+            (ball(2), [0.6, 0.45j], _ball_kernel_mp),
+            (ball(3), [0.8, 0.05, 0.02], _ball_kernel_mp),
+            (ball(3), [0.5 - 0.3j, 0.0, 0.4j], _ball_kernel_mp),
+            (Polydisk(3), [0.5, 0.4, 0.3], _polydisk_kernel_mp),
+        ],
+        ids=["ball2", "ball3", "ball3-zero-coordinate", "polydisk3"],
+    )
+    def test_off_axis_to_rounding(self, dom, w, oracle):
+        w = np.array(w, dtype=complex)
+        k = kernel_reinhardt(dom, w)
+        assert k.value == pytest.approx(oracle(w), rel=1e-14)
+        # the partial sum of positive terms is a lower bound; the tail is at rounding
+        assert k.error_bound < 1e-15 * k.value
+
+    def test_off_axis_ellipsoid_matches_loop_reference(self):
+        # one multi-index at a time with the scalar norm, summed to degree 30:
+        # the neglected tail is about (h^2)^30 with h the Minkowski functional
+        dom = Ellipsoid((0.7, 1.5, 2.0))
+        w = np.array([0.15, 0.2j, -0.3])
+        absw = np.abs(w)
+        ref = math.fsum(
+            float(np.prod(absw ** (2.0 * np.array(alpha)))) / domains.monomial_norm(dom, alpha)
+            for d in range(31)
+            for a1 in range(d + 1)
+            for alpha in ((a1, a2, d - a1 - a2) for a2 in range(d - a1 + 1))
+        )
+        assert domains.minkowski_functional(dom, w) ** 60 < 1e-20
+        assert kernel_reinhardt(dom, w).value == pytest.approx(ref, rel=1e-14)
+
+    def test_term_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(bergman, "TERM_BUDGET", 10_000)
+        with pytest.raises(ConvergenceError):
+            kernel_reinhardt(ball(3), np.array([0.9, 0.3, 0.2]))
+
+    def test_logs_its_convergence(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify"):
+            k = kernel_reinhardt(ball(2), np.array([0.5, 0.3]))
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
+        assert rec.levelno == logging.DEBUG
+        degree, terms, tail = rec.args
+        assert degree >= 8 and terms >= (degree + 1) * (degree + 2) // 2
+        assert tail == k.error_bound
+
     def test_error_bound_is_honest(self):
         dom = ball(2)
         w = np.array([0.5, 0.3])
@@ -83,6 +161,21 @@ class TestKernelReinhardt:
         k = kernel_reinhardt(disk(), np.array([0.0]))
         assert float(k) == k.value
         assert isinstance(k, KernelValue)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 3),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    x=st.floats(0.0, 0.7),
+)
+def test_ball_kernel_closed_form(n, direction, x):
+    u = np.array(direction[:n]) + 1j * np.array(direction[n : 2 * n])
+    size = np.linalg.norm(u)
+    w = u * (math.sqrt(x) / size) if size > 1e-100 else np.zeros(n, dtype=complex)
+    x = float(np.sum(np.abs(w) ** 2))
+    expected = math.factorial(n) / (math.pi**n * (1.0 - x) ** (n + 1))
+    assert kernel_reinhardt(ball(n), w).value == pytest.approx(expected, rel=1e-13)
 
 
 class TestKernelAnnulus:

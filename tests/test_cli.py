@@ -32,6 +32,16 @@ class TestKernelCommand:
         expected = (1 + 1) / (4 * math.pi**2 * 0.3) * ((0.7) ** -3 - (1.3) ** -3)
         assert payload["value"] == pytest.approx(expected, rel=1e-8)
 
+    def test_reinhardt_tol_truncates_earlier(self, capsys):
+        dom = '{"variant": "ellipsoid", "p": [1.0, 1.0]}'
+        assert run(["kernel", "--domain", dom, "--w", "[0.5, 0.3]"]) == 0
+        full = _json_out(capsys)
+        assert run(["kernel", "--domain", dom, "--w", "[0.5, 0.3]", "--tol", "1e-4"]) == 0
+        early = _json_out(capsys)
+        assert full["value"] == pytest.approx(2.0 / (math.pi**2 * (1.0 - 0.34) ** 3), rel=1e-14)
+        assert full["error_bound"] < 1e-15 * full["value"] < early["error_bound"]
+        assert early["value"] < full["value"]
+
     def test_missing_selector_is_validation_error(self, capsys):
         assert run(["kernel"]) == 1
         assert "error" in capsys.readouterr().err

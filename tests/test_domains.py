@@ -188,6 +188,26 @@ class TestMonomialNorm:
         # each coordinate contributes R^{2 alpha_j + 2}
         assert scaled == pytest.approx(2.0 ** (2 * 2 + 2) * 2.0 ** (2 * 1 + 2) * base, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "dom", [Ellipsoid((0.7, 1.5, 2.0), radii=(1.0, 0.9, 1.1)), Polydisk(3)], ids=["ellipsoid", "polydisk"]
+    )
+    def test_array_and_log_forms_match_rows(self, dom):
+        alpha = np.array([[0, 0, 0], [3, 1, 4], [200, 0, 7], [50, 60, 70]])
+        logs = monomial_norm(dom, alpha, log=True)
+        assert logs.shape == (4,)
+        for row, lg in zip(alpha, logs):
+            assert lg == pytest.approx(math.log(monomial_norm(dom, row)), rel=1e-14, abs=1e-14)
+        assert np.allclose(monomial_norm(dom, alpha), np.exp(logs), rtol=1e-15, atol=0.0)
+
+    def test_log_form_beyond_double_range(self):
+        # on {|z1/R| + |z2|^2 < 1}: ||z1^j||^2 = 2 pi^2 R^(2j+2) / ((2j+2)(2j+3)),
+        # which underflows at R = 0.01, j = 5000 while its log stays exact
+        dom = Ellipsoid((0.5, 1.0), radii=(0.01, 1.0))
+        j = 5000
+        expected = math.log(2.0 * math.pi**2 / ((2 * j + 2) * (2 * j + 3))) + (2 * j + 2) * math.log(0.01)
+        assert monomial_norm(dom, [j, 0]) == 0.0
+        assert monomial_norm(dom, [j, 0], log=True) == pytest.approx(expected, rel=1e-13)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
