@@ -34,11 +34,9 @@ from .green1d import (
     sublevel_volume,
 )
 from .indicatrix import (
-    GeodesicParams,
     IndicatrixProfile,
-    azukawa_balanced,
     azukawa_g2_center,
-    geodesic_boundary_point,
+    extremal_disc_arcs,
     indicatrix_volume_closed,
     indicatrix_volume_numeric,
     kobayashi_profile_p1half,

@@ -34,7 +34,7 @@ class Check:
 
 
 def product_formula_consistency():
-    worst = 0.0
+    worst = deflation = 0.0
     for b in (0.1, 0.5, 0.9):
         for m in (0.5, 1.0, 2.0):
             for n in (2, 3, 4):
@@ -43,7 +43,10 @@ def product_formula_consistency():
                 k = bergman.kernel_deflated(params).value
                 f = k * indicatrix.indicatrix_volume_closed(params)
                 worst = max(worst, abs(f / v - 1.0))
-    return {"factors_agree": worst < 1e-12}, f"max rel dev {worst:.2e}"
+                other = bergman.kernel_deflated_via_identity(params).value
+                deflation = max(deflation, abs(other / k - 1.0))
+    verdicts = {"factors_agree": worst < 1e-12, "deflation_identity": deflation <= 1e-10}
+    return verdicts, f"max rel dev {worst:.2e}, deflation dev {deflation:.2e}"
 
 
 def family_maximum():
@@ -169,7 +172,7 @@ def lower_bound_margins():
 
 def convex_bounds():
     vals = [
-        suita.product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
+        suita._closed_ratio(EllipsoidFamilyParams(m=m, n=n, b=b)).F
         for m in (0.5, 1.0, 2.0)
         for n in (2, 3)
         for b in (0.1, 0.5, 0.9)

@@ -40,38 +40,34 @@ def _build_parser():
     parser = _Parser(prog="suitaverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=1e-12, tol_help="absolute tolerance"):
-        p.add_argument("--tol", type=float, default=tol, help=tol_help)
-        p.add_argument("--seed", type=int, default=0, help="sample stream seed")
-        p.add_argument("--samples", type=int, default=2**20, help="sample count")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-
     p = sub.add_parser("kernel", help="Bergman kernel diagonal value")
     p.add_argument("--domain", help="domain spec as inline JSON")
     p.add_argument("--annulus", type=float, help="annulus inner radius")
     p.add_argument("--g2", action="store_true", help="symmetrized bidisk at 0")
     p.add_argument("--w", default="0", help="base point ('sqrt' = sqrt of the inner radius)")
-    common(
-        p,
-        None,
-        "absolute tolerance; truncates a series earlier (default: the monomial series "
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="absolute tolerance; truncates a series earlier (default: the monomial series "
         "is summed to rounding, the annulus series to 1e-12)",
     )
+    p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': prime-function factor pairs)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--w", default="sqrt")
     p.add_argument("--levels", default="", help="comma-separated negative levels to trace")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-12, help="absolute tolerance")
+    p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("indicatrix", help="indicatrix profile and volume")
     p.add_argument("--family", choices=("ell1", "p", "g2"), default="ell1")
     p.add_argument("--m", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("--numeric", action="store_true", help="use the extremal-disc pipeline")
-    common(p)
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("suita-f", help="the invariant F at a supported point")
     p.add_argument("--g2", action="store_true")
@@ -79,7 +75,7 @@ def _build_parser():
     p.add_argument("--annulus", type=float)
     p.add_argument("--w", default="0")
     p.add_argument("--b", type=float, help="axis coordinate for ellipsoid specs")
-    common(p)
+    p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("scan", help="figure tables (b, F) along a family")
     p.add_argument("--family", choices=("ell1", "p"), required=True)
@@ -87,14 +83,16 @@ def _build_parser():
     p.add_argument("--n", default="2..6", help="n range like 2..6 (ell1 family)")
     p.add_argument("--m-list", default="0.5,2,8,32,128", help="m values (p family)")
     p.add_argument("--grid", type=int, default=200)
-    common(p)
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("experiment", help="sublevel-volume experiments")
-    p.add_argument("--kind", choices=("monotonicity",), default="monotonicity")
+    p = sub.add_parser("experiment", help="sublevel-volume monotonicity experiment")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--w", default="sqrt")
     p.add_argument("--t-grid", default="-6,-5,-4,-3,-2,-1,-0.5")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="sample stream seed")
+    p.add_argument("--samples", type=int, default=2**20, help="sample count")
+    p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("verify-all", help="run the full verification table")
     p.add_argument("--quick", action="store_true", help="skip sampling-heavy checks")
@@ -112,17 +110,9 @@ def _parse_w(text, r=None):
         raise _ArgumentError(f"cannot parse base point {text!r}") from exc
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
+def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    if args.out and args.format == "csv" and csv_rows is not None:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-        print(f"wrote {args.out}")
-    elif args.out:
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}")
@@ -186,6 +176,8 @@ def _cmd_green(args):
 
 
 def _cmd_indicatrix(args):
+    if args.family == "p" and args.format == "csv":
+        raise _ArgumentError("the p family has no radial profile to write as CSV")
     if args.family == "g2":
         profile = indicatrix.azukawa_g2_center()
         payload = {"family": "g2", "volume": profile.volume()}
@@ -203,8 +195,7 @@ def _cmd_indicatrix(args):
     else:
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
-        profile = None
-    if args.out and args.format == "csv" and profile is not None and profile.kind == "radial-profile":
+    if args.out and args.format == "csv":
         profile.to_csv(args.out)
         print(f"wrote {args.out}")
         return 0

@@ -343,15 +343,6 @@ class SublevelCurve:
     normalized_stderrs: list
     n: int = 1
 
-    def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "lambda", "stderr", "normalized"])
-            for t, v, e, nv in zip(self.t_grid, self.values, self.stderrs, self.normalized):
-                writer.writerow([f"{t:.12g}", f"{v:.12g}", f"{e:.12g}", f"{nv:.12g}"])
-
 
 def sublevel_curve(obj, t_grid, stream=None, count=2**20, n=1):
     """Sublevel volumes across a t grid, one derived stream per grid cell."""

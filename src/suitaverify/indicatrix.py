@@ -1,10 +1,11 @@
 """Azukawa and Kobayashi indicatrices of the model domains.
 
-Balanced domains are their own indicatrix at the center; the symmetrized
-bidisk center has an explicit balanced indicatrix; convex complex
-ellipsoids with first exponent 1/2 have a closed radial profile, and for
-general two-dimensional ellipsoids the boundary is swept by the extremal
-disc parametrization, whose upper envelope gives the volume numerically.
+Balanced domains are their own indicatrix at the center, so no profile is
+needed there (``domains.volume``); the symmetrized bidisk center has an
+explicit balanced indicatrix; convex complex ellipsoids with first
+exponent 1/2 have a closed radial profile, and for general
+two-dimensional ellipsoids the boundary is swept by the extremal disc
+parametrization, whose upper envelope gives the volume numerically.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import domains
 from .domains import EllipsoidFamilyParams
 from .numerics import DEFAULT_TOL, integrate_1d
 
@@ -23,13 +23,11 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "IndicatrixProfile",
-    "GeodesicParams",
     "EnvelopeGapError",
-    "azukawa_balanced",
     "azukawa_g2_center",
     "kobayashi_profile_p1half",
     "indicatrix_volume_closed",
-    "geodesic_boundary_point",
+    "extremal_disc_arcs",
     "indicatrix_volume_numeric",
 ]
 
@@ -45,29 +43,22 @@ def _slice_ball_volume(m, k):
 
 @dataclass(frozen=True)
 class IndicatrixProfile:
-    """Rotation-invariant indicatrix description.
+    """Rotation-invariant indicatrix as a radial profile.
 
-    kind 'balanced-identity' carries the domain itself; 'radial-profile'
-    carries gamma with { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) } on
+    gamma describes { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) } on
     [0, r_max], with kink locations listed in ``knots``.
     """
 
-    kind: str
     dimension: int
-    domain: object = None
-    gamma: object = None
-    r_max: float = 0.0
+    gamma: object
+    r_max: float
     knots: tuple = ()
     slice_exponent: float = 1.0
 
     def gamma_values(self, r):
-        if self.kind != "radial-profile":
-            raise TypeError("only radial profiles expose gamma")
         return self.gamma(np.asarray(r, dtype=float))
 
     def volume(self, tol=DEFAULT_TOL):
-        if self.kind == "balanced-identity":
-            return domains.volume(self.domain)
         k = self.dimension - 1
         m = self.slice_exponent
         omega = _slice_ball_volume(m, k)
@@ -88,15 +79,6 @@ class IndicatrixProfile:
                 writer.writerow([f"{r:.12g}", f"{g:.12g}"])
 
 
-def azukawa_balanced(domain):
-    """At the center of a balanced domain the indicatrix is the domain itself."""
-    if not domains.is_balanced(domain):
-        raise TypeError("balanced-identity indicatrix needs a balanced spec")
-    return IndicatrixProfile(
-        kind="balanced-identity", dimension=domain.dimension, domain=domain
-    )
-
-
 def azukawa_g2_center():
     """Indicatrix of the symmetrized bidisk at 0: { |X1| + 2 |X2| < 2 }."""
 
@@ -104,7 +86,6 @@ def azukawa_g2_center():
         return ((2.0 - np.asarray(r, dtype=float)) / 2.0) ** 2
 
     return IndicatrixProfile(
-        kind="radial-profile",
         dimension=2,
         gamma=gamma,
         r_max=2.0,
@@ -132,7 +113,6 @@ def kobayashi_profile_p1half(m, n, b):
         return np.where(r <= knot, inner, np.clip(outer, 0.0, None))
 
     return IndicatrixProfile(
-        kind="radial-profile",
         dimension=n,
         gamma=gamma,
         r_max=1.0 - b**2,
@@ -155,79 +135,44 @@ def indicatrix_volume_closed(params: EllipsoidFamilyParams):
     )
 
 
-@dataclass(frozen=True)
-class GeodesicParams:
-    """Extremal-disc parameters for a two-dimensional ellipsoid axis point.
+def extremal_disc_arcs(p1, b, u_in, u_out):
+    """Boundary data (rho, S) = (|X_1|, |X_2|^{2 p_2}) along both extremal-disc arcs.
 
-    ``branch`` records whether the first component of the disc vanishes
-    somewhere ('1-in-A') or not ('1-not-in-A'); ``u`` is the modulus of the
-    first zero parameter alpha_1.
+    The arcs belong to a two-dimensional ellipsoid with first exponent p1 at
+    the axis point (b, 0).  ``u`` is the modulus of the first zero parameter
+    alpha_1.  On branch '1-in-A' the first component of the disc vanishes
+    somewhere, and ``u_in`` must lie in [b, 1); on '1-not-in-A' it does not,
+    and ``u_out`` must lie in [0, 1].  The second branch uses the
+    general-exponent factor (1 - b^{2 p_1})/p_1 derived from the disc
+    derivative at the origin.  Returns ((rho, S) on '1-in-A', (rho, S) on
+    '1-not-in-A'), with S clipped at 0.
     """
-
-    p: tuple
-    b: float
-    branch: str
-    u: float
-
-    def __post_init__(self):
-        if len(self.p) != 2 or any(q < 0.5 for q in self.p):
-            raise ValueError("need two exponents >= 1/2")
-        if not 0.0 < self.b < 1.0:
-            raise ValueError("b must lie in (0, 1)")
-        if self.branch not in ("1-in-A", "1-not-in-A"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-
-
-def geodesic_boundary_point(g: GeodesicParams):
-    """Boundary datum (rho, S) = (|X_1|, |X_2|^{2 p_2}) for one extremal disc.
-
-    On branch '1-in-A' the admissible range is u in [b, 1); on '1-not-in-A'
-    it is u in [0, 1].  The second branch uses the general-exponent factor
-    (1 - b^{2 p_1})/p_1 derived from the disc derivative at the origin.
-    """
-    p1 = g.p[0]
-    b, u = g.b, g.u
+    if not 0.0 < b < 1.0:
+        raise ValueError("b must lie in (0, 1)")
+    u_in, u_out = np.asarray(u_in, dtype=float), np.asarray(u_out, dtype=float)
+    if np.any(u_in < b) or np.any(u_in >= 1.0):
+        raise ValueError("u outside [b, 1) on branch 1-in-A")
+    if np.any(u_out < 0.0) or np.any(u_out > 1.0):
+        raise ValueError("u outside [0, 1] on branch 1-not-in-A")
     lb = 2.0 * p1 * math.log(b)
-    if g.branch == "1-in-A":
-        if not b <= u < 1.0:
-            raise ValueError(f"u={u} outside [b, 1) for branch 1-in-A")
-        # powers like b^{2 p1} u^{2-2 p1} overflow separately for large p1,
-        # so they are combined in log space
-        lu = math.log(u)
-        t_mid = math.exp(lb + (2.0 - 2.0 * p1) * lu)
-        t_low = math.exp(lb - 2.0 * p1 * lu)
-        rho = (b / u) * abs(1.0 + (1.0 / p1 - 1.0) * u**2 - t_mid / p1)
-        s = (1.0 - t_low) * (1.0 - t_mid)
-    else:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"u={u} outside [0, 1] for branch 1-not-in-A")
-        b2p = math.exp(lb)
-        rho = u * b * (1.0 - b2p) / p1
-        s = (1.0 - b2p) * (1.0 - b2p * u**2)
-    return rho, max(s, 0.0)
+    # combine b^{2 p1} u^{...} in log space: the factors overflow separately
+    # for large exponents
+    lu = np.log(u_in)
+    t_mid = np.exp(lb + (2.0 - 2.0 * p1) * lu)
+    t_low = np.exp(lb - 2.0 * p1 * lu)
+    rho_in = (b / u_in) * np.abs(1.0 + (1.0 / p1 - 1.0) * u_in**2 - t_mid / p1)
+    s_in = (1.0 - t_low) * (1.0 - t_mid)
+    b2p = math.exp(lb)
+    rho_out = u_out * b * (1.0 - b2p) / p1
+    s_out = (1.0 - b2p) * (1.0 - b2p * u_out**2)
+    return (rho_in, np.clip(s_in, 0.0, None)), (rho_out, np.clip(s_out, 0.0, None))
 
 
 def _arc_samples(p, b, n_samples):
     """(rho, S) arrays along both boundary arcs."""
-    p1 = p[0]
-    lb = 2.0 * p1 * math.log(b)
-    arcs = []
     u = np.linspace(b, 1.0, n_samples)
     u[-1] = 1.0 - 1e-13  # open endpoint of the 1-in-A branch
-    # combine b^{2 p1} u^{...} in log space: the factors overflow separately
-    # for large exponents
-    lu = np.log(u)
-    t_mid = np.exp(lb + (2.0 - 2.0 * p1) * lu)
-    t_low = np.exp(lb - 2.0 * p1 * lu)
-    rho = (b / u) * np.abs(1.0 + (1.0 / p1 - 1.0) * u**2 - t_mid / p1)
-    s = (1.0 - t_low) * (1.0 - t_mid)
-    arcs.append((rho, np.clip(s, 0.0, None)))
-    u = np.linspace(0.0, 1.0, n_samples)
-    b2p = math.exp(lb)
-    rho = u * b * (1.0 - b2p) / p1
-    s = np.full_like(u, 1.0 - b2p) * (1.0 - b2p * u**2)
-    arcs.append((rho, np.clip(s, 0.0, None)))
-    return arcs
+    return extremal_disc_arcs(p[0], b, u, np.linspace(0.0, 1.0, n_samples))
 
 
 def _envelope_volume(p, b, n_grid, n_samples):

@@ -110,19 +110,27 @@ def _correction(a, b):
 def product_closed_form(params: EllipsoidFamilyParams):
     """K((b,0,...,0)) * lambda(I^K) for the family { |z1| + sum |z_j|^{2m} < 1 }.
 
-    Equals 1 + (1-b)^a ((1+b)^a - (1-b)^a - 2ab) / (2ab(1+b)^a); the product
-    of the two closed-form factors is asserted to agree.
+    Equals 1 + (1-b)^a ((1+b)^a - (1-b)^a - 2ab) / (2ab(1+b)^a).  Its
+    agreement with the product of the two closed-form factors is criterion 1.
     """
     a, b = params.a, params.b
-    value = 1.0 + (1.0 - b) ** a * _correction(a, b) / (1.0 + b) ** a
-    factors = bergman.kernel_deflated(params).value * indicatrix.indicatrix_volume_closed(params)
-    # neither route cancels, so they agree to rounding (at most 9e-16 on the
-    # grid of tests/test_ell1_oracle.py)
-    if abs(factors / value - 1.0) > 1e-13:
-        raise ArithmeticError(
-            f"product formula inconsistent with its factors: {value} vs {factors}"
-        )
-    return value
+    return 1.0 + (1.0 - b) ** a * _correction(a, b) / (1.0 + b) ** a
+
+
+def _closed_ratio(params: EllipsoidFamilyParams):
+    """F at (b, 0, ..., 0) on { |z1| + sum |z_j|^{2m} < 1 }, all in closed form."""
+    k = bergman.kernel_deflated(params)
+    vol = indicatrix.indicatrix_volume_closed(params)
+    f = product_closed_form(params) ** (1.0 / params.n)
+    return SuitaRatio(k, vol, params.n, f, "convex")
+
+
+def _numeric_ratio(domain: Ellipsoid, b):
+    """F at (b, 0) on a two-dimensional ellipsoid: the monomial series summed
+    to rounding times the extremal-disc envelope volume."""
+    k = bergman.kernel_reinhardt(domain, np.array([b, 0.0], dtype=complex))
+    vol = indicatrix.indicatrix_volume_numeric(domain.exponents, b)
+    return SuitaRatio(k, vol, 2, math.sqrt(k.value * vol), "convex")
 
 
 def _is_axis_point(w, n):
@@ -132,13 +140,15 @@ def _is_axis_point(w, n):
     return bool(np.all(w[1:] == 0)), w
 
 
-def suita_F(domain, w=None, tol=DEFAULT_TOL):
+def suita_F(domain, w=None):
     """Invariant F at a supported (domain, base point) combination.
 
     Balanced domains at the center give exactly 1; the symmetrized bidisk
-    center and ellipsoid axis points use the explicit kernels and
-    indicatrices; the annulus uses the series kernel together with the
-    capacity form pi/c^2 of the one-dimensional indicatrix volume.
+    center uses its explicit kernel and indicatrix; ellipsoid axis points
+    take the closed route when the first exponent is 1/2 and the others are
+    equal, else the numeric route in two dimensions; the annulus uses the
+    series kernel together with the capacity form pi/c^2 of the
+    one-dimensional indicatrix volume.
     """
     if isinstance(domain, SymmetrizedBidisk):
         k = bergman.kernel_g2_center()
@@ -147,8 +157,8 @@ def suita_F(domain, w=None, tol=DEFAULT_TOL):
         return SuitaRatio(k, vol, 2, f, "c-convex")
     if isinstance(domain, Annulus):
         wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
-        k = bergman.kernel_annulus(domain.inner, wc, tol)
-        g = green1d.AnnulusGreen(domain.inner, wc, tol)
+        k = bergman.kernel_annulus(domain.inner, wc)
+        g = green1d.AnnulusGreen(domain.inner, wc)
         vol = math.pi / green1d.robin_capacity(g) ** 2
         return SuitaRatio(k, vol, 1, k.value * vol, "none")
     if isinstance(domain, (Ellipsoid, Polydisk)):
@@ -156,7 +166,6 @@ def suita_F(domain, w=None, tol=DEFAULT_TOL):
         if w is None:
             w = np.zeros(n, dtype=complex)
         on_axis, w = _is_axis_point(w, n)
-        classification = "convex"
         if not w.any():
             vol = domains.volume(domain)
             k = KernelValue(1.0 / vol, "closed-form")
@@ -168,15 +177,9 @@ def suita_F(domain, w=None, tol=DEFAULT_TOL):
         if any(r != 1.0 for r in domain.radii):
             raise ValueError("axis-point evaluation expects unit radii")
         if p[0] == 0.5 and n >= 2 and len(set(p[1:])) == 1:
-            params = EllipsoidFamilyParams(m=p[1], n=n, b=b)
-            f = product_closed_form(params) ** (1.0 / n)
-            k = bergman.kernel_deflated(params)
-            vol = indicatrix.indicatrix_volume_closed(params)
-            return SuitaRatio(k, vol, n, f, classification)
+            return _closed_ratio(EllipsoidFamilyParams(m=p[1], n=n, b=b))
         if n == 2:
-            k = bergman.kernel_reinhardt(domain, w, tol)
-            vol = indicatrix.indicatrix_volume_numeric(p, b)
-            return SuitaRatio(k, vol, 2, math.sqrt(k.value * vol), classification)
+            return _numeric_ratio(domain, b)
         raise ValueError("unsupported exponent pattern for an axis point with n > 2")
     raise TypeError(f"unsupported domain {domain!r}")
 
@@ -191,16 +194,14 @@ def maximize_F(m, n=2, tol=1e-6, family="ell1"):
     if family == "ell1":
 
         def objective(b):
-            return product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
+            return _closed_ratio(EllipsoidFamilyParams(m=m, n=n, b=b)).F
 
         return golden_section_max(objective, 1e-4, 1.0 - 1e-4, tol=tol)
     if family == "p":
         dom = Ellipsoid((float(m), 1.0))
 
         def objective(b):
-            k = bergman.kernel_reinhardt(dom, np.array([b, 0.0], dtype=complex))
-            vol = indicatrix.indicatrix_volume_numeric((float(m), 1.0), b)
-            return math.sqrt(k.value * vol)
+            return _numeric_ratio(dom, b).F
 
         return golden_section_max(objective, 1e-3, 1.0 - 1e-3, tol=max(tol, 1e-5))
     raise ValueError(f"unknown family {family!r}")
@@ -332,16 +333,15 @@ def figure_scan(family, b_grid, m=0.5, n_list=(2, 3, 4, 5, 6), m_list=(0.5, 2.0,
     if family == "ell1":
         for n in n_list:
             for b in b_grid:
-                f = product_closed_form(EllipsoidFamilyParams(m=m, n=int(n), b=b)) ** (1.0 / n)
+                f = _closed_ratio(EllipsoidFamilyParams(m=m, n=int(n), b=b)).F
                 samples.append({"curve": f"ell1 m={m} n={n}", "b": b, "F": f})
         grid = {"family": "ell1", "m": m, "n_list": list(n_list), "b_grid": b_grid}
     elif family == "p":
         for mm in m_list:
             dom = Ellipsoid((float(mm), 1.0))
+            # numeric at m = 1/2 too, where suita_F would take the closed form
             for b in b_grid:
-                k = bergman.kernel_reinhardt(dom, np.array([b, 0.0], dtype=complex))
-                vol = indicatrix.indicatrix_volume_numeric((float(mm), 1.0), b)
-                samples.append({"curve": f"p m={mm}", "b": b, "F": math.sqrt(k.value * vol)})
+                samples.append({"curve": f"p m={mm}", "b": b, "F": _numeric_ratio(dom, b).F})
         grid = {"family": "p", "m_list": list(m_list), "b_grid": b_grid}
     else:
         raise ValueError(f"unknown family {family!r}")

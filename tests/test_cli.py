@@ -112,6 +112,11 @@ class TestIndicatrixCommand:
     def test_invalid_b(self, capsys):
         assert run(["indicatrix", "--family", "ell1", "--b", "1.5"]) == 1
 
+    def test_p_family_csv_is_refused_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["indicatrix", "--family", "p", "--out", str(out), "--format", "csv"]) == 1
+        assert not out.exists()
+
 
 class TestSuitaFCommand:
     def test_g2_value(self, capsys):
@@ -214,9 +219,41 @@ class TestExperimentCommand:
         assert outs[0]["samples"] != outs[1]["samples"]
 
 
+# a cheap valid command per subcommand, then each option it used to accept and ignore
+_IGNORED_OPTIONS = (
+    (["kernel", "--g2"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
+    (["green", "--r", "0.2"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
+    (["indicatrix", "--family", "g2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--numeric"]),
+    (["suita-f", "--g2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
+    (
+        ["scan", "--family", "ell1", "--n", "2..2", "--grid", "2"],
+        ["--tol", "1e-9"],
+        ["--seed", "7"],
+        ["--samples", "64"],
+    ),
+    (
+        ["experiment", "--r", "0.2", "--t-grid=-2", "--samples", "64"],
+        ["--tol", "1e-9"],
+        ["--format", "json"],
+        ["--kind", "monotonicity"],
+    ),
+)
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            pytest.param(command, option, id=f"{command[0]}{option[0]}")
+            for command, *dropped in _IGNORED_OPTIONS
+            for option in dropped
+        ],
+    )
+    def test_ignored_options_are_refused(self, command, option, capsys):
+        assert run([*command, *option]) == 1
 
     def test_bad_flag_value(self, capsys):
         assert run(["green", "--r", "zebra"]) == 1

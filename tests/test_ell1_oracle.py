@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suitaverify.bergman import kernel_ellipsoid_closed
+from suitaverify.bergman import kernel_deflated, kernel_ellipsoid_closed
 from suitaverify.domains import EllipsoidFamilyParams
+from suitaverify.indicatrix import indicatrix_volume_closed
 from suitaverify.suita import maximize_F, product_closed_form
 
 B_GRID = [1e-12, 1e-8, 1e-6, *np.logspace(-5.0, math.log10(1.0 - 1e-6), 30).tolist(), 0.1, 1.0 - 1e-6]
@@ -42,6 +43,16 @@ def test_F_matches_oracle_and_is_at_least_one(m, n):
         f = product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
         assert f >= 1.0, b
         assert abs(f / _mp_F(m, n, b) - 1) <= 1e-15, b
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_product_matches_factors(m, n):
+    # neither route cancels, so they agree to rounding
+    for b in B_GRID:
+        params = EllipsoidFamilyParams(m=m, n=n, b=b)
+        factors = kernel_deflated(params).value * indicatrix_volume_closed(params)
+        assert abs(factors / product_closed_form(params) - 1.0) <= 1e-13, b
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])

@@ -374,14 +374,6 @@ class TestSublevelVolume:
         sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
         assert np.all(diffs >= -3 * sigma)
 
-    def test_curve_csv(self, annulus_green, tmp_path):
-        curve = sublevel_curve(annulus_green, [-3, -2], SampleStream(2, seed=6), 2**14)
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,lambda,stderr,normalized"
-        assert len(lines) == 3
-
     def test_positive_t_rejected(self, annulus_green):
         with pytest.raises(ValueError):
             sublevel_volume(annulus_green, 0.5)

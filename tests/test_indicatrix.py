@@ -3,33 +3,14 @@ import math
 
 import pytest
 
-from suitaverify import domains
 from suitaverify.domains import EllipsoidFamilyParams
 from suitaverify.indicatrix import (
-    GeodesicParams,
-    azukawa_balanced,
     azukawa_g2_center,
-    geodesic_boundary_point,
+    extremal_disc_arcs,
     indicatrix_volume_closed,
     indicatrix_volume_numeric,
     kobayashi_profile_p1half,
 )
-
-
-class TestBalancedIdentity:
-    def test_volume_is_domain_volume(self):
-        dom = domains.Ellipsoid((0.5, 2.0))
-        prof = azukawa_balanced(dom)
-        assert prof.volume() == pytest.approx(domains.volume(dom), rel=1e-12)
-
-    def test_rejects_unbalanced(self):
-        with pytest.raises(TypeError):
-            azukawa_balanced(domains.Annulus(0.3))
-
-    def test_no_gamma(self):
-        prof = azukawa_balanced(domains.ball(2))
-        with pytest.raises(TypeError):
-            prof.gamma_values([0.1])
 
 
 class TestG2Indicatrix:
@@ -101,39 +82,35 @@ class TestGeodesicArcs:
     def test_branch_endpoint_meets_axis(self):
         # u = b: the disc degenerates onto the first axis at rho = 1 - b^2
         for p1 in (0.5, 1.0, 2.0):
-            g = GeodesicParams(p=(p1, 1.0), b=0.3, branch="1-in-A", u=0.3)
-            rho, s = geodesic_boundary_point(g)
-            assert rho == pytest.approx(1.0 - 0.3**2, rel=1e-12)
-            assert s == pytest.approx(0.0, abs=1e-12)
+            (rho, s), _ = extremal_disc_arcs(p1, 0.3, [0.3], [])
+            assert rho[0] == pytest.approx(1.0 - 0.3**2, rel=1e-12)
+            assert s[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_branches_agree_at_junction(self):
         # u -> 1 on both branches lands on the same boundary point
         for p1 in (0.5, 1.0, 2.0):
-            b = 0.4
-            g1 = GeodesicParams(p=(p1, 1.0), b=b, branch="1-in-A", u=1.0 - 1e-10)
-            g2 = GeodesicParams(p=(p1, 1.0), b=b, branch="1-not-in-A", u=1.0)
-            r1, s1 = geodesic_boundary_point(g1)
-            r2, s2 = geodesic_boundary_point(g2)
-            assert r1 == pytest.approx(r2, rel=1e-8)
-            assert s1 == pytest.approx(s2, rel=1e-8)
+            (r1, s1), (r2, s2) = extremal_disc_arcs(p1, 0.4, [1.0 - 1e-10], [1.0])
+            assert r1[0] == pytest.approx(r2[0], rel=1e-8)
+            assert s1[0] == pytest.approx(s2[0], rel=1e-8)
 
     def test_half_exponent_junction_values(self):
         b = 0.25
-        g = GeodesicParams(p=(0.5, 1.0), b=b, branch="1-not-in-A", u=1.0)
-        rho, s = geodesic_boundary_point(g)
-        assert rho == pytest.approx(2.0 * b * (1.0 - b), rel=1e-12)
-        assert s == pytest.approx((1.0 - b) ** 2, rel=1e-12)
+        _, (rho, s) = extremal_disc_arcs(0.5, b, [], [1.0])
+        assert rho[0] == pytest.approx(2.0 * b * (1.0 - b), rel=1e-12)
+        assert s[0] == pytest.approx((1.0 - b) ** 2, rel=1e-12)
 
     def test_u_range_validation(self):
-        g = GeodesicParams(p=(1.0, 1.0), b=0.3, branch="1-in-A", u=0.1)
         with pytest.raises(ValueError):
-            geodesic_boundary_point(g)
+            extremal_disc_arcs(1.0, 0.3, [0.1], [])
+        with pytest.raises(ValueError):
+            extremal_disc_arcs(1.0, 0.3, [0.5, 1.0], [])
+        with pytest.raises(ValueError):
+            extremal_disc_arcs(1.0, 0.3, [], [1.5])
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GeodesicParams(p=(0.2, 1.0), b=0.3, branch="1-in-A", u=0.5)
-        with pytest.raises(ValueError):
-            GeodesicParams(p=(1.0, 1.0), b=0.3, branch="sideways", u=0.5)
+        for b in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                extremal_disc_arcs(1.0, b, [0.5], [0.5])
 
 
 class TestNumericVolume:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from suitaverify import domains
+from suitaverify import bergman, domains, indicatrix
 from suitaverify.domains import Annulus, Ellipsoid, EllipsoidFamilyParams, SymmetrizedBidisk, ball
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import (
@@ -21,9 +21,12 @@ from suitaverify.suita import (
 
 class TestProductClosedForm:
     def test_matches_factors_by_construction(self):
-        # the function cross-checks internally; a clean return means agreement
-        v = product_closed_form(EllipsoidFamilyParams(m=1.0, n=2, b=0.5))
+        # the formula alone; the factors are its check route (criterion 1)
+        params = EllipsoidFamilyParams(m=1.0, n=2, b=0.5)
+        v = product_closed_form(params)
+        factors = bergman.kernel_deflated(params).value * indicatrix.indicatrix_volume_closed(params)
         assert v > 1.0
+        assert v == pytest.approx(factors, rel=1e-13)
 
     def test_small_b_limit(self):
         v = product_closed_form(EllipsoidFamilyParams(m=1.0, n=3, b=1e-7))
@@ -79,6 +82,14 @@ class TestSuitaF:
         closed = suita_F(Ellipsoid((0.5, 2.0)), np.array([0.35, 0.0]))
         numeric = suita_F(Ellipsoid((0.5000001, 2.0)), np.array([0.35, 0.0]))
         assert numeric.F == pytest.approx(closed.F, rel=1e-4)
+
+    def test_numeric_kernel_is_summed_to_rounding(self):
+        # on {|z1|^{2m} + |z2|^2 < 1}: K((b,0)) = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3), x = b^2
+        m, b = 2.0, 0.9
+        x, omx = b * b, (1.0 - b) * (1.0 + b)
+        expected = ((1.0 + x) + m * omx) / (math.pi**2 * m * omx**3)
+        res = suita_F(Ellipsoid((m, 1.0)), [b, 0.0])
+        assert res.kernel.value == pytest.approx(expected, rel=1e-13)
 
     def test_off_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +207,20 @@ class TestExperiments:
         report = figure_scan("p", [0.3], m_list=(1.0, 2.0))
         assert report.verdicts["all_at_least_one"] is True
         assert len(report.samples) == 2
+
+    def test_figure_scan_p_family_stays_numeric_at_half(self, monkeypatch):
+        # Ellipsoid((0.5, 1)) has a closed form, but the p family scans every m
+        # through the envelope volume
+        calls = []
+        numeric = indicatrix.indicatrix_volume_numeric
+
+        def counted(p, b):
+            calls.append((p, b))
+            return numeric(p, b)
+
+        monkeypatch.setattr(indicatrix, "indicatrix_volume_numeric", counted)
+        figure_scan("p", [0.3], m_list=(0.5,))
+        assert calls == [((0.5, 1.0), 0.3)]
 
     def test_figure_scan_validation(self):
         with pytest.raises(ValueError):
