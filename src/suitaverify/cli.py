@@ -91,7 +91,12 @@ def _build_parser():
     p.add_argument("--w", default="sqrt")
     p.add_argument("--t-grid", default="-6,-5,-4,-3,-2,-1,-0.5")
     p.add_argument("--seed", type=int, default=0, help="sample stream seed")
-    p.add_argument("--samples", type=int, default=2**20, help="sample count")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=2**20,
+        help="hit-count points for the cross-check of the traced volumes and for any level that falls back",
+    )
     p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("verify-all", help="run the full verification table")
@@ -168,6 +173,7 @@ def _cmd_green(args):
                     "density": st.density,
                     "length": st.length,
                     "area": st.area,
+                    "area_err": st.area_err,
                     "iso_ratio": st.iso_ratio,
                 }
             )
@@ -175,7 +181,13 @@ def _cmd_green(args):
     return 0
 
 
+def _require_out_for_csv(args):
+    if args.format == "csv" and not args.out:
+        raise _ArgumentError("--format csv writes files and needs --out")
+
+
 def _cmd_indicatrix(args):
+    _require_out_for_csv(args)
     if args.family == "p" and args.format == "csv":
         raise _ArgumentError("the p family has no radial profile to write as CSV")
     if args.family == "g2":
@@ -195,7 +207,7 @@ def _cmd_indicatrix(args):
     else:
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         profile.to_csv(args.out)
         print(f"wrote {args.out}")
         return 0
@@ -239,6 +251,7 @@ def _parse_range(text):
 
 
 def _cmd_scan(args):
+    _require_out_for_csv(args)
     if args.grid < 2:
         raise _ArgumentError("grid must have at least 2 points")
     b_grid = np.linspace(1e-3, 1.0 - 1e-3, args.grid)
@@ -247,7 +260,7 @@ def _cmd_scan(args):
     else:
         m_list = [float(x) for x in getattr(args, "m_list").split(",") if x.strip()]
         report = suita.figure_scan("p", b_grid, m_list=m_list)
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         report.curves_to_csv(args.out)
         with open(args.out + ".json", "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -3,12 +3,14 @@
 Closed form on the unit disk, prime-function product on the annulus
 { r < |z| < 1 }, plus the quantities built on top of them: Robin constant
 and logarithmic capacity, traced level curves with flux / co-area density /
-isoperimetric ratio, sublevel-set volumes by deterministic hit counting,
-and the annulus covering map used to bound the capacity from above.
+isoperimetric ratio, sublevel-set volumes from the traced level curve with
+deterministic hit counting as the check route, and the annulus covering map
+used to bound the capacity from above.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +33,8 @@ __all__ = [
     "sublevel_volume",
     "sublevel_curve",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class CriticalLevelError(RuntimeError):
@@ -214,13 +218,19 @@ def _crossings(green, t, phis):
 
 @dataclass
 class LevelStats:
-    """Traced level curve { G = t } and its integral quantities."""
+    """Traced level curve { G = t } and its integral quantities.
+
+    ``area`` is the volume of the sublevel component around the pole and
+    ``area_err`` bounds its error: the change from the n/2-node sum plus what
+    the roots' stopping tolerance can move it.
+    """
 
     t: float
     flux: float
     density: float
     length: float
     area: float
+    area_err: float
     iso_ratio: float
     min_grad: float
 
@@ -245,7 +255,11 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
     density = integral of d sigma / |grad G|               (= d/dt of the
               sublevel volume),
     iso_ratio = length^2 / (4 pi area)                     (>= 1 by the
-              isoperimetric inequality).
+              isoperimetric inequality),
+    area    = (1/2) integral of s(phi)^2 d phi             (the sublevel volume).
+
+    Raises CriticalLevelError for a level that is not a radial graph around
+    the pole.
     """
     phis, s = trace_level(green, t, n_nodes)
     # a level through (or shadowed past) a critical point is not a radial
@@ -276,6 +290,10 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
     length = float(np.sum(speed) * dphi)
     density = float(np.sum(speed / absg) * dphi)
     area = 0.5 * float(np.sum(s**2) * dphi)
+    # the even nodes are the n/2-node grid; each root is good to the bracket
+    # width at which find_root_monotone stops, abs_tol + rel_tol * s
+    trapezoid_err = abs(area - float(np.sum(s[::2] ** 2) * dphi))
+    root_err = float(np.sum(s * (DEFAULT_TOL.abs_tol + DEFAULT_TOL.rel_tol * s)) * dphi)
     iso = length**2 / (4.0 * math.pi * area)
     return LevelStats(
         t=t,
@@ -283,6 +301,7 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
         density=density,
         length=length,
         area=area,
+        area_err=trapezoid_err + root_err,
         iso_ratio=iso,
         min_grad=float(absg.min()),
     )
@@ -304,7 +323,8 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     ``obj`` is either a balanced domain spec (sublevel volume is the exact
     scaling e^{2nt} lambda(domain) of the Minkowski functional) or a Green
     object, in which case points are counted inside a bounding box fitted to
-    the sublevel component around the pole.
+    the sublevel component around the pole.  This is the check route for
+    the traced area of ``level_flux_and_isoperimetric``.
     """
     if t > 0.0:
         raise ValueError("require t <= 0")
@@ -334,34 +354,54 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
 
 @dataclass
 class SublevelCurve:
-    """Sampled map t -> lambda({G < t}) with normalized column e^{-2nt} lambda."""
+    """Sampled map t -> lambda({G < t}) with normalized column e^{-2nt} lambda.
+
+    ``routes`` names where each value comes from: 'exact' (balanced domain
+    spec), 'trace' (traced level curve) or 'hit-count' (the fallback).
+    """
 
     t_grid: list
     values: list
     stderrs: list
     normalized: list
     normalized_stderrs: list
+    routes: list
     n: int = 1
 
 
 def sublevel_curve(obj, t_grid, stream=None, count=2**20, n=1):
-    """Sublevel volumes across a t grid, one derived stream per grid cell."""
+    """Sublevel volumes across a t grid.
+
+    A Green object's volumes are traced areas; a level that is not a radial
+    graph around the pole falls back to hit counting ``count`` points of its
+    own derived stream ``stream.split(i)``.
+    """
     t_grid = sorted(float(t) for t in t_grid)
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
-    values, stderrs, norm, norm_err = [], [], [], []
+    values, stderrs, norm, norm_err, routes = [], [], [], [], []
     for i, t in enumerate(t_grid):
-        v, e = sublevel_volume(obj, t, stream.split(i), count)
+        if isinstance(obj, (domains.Ellipsoid, domains.Polydisk)):
+            (v, e), route = sublevel_volume(obj, t), "exact"
+        else:
+            try:
+                st = level_flux_and_isoperimetric(obj, t)
+                v, e, route = st.area, st.area_err, "trace"
+            except CriticalLevelError:
+                (v, e), route = sublevel_volume(obj, t, stream.split(i), count), "hit-count"
+        log.debug("sublevel volume at t=%g: %s %.17g +- %.3g", t, route, v, e)
         scale = math.exp(-2 * n * t)
         values.append(v)
         stderrs.append(e)
         norm.append(scale * v)
         norm_err.append(scale * e)
+        routes.append(route)
     return SublevelCurve(
         t_grid=t_grid,
         values=values,
         stderrs=stderrs,
         normalized=norm,
         normalized_stderrs=norm_err,
+        routes=routes,
         n=n,
     )

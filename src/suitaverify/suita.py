@@ -207,12 +207,13 @@ def maximize_F(m, n=2, tol=1e-6, family="ell1"):
     raise ValueError(f"unknown family {family!r}")
 
 
-def check_lower_bound_est1(domain, w, t, stream=None, count=2**20, tol=DEFAULT_TOL):
+def check_lower_bound_est1(domain, w, t, tol=DEFAULT_TOL):
     """Margin K(w) - 1/(e^{-2nt} lambda({G < t})) of the sublevel lower bound.
 
     Returns (margin, sigma).  Balanced domains at the center are exact
-    (sigma 0, margin 0 by scaling); the annulus propagates the hit-counting
-    error of the sublevel volume.
+    (sigma 0, margin 0 by scaling); the annulus propagates the error bound of
+    the traced sublevel area, and raises CriticalLevelError at a level that
+    is not a radial graph around the pole.
     """
     if t > 0:
         raise ValueError("require t <= 0")
@@ -226,9 +227,9 @@ def check_lower_bound_est1(domain, w, t, stream=None, count=2**20, tol=DEFAULT_T
         wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
         k = bergman.kernel_annulus(domain.inner, wc, tol)
         g = green1d.AnnulusGreen(domain.inner, wc, tol)
-        vol, err = green1d.sublevel_volume(g, t, stream, count)
-        norm = math.exp(-2.0 * t) * vol
-        norm_err = math.exp(-2.0 * t) * err
+        st = green1d.level_flux_and_isoperimetric(g, t)
+        norm = math.exp(-2.0 * t) * st.area
+        norm_err = math.exp(-2.0 * t) * st.area_err
         margin = k.value - 1.0 / norm
         sigma = norm_err / norm**2
         return margin, sigma
@@ -267,7 +268,9 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
     Checks that e^{-2t} lambda({G < t}) is non-decreasing within 3 standard
     errors, reports discrete convexity evidence for log lambda({G < t})
     (evidence only: the conjecture is open), and compares the most negative
-    grid value against the capacity limit pi/c^2.
+    grid value against the capacity limit pi/c^2.  The volumes are traced
+    areas; at the largest traced level ``count`` points of ``stream.split(i)``
+    are hit-counted as well, and the two must agree within 3 standard errors.
     """
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
@@ -287,6 +290,15 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
     second = np.diff(logs, 2) if len(logs) >= 3 else np.array([])
     limit_dev = abs(norm[0] / limit - 1.0)
 
+    # every headline volume twice: hit-count the largest traced level again
+    traced = [i for i, route in enumerate(curve.routes) if route == "trace"]
+    hit_t = hit = hit_err = gap = None
+    if traced:
+        i = traced[-1]
+        hit_t = curve.t_grid[i]
+        hit, hit_err = green1d.sublevel_volume(g, hit_t, stream.split(i), count)
+        gap = abs(hit - curve.values[i]) / math.hypot(hit_err, curve.stderrs[i])
+
     samples = [
         {
             "t": t,
@@ -294,9 +306,10 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
             "stderr": e,
             "normalized": nv,
             "normalized_stderr": ne,
+            "route": route,
         }
-        for t, v, e, nv, ne in zip(
-            curve.t_grid, curve.values, curve.stderrs, curve.normalized, curve.normalized_stderrs
+        for t, v, e, nv, ne, route in zip(
+            curve.t_grid, curve.values, curve.stderrs, curve.normalized, curve.normalized_stderrs, curve.routes
         )
     ]
     return ExperimentReport(
@@ -307,6 +320,7 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
             "normalized_non_decreasing_3sigma": monotone,
             "limit_within_2pct": bool(limit_dev <= 0.02),
             "log_volume_convexity_evidence": bool(np.all(second >= -1e-2)) if second.size else None,
+            "hit_count_matches_trace_3sigma": bool(gap <= 3.0) if traced else None,
         },
         metadata={
             "seed": stream.seed,
@@ -316,6 +330,10 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
             "limit_pi_over_c2": limit,
             "limit_rel_dev": limit_dev,
             "log_volume_second_differences": second.tolist(),
+            "hit_count_t": hit_t,
+            "hit_count": hit,
+            "hit_count_stderr": hit_err,
+            "hit_count_gap_sigma": gap,
         },
     )
 

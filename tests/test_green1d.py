@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import mpmath as mp
@@ -278,16 +279,19 @@ class TestLevelCurves:
         stats = level_flux_and_isoperimetric(g, -1e-3)
         assert stats.density == pytest.approx(2 * math.pi, rel=1e-2)
 
+    @pytest.mark.parametrize("t", [-4.0, -1.0, -0.1])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 0.6 * cmath.exp(2j), 0.9], ids=["0", "0.5", "0.6e^2i", "0.9"])
+    def test_disk_traced_area_within_its_error(self, w, t):
+        # { G < t } is the pseudo-hyperbolic disc of radius rho = e^t around w
+        rho2, a = math.exp(2 * t), abs(w) ** 2
+        exact = math.pi * rho2 * (1 - a) ** 2 / (1 - rho2 * a) ** 2
+        stats = level_flux_and_isoperimetric(DiskGreen(w), t)
+        assert abs(stats.area - exact) <= stats.area_err
+        assert abs(stats.area - exact) <= 1e-11 * exact
+
     def test_critical_level_refused(self, annulus_green):
-        # the saddle sits on the negative real axis between the two circles
-        res = minimize_scalar(
-            lambda x: float(np.abs(annulus_green.grad(np.array([x + 0j]))[0])),
-            bounds=(-0.95, -R - 0.02),
-            method="bounded",
-        )
-        t_saddle = float(annulus_green.value(np.array([res.x + 0j]))[0])
         with pytest.raises(CriticalLevelError):
-            level_flux_and_isoperimetric(annulus_green, t_saddle)
+            level_flux_and_isoperimetric(annulus_green, _saddle_level(annulus_green))
 
     def test_positive_level_rejected(self, annulus_green):
         with pytest.raises(ValueError):
@@ -318,6 +322,16 @@ class TestLevelCurves:
             crossings.append(int(np.count_nonzero(np.diff(above))))
         assert max(crossings) > 1
         _assert_trace_matches_walk(g, t, 64)
+
+
+def _saddle_level(g):
+    """Value of G at its saddle, on the negative real axis between the two circles."""
+    res = minimize_scalar(
+        lambda x: float(np.abs(g.grad(np.array([x + 0j]))[0])),
+        bounds=(-0.95, -R - 0.02),
+        method="bounded",
+    )
+    return float(g.value(np.array([res.x + 0j]))[0])
 
 
 def _assert_trace_matches_walk(g, t, n_rays):
@@ -373,6 +387,24 @@ class TestSublevelVolume:
         diffs = np.diff(norm)
         sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
         assert np.all(diffs >= -3 * sigma)
+
+    def test_curve_falls_back_to_hit_counting_at_the_saddle(self, annulus_green, caplog):
+        t_saddle = _saddle_level(annulus_green)
+        stream = SampleStream(2, seed=5)
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            curve = sublevel_curve(annulus_green, [-2.0, t_saddle], stream, 2**14)
+        assert curve.routes == ["trace", "hit-count"]
+        v, e = sublevel_volume(annulus_green, t_saddle, stream.split(1), 2**14)
+        assert (curve.values[1], curve.stderrs[1]) == (v, e)
+        assert curve.values[0] == level_flux_and_isoperimetric(annulus_green, -2.0).area
+        routes = [r.getMessage().split(": ")[1].split()[0] for r in caplog.records]
+        assert routes == curve.routes
+
+    def test_balanced_curve_is_exact(self):
+        dom = domains.ball(2)
+        curve = sublevel_curve(dom, [-2.0, -1.0], n=2)
+        assert curve.routes == ["exact", "exact"]
+        assert curve.normalized == pytest.approx([domains.volume(dom)] * 2, rel=1e-14)
 
     def test_positive_t_rejected(self, annulus_green):
         with pytest.raises(ValueError):

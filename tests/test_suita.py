@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from suitaverify import bergman, domains, indicatrix
+from suitaverify import bergman, domains, green1d, indicatrix
 from suitaverify.domains import Annulus, Ellipsoid, EllipsoidFamilyParams, SymmetrizedBidisk, ball
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import (
@@ -133,9 +134,7 @@ class TestLowerBound:
             check_lower_bound_est1(ball(2), np.array([0.3, 0.0]), -1.0)
 
     def test_annulus_margin_positive(self):
-        margin, sigma = check_lower_bound_est1(
-            Annulus(0.2), math.sqrt(0.2), -2.0, SampleStream(2, seed=1), 2**18
-        )
+        margin, sigma = check_lower_bound_est1(Annulus(0.2), math.sqrt(0.2), -2.0)
         assert margin > 3.0 * sigma
         assert sigma > 0.0
 
@@ -180,6 +179,29 @@ class TestExperiments:
         payload = json.loads(report.to_json())
         assert payload["grid"]["r"] == 0.2
         assert len(payload["samples"]) == 4
+
+    def test_cross_check_counts_the_last_levels_stream(self):
+        stream = SampleStream(2, seed=4)
+        report = monotonicity_experiment(0.2, math.sqrt(0.2), [-3, -2, -1], stream, 2**14)
+        assert [row["route"] for row in report.samples] == ["trace"] * 3
+        assert report.verdicts["hit_count_matches_trace_3sigma"] is True
+        g = green1d.AnnulusGreen(0.2, math.sqrt(0.2))
+        hit, err = green1d.sublevel_volume(g, -1.0, stream.split(2), 2**14)
+        assert report.metadata["hit_count_t"] == -1.0
+        assert report.metadata["hit_count"] == hit
+        assert report.metadata["hit_count_stderr"] == err
+
+    def test_wrong_traced_area_fails_the_cross_check(self, monkeypatch):
+        level = green1d.level_flux_and_isoperimetric
+
+        def five_percent_high(green, t, *args):
+            st = level(green, t, *args)
+            return dataclasses.replace(st, area=1.05 * st.area)
+
+        monkeypatch.setattr(green1d, "level_flux_and_isoperimetric", five_percent_high)
+        report = monotonicity_experiment(0.2, math.sqrt(0.2), [-3, -2, -1], SampleStream(2, seed=4), 2**14)
+        assert report.verdicts["normalized_non_decreasing_3sigma"] is True
+        assert report.verdicts["hit_count_matches_trace_3sigma"] is False
 
     def test_report_round_trip_file(self, tmp_path):
         report = monotonicity_experiment(
