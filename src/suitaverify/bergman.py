@@ -14,7 +14,7 @@ import numpy as np
 
 from . import domains
 from .domains import Ellipsoid, EllipsoidFamilyParams, Polydisk
-from .numerics import DEFAULT_TOL, ConvergenceError
+from .numerics import ConvergenceError
 
 __all__ = [
     "KernelValue",
@@ -79,7 +79,7 @@ def _multi_indices(k, lo, hi):
     return alpha
 
 
-def kernel_reinhardt(domain, w, tol=None):
+def kernel_reinhardt(domain, w):
     """K(w) = sum over monomials of |w^alpha|^2 / ||z^alpha||^2.
 
     Terms are evaluated in log space, exp(2 alpha . log|w| - log ||z^alpha||^2),
@@ -91,12 +91,10 @@ def kernel_reinhardt(domain, w, tol=None):
     the tail estimate reported in ``error_bound``.  All terms are positive,
     so the partial sum is a one-sided lower bound on K(w).
 
-    By default the series is summed to rounding: it stops at the first
-    degree from 8 on whose block is below ROUNDING_SHARE of the total.  An
-    explicit ``tol`` stops earlier, at the first block below
-    ``tol.abs_tol + tol.rel_tol * total``.  Past TERM_BUDGET terms the series
-    raises ConvergenceError; it never returns a truncated sum.  Points on or
-    outside the boundary trip the divergence guard.
+    The series is summed to rounding: it stops at the first degree from 8 on
+    whose block is below ROUNDING_SHARE of the total.  Past TERM_BUDGET terms
+    the series raises ConvergenceError; it never returns a truncated sum.
+    Points on or outside the boundary trip the divergence guard.
     """
     if not isinstance(domain, (Ellipsoid, Polydisk)):
         raise TypeError("monomial-series kernel needs a Reinhardt spec")
@@ -105,7 +103,6 @@ def kernel_reinhardt(domain, w, tol=None):
         raise ValueError("base point has wrong dimension")
     if not domains.contains(domain, w):
         raise ValueError("base point on or outside the boundary: series diverges")
-    abs_tol, rel_tol = (0.0, ROUNDING_SHARE) if tol is None else (tol.abs_tol, tol.rel_tol)
     # coordinates with w_j = 0 contribute only alpha_j = 0
     active = np.flatnonzero(w)
     if active.size == 0:
@@ -128,7 +125,7 @@ def kernel_reinhardt(domain, w, tol=None):
         running = total + np.cumsum(blocks)
         before = np.concatenate(([prev], blocks[:-1]))
         ratio = np.divide(blocks, before, out=np.zeros_like(blocks), where=before > 0)
-        done = (np.arange(lo, hi) >= 8) & (blocks <= abs_tol + rel_tol * running) & (ratio < 1.0)
+        done = (np.arange(lo, hi) >= 8) & (blocks <= ROUNDING_SHARE * running) & (ratio < 1.0)
         if done.any():
             stop = int(np.argmax(done))
             total += float(np.sum(blocks[: stop + 1]))
@@ -144,12 +141,23 @@ def kernel_reinhardt(domain, w, tol=None):
         prev, lo = blocks[-1], hi
 
 
-def kernel_annulus(r, w, tol=DEFAULT_TOL):
+def kernel_annulus(r, w):
     """Kernel of { r < |z| < 1 } on the diagonal.
 
     K(w) = (1/(pi |w|^2)) (1/(-2 log r) + sum_{j != 0} j |w|^{2j}/(1 - r^{2j})).
     The j = 0 slot of the Laurent series is the 1/(-2 log r) term (its
-    continuity limit), so the sum runs over the nonzero indices.
+    continuity limit).  Pairing j with -j leaves the positive terms
+    j (x^j + y^j) / (1 - q^j) with x = |w|^2, y = (r/|w|)^2 and q = r^2,
+    evaluated as arrays in chunks that double from 64 terms up to 2^16.
+
+    ``error_bound`` bounds the tail past N terms rigorously: sum_{j>N} j a^j =
+    a^{N+1} (1 + N (1-a)) / (1-a)^2 for a = x and y, divided by
+    1 - q^{N+1}, the smallest denominator past N.  The series is summed to
+    rounding: it stops at the first N whose tail is at most ROUNDING_SHARE
+    times sum_j j (x^j + y^j) plus the j = 0 term, which bounds the full sum
+    from below.  That N is fixed by x, y and q alone, so a point that would
+    need more than TERM_BUDGET terms raises ConvergenceError before any term
+    is evaluated.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -157,24 +165,33 @@ def kernel_annulus(r, w, tol=DEFAULT_TOL):
     w0 = abs(complex(w))
     if not r < w0 < 1.0:
         raise ValueError("base point must lie inside the annulus")
-    total = 1.0 / (-2.0 * math.log(r))
-    j = 1
-    err = 0.0
+    log_q = 2.0 * math.log(r)
+    # (a, 1 - a) for a = x and y; 1 - a from the logarithm does not cancel near the circles
+    pairs = [(w0 * w0, -math.expm1(2.0 * math.log(w0))), ((r / w0) ** 2, -math.expm1(2.0 * math.log(r / w0)))]
+    total = 1.0 / -log_q
+    floor = total + sum(a / oma**2 for a, oma in pairs)
+
+    def tail(n):
+        return sum(a ** (n + 1) * (1.0 + n * oma) / oma**2 for a, oma in pairs) / -np.expm1((n + 1) * log_q)
+
+    if tail(TERM_BUDGET) > ROUNDING_SHARE * floor:
+        raise ConvergenceError(f"annulus kernel series would need more than {TERM_BUDGET} terms")
+    lo, size = 1, 64
     while True:
-        t_pos = j * w0 ** (2 * j) / (1.0 - r ** (2 * j))
-        # j -> -j term rewritten with positive powers of r/w0
-        q = (r / w0) ** (2 * j)
-        t_neg = j * q / (1.0 - r ** (2 * j))
-        total += t_pos + t_neg
-        if j > 4 and t_pos + t_neg < tol.abs_tol + tol.rel_tol * total:
-            # both tails are geometric with ratios w0^2 and (r/w0)^2
-            err = t_pos * w0**2 / (1.0 - w0**2) + t_neg * q / (1.0 - q)
+        j = np.arange(lo, lo + size, dtype=float)
+        terms = j * sum(a**j for a, _ in pairs) / -np.expm1(j * log_q)
+        bounds = tail(j)
+        done = bounds <= ROUNDING_SHARE * floor
+        if done.any():
+            stop = int(np.argmax(done))
+            total += float(np.sum(terms[: stop + 1]))
             break
-        j += 1
-        if j > 100000:
-            raise ConvergenceError("annulus kernel series did not converge")
+        total += float(np.sum(terms))
+        lo, size = lo + size, min(2 * size, _CHUNK)
     scale = 1.0 / (math.pi * w0**2)
-    return KernelValue(scale * total, "annulus-series", scale * err)
+    err = scale * float(bounds[stop])
+    log.debug("annulus series: %d terms, tail bound %.3g", lo + stop, err)
+    return KernelValue(scale * total, "annulus-series", err)
 
 
 def kernel_ellipsoid_closed(p, b):

@@ -7,6 +7,7 @@ success, 1 on validation errors, 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 from . import bergman, checks, domains, green1d, indicatrix, suita
 from .domains import Annulus, EllipsoidFamilyParams
 from .indicatrix import EnvelopeGapError
-from .numerics import BracketError, ConvergenceError, SampleStream, Tolerance
+from .numerics import BracketError, ConvergenceError, SampleStream
 
 _NUMERICAL_ERRORS = (
     ConvergenceError,
@@ -45,20 +46,12 @@ def _build_parser():
     p.add_argument("--annulus", type=float, help="annulus inner radius")
     p.add_argument("--g2", action="store_true", help="symmetrized bidisk at 0")
     p.add_argument("--w", default="0", help="base point ('sqrt' = sqrt of the inner radius)")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="absolute tolerance; truncates a series earlier (default: the monomial series "
-        "is summed to rounding, the annulus series to 1e-12)",
-    )
     p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': prime-function factor pairs)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--w", default="sqrt")
     p.add_argument("--levels", default="", help="comma-separated negative levels to trace")
-    p.add_argument("--tol", type=float, default=1e-12, help="absolute tolerance")
     p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("indicatrix", help="indicatrix profile and volume")
@@ -125,24 +118,27 @@ def _emit(args, payload):
         print(text)
 
 
-def _tol(args):
-    return Tolerance(abs_tol=args.tol, rel_tol=max(args.tol, 1e-13) * 100, max_iter=200)
+def _write_csv(path, header, rows):
+    """One header line, then one line per row; numbers as 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else f"{v:.12g}" for v in row])
 
 
 def _cmd_kernel(args):
-    # without --tol each series keeps its own default stopping rule
-    tol = {} if args.tol is None else {"tol": _tol(args)}
     if args.g2:
         k = bergman.kernel_g2_center()
     elif args.annulus is not None:
         if not 0.0 < args.annulus < 1.0:
             raise _ArgumentError(f"annulus radius {args.annulus} outside (0, 1)")
         w = _parse_w(args.w, args.annulus)
-        k = bergman.kernel_annulus(args.annulus, w, **tol)
+        k = bergman.kernel_annulus(args.annulus, w)
     elif args.domain:
         dom = domains.from_json(args.domain)
         w = np.asarray(json.loads(args.w), dtype=complex) if args.w != "0" else np.zeros(dom.dimension)
-        k = bergman.kernel_reinhardt(dom, w, **tol)
+        k = bergman.kernel_reinhardt(dom, w)
     else:
         raise _ArgumentError("choose one of --g2, --annulus, --domain")
     _emit(args, {"value": k.value, "method": k.method, "error_bound": k.error_bound})
@@ -151,7 +147,7 @@ def _cmd_kernel(args):
 
 def _cmd_green(args):
     w = _parse_w(args.w, args.r)
-    g = green1d.AnnulusGreen(args.r, w, _tol(args))
+    g = green1d.AnnulusGreen(args.r, w)
     payload = {
         "r": args.r,
         "w": [w.real, w.imag],
@@ -208,7 +204,8 @@ def _cmd_indicatrix(args):
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
     if args.format == "csv":
-        profile.to_csv(args.out)
+        rs = np.linspace(0.0, profile.r_max, 512)
+        _write_csv(args.out, ["r", "gamma"], zip(rs, profile.gamma_values(rs)))
         print(f"wrote {args.out}")
         return 0
     _emit(args, payload)
@@ -261,7 +258,8 @@ def _cmd_scan(args):
         m_list = [float(x) for x in getattr(args, "m_list").split(",") if x.strip()]
         report = suita.figure_scan("p", b_grid, m_list=m_list)
     if args.format == "csv":
-        report.curves_to_csv(args.out)
+        rows = ((row["curve"], row["b"], row["F"]) for row in report.samples)
+        _write_csv(args.out, ["curve", "b", "F"], rows)
         with open(args.out + ".json", "w") as fh:
             fh.write(report.to_json() + "\n")
         print(f"wrote {args.out} and {args.out}.json")

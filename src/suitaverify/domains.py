@@ -64,10 +64,6 @@ class Ellipsoid:
     def dimension(self):
         return len(self.exponents)
 
-    @property
-    def is_convex(self):
-        return all(p >= 0.5 for p in self.exponents)
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -142,15 +138,12 @@ def contains(domain, z):
     raise TypeError(f"unsupported domain {domain!r}")
 
 
-def minkowski_functional(domain, z, tol=None):
+def minkowski_functional(domain, z):
     """h(z) with z / h(z) on the boundary; h(0) = 0, h(cz) = |c| h(z).
 
-    Only defined for balanced specs centered at the origin.  The default
-    tolerance resolves the root to machine precision so homogeneity holds
-    to the last digits.
+    Only defined for balanced specs centered at the origin.  The root is
+    resolved to machine precision so homogeneity holds to the last digits.
     """
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-300, rel_tol=1e-15)
     if not is_balanced(domain):
         raise TypeError("Minkowski functional requires a balanced domain")
     z = _as_point(domain, z)
@@ -171,7 +164,7 @@ def minkowski_functional(domain, z, tol=None):
     lo = 1e-12 * hi
     while defect(lo) < 0:  # z microscopically small: shrink bracket
         lo *= 1e-3
-    return find_root_monotone(defect, lo, hi, tol)
+    return find_root_monotone(defect, lo, hi, Tolerance(abs_tol=1e-300, rel_tol=1e-15))
 
 
 def _log_ellipsoid_volume(exponents, radii):

@@ -36,6 +36,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# A level whose gradient drops below this passes too near a critical point to trace.
+GRAD_FLOOR = 1e-4
+
 
 class CriticalLevelError(RuntimeError):
     """The requested level passes too close to a critical point of G."""
@@ -84,7 +87,7 @@ class AnnulusGreen:
     omitted pairs add to G and to ``robin``.
     """
 
-    def __init__(self, r, w, tol=DEFAULT_TOL):
+    def __init__(self, r, w):
         r = float(r)
         w = complex(w)
         if not 0.0 < r < 1.0:
@@ -106,7 +109,7 @@ class AnnulusGreen:
         tail = lambda n: sum(2.0 * a / (1.0 - a) for a in (q ** (n + 1) * m for m in self._m)) / (1.0 - q)
         # G is of order one near the pole and pairs are cheap: truncate below rounding
         n = 1
-        while tail(n) > min(tol.abs_tol, 2.0**-53):
+        while tail(n) > 2.0**-53:
             n += 1
         self.n_modes, self.tail_bound = n, tail(n)
         self._qk = qk = q ** np.arange(1, n + 1)
@@ -247,7 +250,7 @@ def trace_level(green, t, n_nodes=2048):
     return phis, _crossings(green, t, phis)
 
 
-def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
+def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     """Flux, co-area density and isoperimetric ratio of a regular level.
 
     flux    = integral of |grad G| over { G = t }          (2 pi for any level
@@ -276,7 +279,7 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048, grad_floor=1e-4):
     z = green.pole + s * np.exp(1j * phis)
     g = green.grad(z)
     absg = np.abs(g)
-    if float(absg.min()) < grad_floor:
+    if float(absg.min()) < GRAD_FLOOR:
         raise CriticalLevelError(
             f"level t={t} passes near a critical point (min |grad G| = {absg.min():.3g})"
         )

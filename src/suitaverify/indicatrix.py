@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .domains import EllipsoidFamilyParams
-from .numerics import DEFAULT_TOL, integrate_1d
+from .numerics import integrate_1d
 
 log = logging.getLogger(__name__)
 
@@ -58,25 +58,12 @@ class IndicatrixProfile:
     def gamma_values(self, r):
         return self.gamma(np.asarray(r, dtype=float))
 
-    def volume(self, tol=DEFAULT_TOL):
+    def volume(self):
         k = self.dimension - 1
         m = self.slice_exponent
         omega = _slice_ball_volume(m, k)
         integrand = lambda r: r * float(self.gamma(np.asarray(r))) ** (k / m)
-        return 2.0 * math.pi * omega * integrate_1d(
-            integrand, 0.0, self.r_max, tol, knots=self.knots
-        )
-
-    def to_csv(self, path, count=512):
-        import csv
-
-        rs = np.linspace(0.0, self.r_max, count)
-        gs = self.gamma_values(rs)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "gamma"])
-            for r, g in zip(rs, gs):
-                writer.writerow([f"{r:.12g}", f"{g:.12g}"])
+        return 2.0 * math.pi * omega * integrate_1d(integrand, 0.0, self.r_max, knots=self.knots)
 
 
 def azukawa_g2_center():

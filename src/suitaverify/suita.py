@@ -17,7 +17,7 @@ import numpy as np
 from . import bergman, domains, green1d, indicatrix
 from .bergman import KernelValue
 from .domains import Annulus, Ellipsoid, EllipsoidFamilyParams, Polydisk, SymmetrizedBidisk
-from .numerics import DEFAULT_TOL, SampleStream, golden_section_max
+from .numerics import SampleStream, golden_section_max
 
 __all__ = [
     "SuitaRatio",
@@ -77,15 +77,6 @@ class ExperimentReport:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
         return text
-
-    def curves_to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["curve", "b", "F"])
-            for row in self.samples:
-                writer.writerow([row["curve"], f"{row['b']:.12g}", f"{row['F']:.12g}"])
 
 
 def _correction(a, b):
@@ -207,7 +198,7 @@ def maximize_F(m, n=2, tol=1e-6, family="ell1"):
     raise ValueError(f"unknown family {family!r}")
 
 
-def check_lower_bound_est1(domain, w, t, tol=DEFAULT_TOL):
+def check_lower_bound_est1(domain, w, t):
     """Margin K(w) - 1/(e^{-2nt} lambda({G < t})) of the sublevel lower bound.
 
     Returns (margin, sigma).  Balanced domains at the center are exact
@@ -225,8 +216,8 @@ def check_lower_bound_est1(domain, w, t, tol=DEFAULT_TOL):
         return 0.0, 0.0
     if isinstance(domain, Annulus):
         wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
-        k = bergman.kernel_annulus(domain.inner, wc, tol)
-        g = green1d.AnnulusGreen(domain.inner, wc, tol)
+        k = bergman.kernel_annulus(domain.inner, wc)
+        g = green1d.AnnulusGreen(domain.inner, wc)
         st = green1d.level_flux_and_isoperimetric(g, t)
         norm = math.exp(-2.0 * t) * st.area
         norm_err = math.exp(-2.0 * t) * st.area_err
@@ -245,15 +236,15 @@ class ReverseSuitaResult:
     bound: float
 
 
-def check_reverse_suita(r, tol=DEFAULT_TOL):
+def check_reverse_suita(r):
     """K(sqrt r)/c(sqrt r)^2 against its divergent lower bound -2 log r / pi^3.
 
     The ratio grows without bound as r -> 0, so no inequality K <= C c^2 can
     hold uniformly.
     """
     w = math.sqrt(r)
-    k = bergman.kernel_annulus(r, w, tol)
-    g = green1d.AnnulusGreen(r, w, tol)
+    k = bergman.kernel_annulus(r, w)
+    g = green1d.AnnulusGreen(r, w)
     c = green1d.robin_capacity(g)
     ratio = k.value / c**2
     bound = -2.0 * math.log(r) / math.pi**3
@@ -262,20 +253,21 @@ def check_reverse_suita(r, tol=DEFAULT_TOL):
     return ReverseSuitaResult(radius=r, kernel=k.value, capacity=c, ratio=ratio, bound=bound)
 
 
-def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_TOL):
+def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20):
     """Normalized sublevel curve on the annulus with monotonicity verdicts.
 
     Checks that e^{-2t} lambda({G < t}) is non-decreasing within 3 standard
-    errors, reports discrete convexity evidence for log lambda({G < t})
-    (evidence only: the conjecture is open), and compares the most negative
-    grid value against the capacity limit pi/c^2.  The volumes are traced
+    errors, reports discrete convexity evidence for log lambda({G < t}) from
+    the differences of its slopes between grid levels (evidence only: the
+    conjecture is open), and compares the most negative grid value against
+    the capacity limit pi/c^2.  The volumes are traced
     areas; at the largest traced level ``count`` points of ``stream.split(i)``
     are hit-counted as well, and the two must agree within 3 standard errors.
     """
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
     wc = complex(w)
-    g = green1d.AnnulusGreen(r, wc, tol)
+    g = green1d.AnnulusGreen(r, wc)
     curve = green1d.sublevel_curve(g, t_grid, stream, count, n=1)
     c = green1d.robin_capacity(g)
     limit = math.pi / c**2
@@ -286,8 +278,9 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
     sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
     monotone = bool(np.all(diffs >= -3.0 * sigma))
 
-    logs = np.log(np.asarray(curve.values))
-    second = np.diff(logs, 2) if len(logs) >= 3 else np.array([])
+    # divided differences: the grid need not be uniform
+    slopes = np.diff(np.log(curve.values)) / np.diff(curve.t_grid)
+    slope_diffs = np.diff(slopes)
     limit_dev = abs(norm[0] / limit - 1.0)
 
     # every headline volume twice: hit-count the largest traced level again
@@ -319,7 +312,7 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
         verdicts={
             "normalized_non_decreasing_3sigma": monotone,
             "limit_within_2pct": bool(limit_dev <= 0.02),
-            "log_volume_convexity_evidence": bool(np.all(second >= -1e-2)) if second.size else None,
+            "log_volume_convexity_evidence": bool(np.all(slope_diffs >= -1e-2)) if slope_diffs.size else None,
             "hit_count_matches_trace_3sigma": bool(gap <= 3.0) if traced else None,
         },
         metadata={
@@ -329,7 +322,7 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20, tol=DEFAULT_
             "capacity": c,
             "limit_pi_over_c2": limit,
             "limit_rel_dev": limit_dev,
-            "log_volume_second_differences": second.tolist(),
+            "log_volume_slope_differences": slope_diffs.tolist(),
             "hit_count_t": hit_t,
             "hit_count": hit,
             "hit_count_stderr": hit_err,

@@ -18,7 +18,7 @@ from suitaverify.bergman import (
     kernel_reinhardt,
 )
 from suitaverify.domains import Ellipsoid, EllipsoidFamilyParams, Polydisk, ball, disk
-from suitaverify.numerics import ConvergenceError, Tolerance
+from suitaverify.numerics import ConvergenceError
 
 
 def _ball_kernel_mp(w):
@@ -36,6 +36,20 @@ def _polydisk_kernel_mp(w):
         for c in w:
             out /= mp.pi * (1 - mp.mpf(c.real) ** 2 - mp.mpf(c.imag) ** 2) ** 2
         return float(out)
+
+
+def _annulus_kernel_mp(r, w0):
+    """(1/(pi |w|^2)) sum_j j |w|^{2j} / (1 - r^{2j}) at 30 digits, the j = 0 term
+    being 1/(-2 log r), summed over j = +-1, +-2, ... until a pair is below 1e-35 of the total."""
+    with mp.workdps(30):
+        r, w0 = mp.mpf(r), mp.mpf(w0)
+        total, j = 1 / (-2 * mp.log(r)), 1
+        while True:
+            pair = sum(k * w0 ** (2 * k) / (1 - r ** (2 * k)) for k in (j, -j))
+            total += pair
+            if pair < mp.mpf(10) ** -35 * total:
+                return float(total / (mp.pi * w0**2))
+            j += 1
 
 
 class TestKernelReinhardt:
@@ -129,13 +143,13 @@ class TestKernelReinhardt:
         assert degree >= 8 and terms >= (degree + 1) * (degree + 2) // 2
         assert tail == k.error_bound
 
-    def test_error_bound_is_honest(self):
-        dom = ball(2)
+    def test_error_bound_is_honest(self, monkeypatch):
+        # stopped far from rounding, the tail estimate must still cover the neglected terms
+        monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
         w = np.array([0.5, 0.3])
-        loose = kernel_reinhardt(dom, w, tol=Tolerance(abs_tol=1e-4, rel_tol=1e-4))
-        tight = kernel_reinhardt(dom, w, tol=Tolerance(abs_tol=1e-13, rel_tol=1e-12))
-        assert abs(loose.value - tight.value) <= 10.0 * loose.error_bound
-        assert loose.error_bound > tight.error_bound
+        k = kernel_reinhardt(ball(2), w)
+        expected = _ball_kernel_mp(w)
+        assert 1e-9 * expected < expected - k.value <= k.error_bound
 
     def test_monotone_in_base_point(self):
         vals = [
@@ -205,10 +219,37 @@ class TestKernelAnnulus:
     def test_blows_up_near_boundary(self):
         assert kernel_annulus(0.2, 0.98).value > kernel_annulus(0.2, 0.6).value * 10
 
-    def test_error_bound_is_honest(self):
-        loose = kernel_annulus(0.2, 0.7, tol=Tolerance(abs_tol=1e-3, rel_tol=1e-3))
-        tight = kernel_annulus(0.2, 0.7, tol=Tolerance(abs_tol=1e-14, rel_tol=1e-13))
-        assert abs(loose.value - tight.value) <= 10.0 * loose.error_bound
+    @pytest.mark.parametrize("r", [0.015, 0.2, 0.9])
+    @pytest.mark.parametrize("where", ["near-inner", "sqrt", "near-outer"])
+    def test_matches_laurent_oracle(self, r, where):
+        w0 = {"near-inner": 1.05 * r, "sqrt": math.sqrt(r), "near-outer": 0.95}[where]
+        k = kernel_annulus(r, w0)
+        expected = _annulus_kernel_mp(r, w0)
+        assert k.value == pytest.approx(expected, rel=1e-13)
+        assert k.error_bound <= 1e-16 * k.value
+
+    def test_error_bound_is_honest(self, monkeypatch):
+        # stopped far from rounding, the tail bound must still cover the neglected terms;
+        # it is sharp (the denominators past N are all but 1), so allow the sum's rounding
+        monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
+        for r, w0 in ((0.2, 0.7), (0.9, 0.93), (0.015, 0.0155)):
+            k = kernel_annulus(r, w0)
+            expected = _annulus_kernel_mp(r, w0)
+            assert 1e-9 * expected < expected - k.value <= k.error_bound + 1e-13 * expected
+
+    def test_term_budget_raises(self):
+        with pytest.raises(ConvergenceError):
+            kernel_annulus(0.2, 1.0 - 1e-7)
+
+    def test_logs_its_convergence(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify"):
+            k = kernel_annulus(0.2, 0.7)
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
+        assert rec.levelno == logging.DEBUG
+        terms, tail = rec.args
+        # the slower of the two geometric sums, ratio 0.7^2, reaches rounding after about 60 terms
+        assert 50 < terms < 70
+        assert tail == k.error_bound
 
     def test_validation(self):
         with pytest.raises(ValueError):

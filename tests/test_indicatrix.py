@@ -47,14 +47,6 @@ class TestRadialProfile:
         closed = indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=n, b=b))
         assert prof.volume() == pytest.approx(closed, rel=1e-9)
 
-    def test_csv_export(self, tmp_path):
-        prof = kobayashi_profile_p1half(1.0, 2, 0.4)
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path, count=32)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "r,gamma"
-        assert len(lines) == 33
-
     def test_validation(self):
         with pytest.raises(ValueError):
             kobayashi_profile_p1half(1.0, 2, 1.5)

@@ -217,14 +217,6 @@ class TestExperiments:
         assert report.verdicts["all_below_convex_bound"] is True
         assert len(report.samples) == 6
 
-    def test_figure_scan_csv(self, tmp_path):
-        report = figure_scan("ell1", [0.2, 0.4], n_list=(2,))
-        path = tmp_path / "scan.csv"
-        report.curves_to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "curve,b,F"
-        assert len(lines) == 3
-
     def test_figure_scan_p_family(self):
         report = figure_scan("p", [0.3], m_list=(1.0, 2.0))
         assert report.verdicts["all_at_least_one"] is True
