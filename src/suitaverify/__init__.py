@@ -27,10 +27,8 @@ from .green1d import (
     AnnulusGreen,
     DiskGreen,
     covering_capacity_bound,
-    covering_map,
     level_flux_and_isoperimetric,
     robin_capacity,
-    sublevel_curve,
     sublevel_volume,
 )
 from .indicatrix import (

@@ -24,12 +24,10 @@ __all__ = [
     "EllipsoidFamilyParams",
     "ball",
     "disk",
-    "is_balanced",
     "contains",
     "minkowski_functional",
     "volume",
     "monomial_norm",
-    "to_json",
     "from_json",
 ]
 
@@ -109,11 +107,6 @@ def disk():
     return ball(1)
 
 
-def is_balanced(domain):
-    """Balanced around the origin: z in domain implies c z in domain, |c|<=1."""
-    return isinstance(domain, (Ellipsoid, Polydisk))
-
-
 def _as_point(domain, z):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (domain.dimension,):
@@ -144,7 +137,7 @@ def minkowski_functional(domain, z):
     Only defined for balanced specs centered at the origin.  The root is
     resolved to machine precision so homogeneity holds to the last digits.
     """
-    if not is_balanced(domain):
+    if not isinstance(domain, (Ellipsoid, Polydisk)):
         raise TypeError("Minkowski functional requires a balanced domain")
     z = _as_point(domain, z)
     a = np.abs(z)
@@ -268,13 +261,6 @@ class EllipsoidFamilyParams:
             - gammaln(1.0 + k / self.m)
         )
 
-    @property
-    def slice_exponents(self):
-        return (self.m,) * (self.n - 1)
-
-    def domain(self):
-        return Ellipsoid((0.5,) + self.slice_exponents)
-
     def domain_volume(self):
         a = self.a
         return 2.0 * math.pi * self.omega / (a * (a - 1.0))
@@ -288,22 +274,8 @@ _VARIANTS = {
 }
 
 
-def to_json(domain):
-    """Serialize a domain spec to a JSON string."""
-    if isinstance(domain, Ellipsoid):
-        obj = {"variant": "ellipsoid", "p": list(domain.exponents), "radii": list(domain.radii)}
-    elif isinstance(domain, Annulus):
-        obj = {"variant": "annulus", "r": domain.inner}
-    elif isinstance(domain, Polydisk):
-        obj = {"variant": "polydisk", "n": domain.dim}
-    elif isinstance(domain, SymmetrizedBidisk):
-        obj = {"variant": "symmetrized_bidisk"}
-    else:
-        raise TypeError(f"unsupported domain {domain!r}")
-    return json.dumps(obj, sort_keys=True)
-
-
 def from_json(text):
+    """Domain spec from its JSON object (a string or a dict), keyed by ``variant``."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     variant = obj.get("variant")
     if variant == "ellipsoid":

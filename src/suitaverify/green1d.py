@@ -2,15 +2,13 @@
 
 Closed form on the unit disk, prime-function product on the annulus
 { r < |z| < 1 }, plus the quantities built on top of them: Robin constant
-and logarithmic capacity, traced level curves with flux / co-area density /
-isoperimetric ratio, sublevel-set volumes from the traced level curve with
-deterministic hit counting as the check route, and the annulus covering map
-used to bound the capacity from above.
+and logarithmic capacity, the covering-map upper bound for the capacity,
+traced level curves with flux / co-area density / isoperimetric ratio
+(their area is the sublevel-set volume), and deterministic hit counting as
+the check route for that volume.
 """
 from __future__ import annotations
 
-import cmath
-import logging
 import math
 from dataclasses import dataclass
 
@@ -24,17 +22,12 @@ __all__ = [
     "AnnulusGreen",
     "CriticalLevelError",
     "LevelStats",
-    "SublevelCurve",
     "robin_capacity",
-    "covering_map",
     "covering_capacity_bound",
     "trace_level",
     "level_flux_and_isoperimetric",
     "sublevel_volume",
-    "sublevel_curve",
 ]
-
-log = logging.getLogger(__name__)
 
 # A level whose gradient drops below this passes too near a critical point to trace.
 GRAD_FLOOR = 1e-4
@@ -174,16 +167,9 @@ def robin_capacity(green):
     return math.exp(green.robin)
 
 
-def covering_map(r, zeta):
-    """Universal covering map Delta -> annulus with p(0) = sqrt(r)."""
-    zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError("argument must lie in the unit disk")
-    return cmath.exp(cmath.log(r) / (math.pi * 1j) * cmath.log(1j * (1 + zeta) / (1 - zeta)))
-
-
 def covering_capacity_bound(r):
-    """Upper bound pi / (-2 sqrt(r) log r) = 1/|p'(0)| for the capacity at sqrt(r)."""
+    """Upper bound pi / (-2 sqrt(r) log r) = 1/|p'(0)| for the capacity at sqrt(r),
+    p the covering map of the unit disk onto the annulus with p(0) = sqrt(r)."""
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     return math.pi / (-2.0 * math.sqrt(r) * math.log(r))
@@ -235,7 +221,6 @@ class LevelStats:
     area: float
     area_err: float
     iso_ratio: float
-    min_grad: float
 
 
 def trace_level(green, t, n_nodes=2048):
@@ -306,7 +291,6 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
         area=area,
         area_err=trapezoid_err + root_err,
         iso_ratio=iso,
-        min_grad=float(absg.min()),
     )
 
 
@@ -353,58 +337,3 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     value = box_area * p
     stderr = box_area * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
     return value, stderr
-
-
-@dataclass
-class SublevelCurve:
-    """Sampled map t -> lambda({G < t}) with normalized column e^{-2nt} lambda.
-
-    ``routes`` names where each value comes from: 'exact' (balanced domain
-    spec), 'trace' (traced level curve) or 'hit-count' (the fallback).
-    """
-
-    t_grid: list
-    values: list
-    stderrs: list
-    normalized: list
-    normalized_stderrs: list
-    routes: list
-    n: int = 1
-
-
-def sublevel_curve(obj, t_grid, stream=None, count=2**20, n=1):
-    """Sublevel volumes across a t grid.
-
-    A Green object's volumes are traced areas; a level that is not a radial
-    graph around the pole falls back to hit counting ``count`` points of its
-    own derived stream ``stream.split(i)``.
-    """
-    t_grid = sorted(float(t) for t in t_grid)
-    if stream is None:
-        stream = SampleStream(dimension=2, seed=0)
-    values, stderrs, norm, norm_err, routes = [], [], [], [], []
-    for i, t in enumerate(t_grid):
-        if isinstance(obj, (domains.Ellipsoid, domains.Polydisk)):
-            (v, e), route = sublevel_volume(obj, t), "exact"
-        else:
-            try:
-                st = level_flux_and_isoperimetric(obj, t)
-                v, e, route = st.area, st.area_err, "trace"
-            except CriticalLevelError:
-                (v, e), route = sublevel_volume(obj, t, stream.split(i), count), "hit-count"
-        log.debug("sublevel volume at t=%g: %s %.17g +- %.3g", t, route, v, e)
-        scale = math.exp(-2 * n * t)
-        values.append(v)
-        stderrs.append(e)
-        norm.append(scale * v)
-        norm_err.append(scale * e)
-        routes.append(route)
-    return SublevelCurve(
-        t_grid=t_grid,
-        values=values,
-        stderrs=stderrs,
-        normalized=norm,
-        normalized_stderrs=norm_err,
-        routes=routes,
-        n=n,
-    )

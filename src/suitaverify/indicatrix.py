@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from . import domains
 from .domains import EllipsoidFamilyParams
 from .numerics import integrate_1d
 
@@ -34,11 +34,6 @@ __all__ = [
 
 class EnvelopeGapError(RuntimeError):
     """The sampled boundary arcs fail to cover the radial range."""
-
-
-def _slice_ball_volume(m, k):
-    """Volume of { sum_{j<=k} |X_j|^{2m} < 1 } in C^k."""
-    return math.exp(k * math.log(math.pi) + k * gammaln(1.0 + 1.0 / m) - gammaln(1.0 + k / m))
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class IndicatrixProfile:
     def volume(self):
         k = self.dimension - 1
         m = self.slice_exponent
-        omega = _slice_ball_volume(m, k)
+        omega = domains.volume(domains.Ellipsoid((m,) * k))  # of { sum_{j<=k} |X_j|^{2m} < 1 }
         integrand = lambda r: r * float(self.gamma(np.asarray(r))) ** (k / m)
         return 2.0 * math.pi * omega * integrate_1d(integrand, 0.0, self.r_max, knots=self.knots)
 
@@ -190,26 +185,32 @@ def _envelope_volume(p, b, n_grid, n_samples):
     return 2.0 * math.pi**2 * float(np.trapezoid(grid * height**2, grid))
 
 
-def indicatrix_volume_numeric(p, b, n_grid=2048, rel_change=1e-5, max_doublings=4):
+# the envelope grid starts at _N_GRID cells and doubles until the volume changes
+# by at most _REL_CHANGE, at most _MAX_DOUBLINGS times
+_N_GRID, _REL_CHANGE, _MAX_DOUBLINGS = 2048, 1e-5, 4
+
+
+def indicatrix_volume_numeric(p, b):
     """Kobayashi indicatrix volume of a 2-d ellipsoid at (b, 0) by arc envelope.
 
     Samples both extremal-disc arcs, builds the upper envelope of
     |X_2| against |X_1| and integrates the resulting body of revolution;
-    the grid is doubled until the volume stabilizes, or until ``max_doublings``
-    runs out: then the last estimate is returned with a logged warning.
+    the grid is doubled until the volume stabilizes, or until the doublings
+    run out: then the last estimate is returned with a logged warning.
     """
     p = tuple(float(q) for q in p)
     if len(p) != 2:
         raise ValueError("numeric pipeline is two-dimensional")
     if any(q < 0.5 for q in p):
         raise ValueError("extremal-disc parametrization needs convex exponents >= 1/2")
+    n_grid = _N_GRID
     prev, change = _envelope_volume(p, b, n_grid, 2 * n_grid + 1), math.inf
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n_grid *= 2
         cur = _envelope_volume(p, b, n_grid, 2 * n_grid + 1)
         change, prev = abs(cur - prev) / abs(cur), cur
-        if change <= rel_change:
+        if change <= _REL_CHANGE:
             return cur
     log.warning("indicatrix_volume_numeric(p=%s, b=%g): grid %d, last relative change %.2g > %.2g",
-                p, b, n_grid, change, rel_change)
+                p, b, n_grid, change, _REL_CHANGE)
     return prev

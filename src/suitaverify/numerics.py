@@ -1,7 +1,7 @@
 """Shared numerical kernels: root bracketing, adaptive quadrature, sample streams.
 
-Everything here is pure and reentrant; streams are value objects that can be
-split by seed derivation for parallel grids.
+Everything here is pure and reentrant; streams are scrambled Sobol value
+objects that can be split by seed derivation for parallel grids.
 """
 from __future__ import annotations
 
@@ -76,8 +76,8 @@ def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=()):
     return float(res.x) if np.ndim(res.x) == 0 else res.x
 
 
-def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):
-    """Adaptive quadrature of f on [a, b].
+def integrate_1d(f, a, b, knots=()):
+    """Adaptive quadrature of f on [a, b] to the tolerances of ``DEFAULT_TOL``.
 
     ``knots`` lists interior points where the integrand has a kink; the
     interval is split there so each panel sees a smooth integrand.
@@ -88,6 +88,7 @@ def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):
         return 0.0
     pts = sorted(x for x in knots if a < x < b)
     edges = [a] + pts + [b]
+    tol = DEFAULT_TOL
     total = 0.0
     err_total = 0.0
     with warnings.catch_warnings():
@@ -99,8 +100,8 @@ def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):
                     x0,
                     x1,
                     epsabs=tol.abs_tol,
-                    epsrel=max(tol.rel_tol, 1e-13),
-                    limit=max(tol.max_iter, 50),
+                    epsrel=tol.rel_tol,
+                    limit=tol.max_iter,
                 )
             except integrate.IntegrationWarning as exc:
                 raise ConvergenceError(
@@ -108,8 +109,8 @@ def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):
                 ) from exc
             total += val
             err_total += err
-    bound = max(tol.abs_tol, tol.rel_tol * abs(total))
-    if err_total > max(bound, 1e-10 * abs(total) + 1e-14):
+    bound = max(tol.abs_tol, tol.rel_tol * abs(total) + 1e-14)
+    if err_total > bound:
         raise ConvergenceError(
             f"quadrature error estimate {err_total:.3g} exceeds requested {bound:.3g}"
         )
@@ -118,28 +119,21 @@ def integrate_1d(f, a, b, tol=DEFAULT_TOL, knots=()):
 
 @dataclass(frozen=True)
 class SampleStream:
-    """Deterministic point stream in the unit cube.
+    """Deterministic scrambled Sobol point stream in the unit cube.
 
-    The same (dimension, seed, kind) always reproduces the identical sequence.
-    ``kind`` is 'low-discrepancy' (scrambled Sobol) or 'pseudo-random' (PCG64).
+    The same (dimension, seed) always reproduces the identical sequence.
     """
 
     dimension: int
     seed: int = 0
-    kind: str = "low-discrepancy"
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.kind not in ("low-discrepancy", "pseudo-random"):
-            raise ValueError(f"unknown stream kind {self.kind!r}")
 
     def points(self, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.kind == "pseudo-random":
-            rng = np.random.default_rng(self.seed)
-            return rng.random((count, self.dimension))
         with warnings.catch_warnings():
             # balance warning for non power-of-two counts is informational
             warnings.simplefilter("ignore", UserWarning)
@@ -152,9 +146,11 @@ class SampleStream:
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps before the bracket must have shrunk to ``tol``
+_GOLDEN_MAX_ITER = 200
 
 
-def golden_section_max(f, lo, hi, tol=1e-8, max_iter=200, coarse=64):
+def golden_section_max(f, lo, hi, tol=1e-8, coarse=64):
     """Maximize a smooth unimodal-ish function on [lo, hi].
 
     A coarse scan first localizes the global maximum (guards mild
@@ -169,7 +165,7 @@ def golden_section_max(f, lo, hi, tol=1e-8, max_iter=200, coarse=64):
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if f1 < f2:

@@ -9,6 +9,7 @@ inequality, and packages grid experiments into reproducible reports.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,8 @@ __all__ = [
     "monotonicity_experiment",
     "figure_scan",
 ]
+
+log = logging.getLogger(__name__)
 
 CLASSIFICATION_BOUNDS = {
     "c-convex": 16.0,
@@ -260,54 +263,64 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20):
     errors, reports discrete convexity evidence for log lambda({G < t}) from
     the differences of its slopes between grid levels (evidence only: the
     conjecture is open), and compares the most negative grid value against
-    the capacity limit pi/c^2.  The volumes are traced
-    areas; at the largest traced level ``count`` points of ``stream.split(i)``
-    are hit-counted as well, and the two must agree within 3 standard errors.
+    the capacity limit pi/c^2.  The volumes are traced areas; a level that
+    is not a radial graph around the pole falls back to hit counting
+    ``count`` points of ``stream.split(i)``, and at the largest traced level
+    the same count is hit-counted as well, to agree within 3 standard
+    errors.  Raises ValueError for an empty t grid or a repeated level.
     """
+    t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid or len(set(t_grid)) < len(t_grid):
+        raise ValueError("t grid must be non-empty, without repeated levels")
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
     wc = complex(w)
     g = green1d.AnnulusGreen(r, wc)
-    curve = green1d.sublevel_curve(g, t_grid, stream, count, n=1)
+    samples = []
+    for i, t in enumerate(t_grid):
+        try:
+            st = green1d.level_flux_and_isoperimetric(g, t)
+            v, e, route = st.area, st.area_err, "trace"
+        except green1d.CriticalLevelError:
+            (v, e), route = green1d.sublevel_volume(g, t, stream.split(i), count), "hit-count"
+        log.debug("sublevel volume at t=%g: %s %.17g +- %.3g", t, route, v, e)
+        scale = math.exp(-2.0 * t)
+        samples.append(
+            {
+                "t": t,
+                "lambda": v,
+                "stderr": e,
+                "normalized": scale * v,
+                "normalized_stderr": scale * e,
+                "route": route,
+            }
+        )
     c = green1d.robin_capacity(g)
     limit = math.pi / c**2
 
-    norm = np.asarray(curve.normalized)
-    err = np.asarray(curve.normalized_stderrs)
+    norm = np.array([row["normalized"] for row in samples])
+    err = np.array([row["normalized_stderr"] for row in samples])
     diffs = np.diff(norm)
     sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
     monotone = bool(np.all(diffs >= -3.0 * sigma))
 
     # divided differences: the grid need not be uniform
-    slopes = np.diff(np.log(curve.values)) / np.diff(curve.t_grid)
+    slopes = np.diff(np.log([row["lambda"] for row in samples])) / np.diff(t_grid)
     slope_diffs = np.diff(slopes)
     limit_dev = abs(norm[0] / limit - 1.0)
 
     # every headline volume twice: hit-count the largest traced level again
-    traced = [i for i, route in enumerate(curve.routes) if route == "trace"]
+    traced = [i for i, row in enumerate(samples) if row["route"] == "trace"]
     hit_t = hit = hit_err = gap = None
     if traced:
         i = traced[-1]
-        hit_t = curve.t_grid[i]
+        hit_t = t_grid[i]
         hit, hit_err = green1d.sublevel_volume(g, hit_t, stream.split(i), count)
-        gap = abs(hit - curve.values[i]) / math.hypot(hit_err, curve.stderrs[i])
+        gap = abs(hit - samples[i]["lambda"]) / math.hypot(hit_err, samples[i]["stderr"])
 
-    samples = [
-        {
-            "t": t,
-            "lambda": v,
-            "stderr": e,
-            "normalized": nv,
-            "normalized_stderr": ne,
-            "route": route,
-        }
-        for t, v, e, nv, ne, route in zip(
-            curve.t_grid, curve.values, curve.stderrs, curve.normalized, curve.normalized_stderrs, curve.routes
-        )
-    ]
     return ExperimentReport(
         kind="monotonicity",
-        grid={"r": r, "w": [wc.real, wc.imag], "t_grid": list(curve.t_grid)},
+        grid={"r": r, "w": [wc.real, wc.imag], "t_grid": t_grid},
         samples=samples,
         verdicts={
             "normalized_non_decreasing_3sigma": monotone,
@@ -317,7 +330,6 @@ def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20):
         },
         metadata={
             "seed": stream.seed,
-            "kind": stream.kind,
             "count": count,
             "capacity": c,
             "limit_pi_over_c2": limit,
@@ -356,6 +368,8 @@ def figure_scan(family, b_grid, m=0.5, n_list=(2, 3, 4, 5, 6), m_list=(0.5, 2.0,
         grid = {"family": "p", "m_list": list(m_list), "b_grid": b_grid}
     else:
         raise ValueError(f"unknown family {family!r}")
+    if not samples:  # the b grid is not empty, so the family's list is
+        raise ValueError(f"{'n_list' if family == 'ell1' else 'm_list'} must be non-empty")
     values = [row["F"] for row in samples]
     # the closed form is exact; the numeric envelope pipeline is only
     # accurate to a few 1e-5 relative, so its verdict gets matching slack

@@ -285,7 +285,7 @@ class TestClosedForms:
     def test_deflated_matches_series_3d(self):
         params = EllipsoidFamilyParams(m=1.0, n=3, b=0.3)
         k = kernel_reinhardt(
-            params.domain(), np.array([0.3, 0.0, 0.0], dtype=complex)
+            Ellipsoid((0.5, 1.0, 1.0)), np.array([0.3, 0.0, 0.0], dtype=complex)
         )
         assert k.value == pytest.approx(kernel_deflated(params).value, rel=1e-9)
 

@@ -172,6 +172,11 @@ class TestScanCommand:
         assert run(["scan", "--family", "ell1", "--n", "2..2", "--grid", "8", "--format", "csv"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("option", [["--family", "p", "--m-list", ""], ["--family", "ell1", "--n", "5..2"]])
+    def test_empty_curve_list_is_validation_error(self, option, capsys):
+        assert run(["scan", *option, "--grid", "2"]) == 1
+        assert capsys.readouterr().err.endswith("_list must be non-empty\n")
+
 
 class TestExperimentCommand:
     def test_monotonicity_passes(self, tmp_path, capsys):
@@ -234,6 +239,12 @@ class TestExperimentCommand:
         assert [row["route"] for row in outs[0]["samples"]] == ["trace", "trace"]
         assert outs[0]["samples"] == outs[1]["samples"]
         assert outs[0]["metadata"]["hit_count"] != outs[1]["metadata"]["hit_count"]
+
+    @pytest.mark.parametrize("grid", ["--t-grid=", "--t-grid=-2,-2,-1"], ids=["empty", "repeated"])
+    def test_empty_or_repeated_t_grid_is_validation_error(self, grid, capsys):
+        assert run(["experiment", "--r", "0.2", grid, "--samples", "64"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: t grid")
 
 
 # a cheap valid command per subcommand, then each option it used to accept and ignore

@@ -13,14 +13,13 @@ from suitaverify.green1d import (
     CriticalLevelError,
     DiskGreen,
     covering_capacity_bound,
-    covering_map,
     level_flux_and_isoperimetric,
     robin_capacity,
-    sublevel_curve,
     sublevel_volume,
     trace_level,
 )
 from suitaverify.numerics import DEFAULT_TOL, SampleStream
+from suitaverify.suita import monotonicity_experiment
 
 R = 0.2
 W = math.sqrt(R)
@@ -226,21 +225,6 @@ class TestAnnulusSolve:
 
 
 class TestCoveringMap:
-    def test_value_at_zero(self):
-        assert covering_map(R, 0.0) == pytest.approx(math.sqrt(R), abs=1e-14)
-
-    def test_derivative_at_zero(self):
-        h = 1e-6
-        dp = (covering_map(R, h) - covering_map(R, -h)) / (2 * h)
-        assert abs(dp) == pytest.approx(-2 * math.sqrt(R) * math.log(R) / math.pi, rel=1e-8)
-
-    def test_maps_into_annulus(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            zeta = complex(*rng.uniform(-0.65, 0.65, 2))
-            w = covering_map(R, zeta)
-            assert R < abs(w) < 1.0
-
     def test_bound_special_radius(self):
         # r = e^{-pi}: bound = pi / (2 e^{-pi/2} pi) = e^{pi/2} / 2
         assert covering_capacity_bound(math.exp(-math.pi)) == pytest.approx(
@@ -378,12 +362,10 @@ class TestSublevelVolume:
         limit = math.pi / robin_capacity(annulus_green) ** 2
         assert abs(normalized / limit - 1.0) < 0.02
 
-    def test_curve_monotone_within_errors(self, annulus_green):
-        curve = sublevel_curve(
-            annulus_green, [-4, -3, -2, -1], SampleStream(2, seed=5), 2**17
-        )
-        norm = np.asarray(curve.normalized)
-        err = np.asarray(curve.normalized_stderrs)
+    def test_curve_monotone_within_errors(self):
+        report = monotonicity_experiment(R, W, [-4, -3, -2, -1], SampleStream(2, seed=5), 2**17)
+        norm = np.array([row["normalized"] for row in report.samples])
+        err = np.array([row["normalized_stderr"] for row in report.samples])
         diffs = np.diff(norm)
         sigma = np.sqrt(err[:-1] ** 2 + err[1:] ** 2)
         assert np.all(diffs >= -3 * sigma)
@@ -391,20 +373,15 @@ class TestSublevelVolume:
     def test_curve_falls_back_to_hit_counting_at_the_saddle(self, annulus_green, caplog):
         t_saddle = _saddle_level(annulus_green)
         stream = SampleStream(2, seed=5)
-        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
-            curve = sublevel_curve(annulus_green, [-2.0, t_saddle], stream, 2**14)
-        assert curve.routes == ["trace", "hit-count"]
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.suita"):
+            report = monotonicity_experiment(R, W, [-2.0, t_saddle], stream, 2**14)
+        routes = [row["route"] for row in report.samples]
+        assert routes == ["trace", "hit-count"]
         v, e = sublevel_volume(annulus_green, t_saddle, stream.split(1), 2**14)
-        assert (curve.values[1], curve.stderrs[1]) == (v, e)
-        assert curve.values[0] == level_flux_and_isoperimetric(annulus_green, -2.0).area
-        routes = [r.getMessage().split(": ")[1].split()[0] for r in caplog.records]
-        assert routes == curve.routes
-
-    def test_balanced_curve_is_exact(self):
-        dom = domains.ball(2)
-        curve = sublevel_curve(dom, [-2.0, -1.0], n=2)
-        assert curve.routes == ["exact", "exact"]
-        assert curve.normalized == pytest.approx([domains.volume(dom)] * 2, rel=1e-14)
+        assert (report.samples[1]["lambda"], report.samples[1]["stderr"]) == (v, e)
+        assert report.samples[0]["lambda"] == level_flux_and_isoperimetric(annulus_green, -2.0).area
+        logged = [r.getMessage().split(": ")[1].split()[0] for r in caplog.records]
+        assert logged == routes
 
     def test_positive_t_rejected(self, annulus_green):
         with pytest.raises(ValueError):

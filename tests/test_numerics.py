@@ -104,11 +104,9 @@ class TestQuadrature:
 
 class TestSampleStream:
     def test_determinism_byte_identical(self):
-        for kind in ("pseudo-random", "low-discrepancy"):
-            s = SampleStream(dimension=3, seed=42, kind=kind)
-            a = s.points(1000)
-            b = SampleStream(dimension=3, seed=42, kind=kind).points(1000)
-            assert a.tobytes() == b.tobytes()
+        a = SampleStream(dimension=3, seed=42).points(1000)
+        b = SampleStream(dimension=3, seed=42).points(1000)
+        assert a.tobytes() == b.tobytes()
 
     def test_seeds_differ(self):
         a = SampleStream(2, seed=0).points(100)
@@ -120,21 +118,12 @@ class TestSampleStream:
         assert s.split(3) == s.split(3)
         assert s.split(3) != s.split(4)
 
-    def test_pseudo_random_mean(self):
-        pts = SampleStream(1, seed=0, kind="pseudo-random").points(10**5)
-        sigma = 1.0 / (math.sqrt(12.0) * math.sqrt(10**5))
-        assert abs(pts.mean() - 0.5) < 3.0 * sigma
-
     def test_ball4_volume_low_discrepancy(self):
         # hit counting of the unit 4-ball against the closed form pi^2/2
         pts = SampleStream(4, seed=0).points(2**20)
         x = 2.0 * pts - 1.0
         frac = np.mean(np.sum(x * x, axis=1) < 1.0)
         assert abs(16.0 * frac - math.pi**2 / 2.0) < 1e-3
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            SampleStream(2, kind="quantum")
 
 
 class TestGoldenSection:

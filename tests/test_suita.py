@@ -241,3 +241,7 @@ class TestExperiments:
             figure_scan("ell1", [])
         with pytest.raises(ValueError):
             figure_scan("spiral", [0.1])
+        with pytest.raises(ValueError, match="m_list must be non-empty"):
+            figure_scan("p", [0.1], m_list=[])
+        with pytest.raises(ValueError, match="n_list must be non-empty"):
+            figure_scan("ell1", [0.1], n_list=range(5, 2))
