@@ -1,8 +1,9 @@
 """Bergman kernel diagonal values on the model domains.
 
-Monomial orthogonal series for Reinhardt domains, the explicit annulus
-series, closed forms for the axis points of complex ellipsoids, the
-deflation identity linking them, and the symmetrized bidisk center value.
+Monomial orthogonal series for Reinhardt domains, the annulus kernel as a
+q-series whose term count depends on r alone, closed forms for the axis
+points of complex ellipsoids, the deflation identity linking them, and the
+symmetrized bidisk center value.
 """
 from __future__ import annotations
 
@@ -142,22 +143,25 @@ def kernel_reinhardt(domain, w):
 
 
 def kernel_annulus(r, w):
-    """Kernel of { r < |z| < 1 } on the diagonal.
+    """Kernel of { r < |z| < 1 } on the diagonal, summed as a q-series.
 
-    K(w) = (1/(pi |w|^2)) (1/(-2 log r) + sum_{j != 0} j |w|^{2j}/(1 - r^{2j})).
-    The j = 0 slot of the Laurent series is the 1/(-2 log r) term (its
-    continuity limit).  Pairing j with -j leaves the positive terms
-    j (x^j + y^j) / (1 - q^j) with x = |w|^2, y = (r/|w|)^2 and q = r^2,
-    evaluated as arrays in chunks that double from 64 terms up to 2^16.
+    The Laurent series (1/(pi |w|^2)) (1/(-2 log r) + sum_{j != 0} j |w|^{2j}/(1 - r^{2j}))
+    pairs j with -j into j (x^j + y^j) / (1 - q^j), with x = |w|^2, y = (r/|w|)^2
+    and q = r^2.  Expanding 1/(1 - q^j) and summing over j first gives
+    K(w) = (1/(pi |w|^2)) (1/(-2 log r) + sum_{k>=0} sum_{a in {x, y}} a q^k / (1 - a q^k)^2),
+    the q-expansion behind the Schottky-Klein prime function (Crowdy, CMFT 2010).
+    Each term is exp(e) / expm1(e)^2 with e = log a + k log q, where log x =
+    2 log|w| and log y = -2 log1p((|w| - r)/r), so no 1 - a cancels near
+    either circle.
 
-    ``error_bound`` bounds the tail past N terms rigorously: sum_{j>N} j a^j =
-    a^{N+1} (1 + N (1-a)) / (1-a)^2 for a = x and y, divided by
-    1 - q^{N+1}, the smallest denominator past N.  The series is summed to
-    rounding: it stops at the first N whose tail is at most ROUNDING_SHARE
-    times sum_j j (x^j + y^j) plus the j = 0 term, which bounds the full sum
-    from below.  That N is fixed by x, y and q alone, so a point that would
-    need more than TERM_BUDGET terms raises ConvergenceError before any term
-    is evaluated.
+    Each a/(1 - a)^2 is at most the sum, so the terms from k = N on add at most
+    q^N/(1 - q) of it, and N = ceil(log(ROUNDING_SHARE (1 - q)) / log q) sums
+    to rounding for every w: 13 terms at r = 0.2, 22669 at r = 0.999.
+    ``error_bound`` is the rigorous tail sum_a a q^N / ((1 - q)(1 - a q^N)^2),
+    scaled by 1/(pi |w|^2).  All terms are positive, so the sum is a one-sided
+    lower bound on K(w).  N depends on r alone; when it exceeds TERM_BUDGET
+    (r above about 0.999994) the series raises ConvergenceError before any
+    term is evaluated.
     """
     r = float(r)
     if not 0.0 < r < 1.0:
@@ -166,31 +170,22 @@ def kernel_annulus(r, w):
     if not r < w0 < 1.0:
         raise ValueError("base point must lie inside the annulus")
     log_q = 2.0 * math.log(r)
-    # (a, 1 - a) for a = x and y; 1 - a from the logarithm does not cancel near the circles
-    pairs = [(w0 * w0, -math.expm1(2.0 * math.log(w0))), ((r / w0) ** 2, -math.expm1(2.0 * math.log(r / w0)))]
+    one_minus_q = -math.expm1(log_q)
+    n = math.ceil(math.log(ROUNDING_SHARE * one_minus_q) / log_q)
+    if n > TERM_BUDGET:
+        raise ConvergenceError(f"annulus kernel series would need {n} > {TERM_BUDGET} terms")
+    log_a = np.array([2.0 * math.log(w0), -2.0 * math.log1p((w0 - r) / r)])
+
+    def terms(k):
+        e = log_a + log_q * k[:, None]
+        return np.exp(e) / np.expm1(e) ** 2
+
     total = 1.0 / -log_q
-    floor = total + sum(a / oma**2 for a, oma in pairs)
-
-    def tail(n):
-        return sum(a ** (n + 1) * (1.0 + n * oma) / oma**2 for a, oma in pairs) / -np.expm1((n + 1) * log_q)
-
-    if tail(TERM_BUDGET) > ROUNDING_SHARE * floor:
-        raise ConvergenceError(f"annulus kernel series would need more than {TERM_BUDGET} terms")
-    lo, size = 1, 64
-    while True:
-        j = np.arange(lo, lo + size, dtype=float)
-        terms = j * sum(a**j for a, _ in pairs) / -np.expm1(j * log_q)
-        bounds = tail(j)
-        done = bounds <= ROUNDING_SHARE * floor
-        if done.any():
-            stop = int(np.argmax(done))
-            total += float(np.sum(terms[: stop + 1]))
-            break
-        total += float(np.sum(terms))
-        lo, size = lo + size, min(2 * size, _CHUNK)
-    scale = 1.0 / (math.pi * w0**2)
-    err = scale * float(bounds[stop])
-    log.debug("annulus series: %d terms, tail bound %.3g", lo + stop, err)
+    for lo in range(0, n, _CHUNK):
+        total += float(np.sum(terms(np.arange(lo, min(lo + _CHUNK, n), dtype=float))))
+    scale = 1.0 / (math.pi * w0 * w0)
+    err = scale * float(np.sum(terms(np.array([float(n)])))) / one_minus_q
+    log.debug("annulus series: %d terms, tail bound %.3g", n, err)
     return KernelValue(scale * total, "annulus-series", err)
 
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -108,12 +109,14 @@ def _parse_w(text, r=None):
         raise _ArgumentError(f"cannot parse base point {text!r}") from exc
 
 
-def _emit(args, payload):
+def _emit(args, payload, path=None):
+    """Print the payload as JSON, or write it to ``path`` (by default ``--out``)."""
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    if args.out:
-        with open(args.out, "w") as fh:
+    path = path or args.out
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {path}")
     else:
         print(text)
 
@@ -260,11 +263,10 @@ def _cmd_scan(args):
     if args.format == "csv":
         rows = ((row["curve"], row["b"], row["F"]) for row in report.samples)
         _write_csv(args.out, ["curve", "b", "F"], rows)
-        with open(args.out + ".json", "w") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"wrote {args.out} and {args.out}.json")
+        print(f"wrote {args.out}")
+        _emit(args, asdict(report), args.out + ".json")
     else:
-        _emit(args, json.loads(report.to_json()))
+        _emit(args, asdict(report))
     return 0
 
 
@@ -273,11 +275,7 @@ def _cmd_experiment(args):
     t_grid = [float(t) for t in getattr(args, "t_grid").split(",") if t.strip()]
     stream = SampleStream(dimension=2, seed=args.seed)
     report = suita.monotonicity_experiment(args.r, w, t_grid, stream, args.samples)
-    if args.out:
-        report.to_json(args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(report.to_json())
+    _emit(args, asdict(report))
     failed = [k for k, v in report.verdicts.items() if v is False]
     return 2 if failed else 0
 

@@ -1,8 +1,8 @@
 """Model-domain catalogue.
 
 Membership tests, Minkowski functionals of balanced domains, Lebesgue
-volumes, and squared monomial norms on complex ellipsoids, the annulus and
-the polydisk.  Points in C^n are numpy complex arrays of length n; volumes
+volumes, and squared monomial norms on complex ellipsoids and the
+polydisk.  Points in C^n are numpy complex arrays of length n; volumes
 are with respect to Lebesgue measure on C^n = R^2n.
 """
 from __future__ import annotations
@@ -190,21 +190,12 @@ def volume(domain):
 
 
 def monomial_norm(domain, alpha, log=False):
-    """Squared L^2 norm of z^alpha over the domain, or its natural log.
+    """Squared L^2 norm of z^alpha over an ellipsoid or polydisk, or its natural log.
 
-    For the annulus ``alpha`` is a single (possibly negative) integer.  For
-    ellipsoids and polydisks it is a multi-index of non-negative integers,
-    or an array of them indexed by the last axis, which gives an array of
-    norms.  The log form neither overflows nor underflows at high degree.
+    ``alpha`` is a multi-index of non-negative integers, or an array of them
+    indexed by the last axis, which gives an array of norms.  The log form
+    neither overflows nor underflows at high degree.
     """
-    if isinstance(domain, Annulus):
-        j = int(alpha) if np.isscalar(alpha) else int(np.asarray(alpha).item())
-        r = domain.inner
-        if j == -1:
-            norm = -2.0 * math.pi * math.log(r)
-        else:
-            norm = math.pi * (1.0 - r ** (2 * j + 2)) / (j + 1)
-        return math.log(norm) if log else norm
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape[-1] != domain.dimension or np.any(alpha < 0):
         raise ValueError("multi-index must be non-negative of the domain dimension")

@@ -46,8 +46,9 @@ class DiskGreen:
             raise ValueError("pole must lie in the open unit disk")
         self.pole = w
         self.domain = domains.disk()
-        # Robin constant lim (G - log|z - w|) = -log(1 - |w|^2)
-        self.robin = -math.log1p(-abs(w) ** 2)
+        # Robin constant lim (G - log|z - w|) = -log(1 - |w|^2); 1 - |w|^2 as a product
+        # does not cancel near the circle
+        self.robin = -math.log((1.0 - abs(w)) * (1.0 + abs(w)))
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -108,9 +109,11 @@ class AnnulusGreen:
         self._qk = qk = q ** np.arange(1, n + 1)
         self.c_log = -math.log(w0) / math.log(r)
         # the disk's robin plus the pairs of log(P(1)^2 / P(|w|^2)), which combine to
-        # 1 + q^k (1 - a)^2 / (a (1 - q^k a)(1 - q^k / a)), a = |w|^2: no term cancels
-        a = w0 * w0
-        pairs = np.log1p(qk * (1.0 - a) ** 2 / (a * (1.0 - qk * a) * (1.0 - qk / a)))
+        # 1 + q^k (1 - a)^2 / (a (1 - q^k a)(1 - q^k / a)), a = |w|^2; 1 - a and
+        # a (1 - q^k / a) = (|w| - r^k)(|w| + r^k) as products cancel near neither circle
+        rk = r ** np.arange(1, n + 1)
+        oma = (1.0 - w0) * (1.0 + w0)
+        pairs = np.log1p(qk * oma**2 / ((1.0 - qk * w0 * w0) * (w0 - rk) * (w0 + rk)))
         self.robin = self._disk.robin + float(np.sum(pairs)) + self.c_log * math.log(w0)
 
     def value(self, z):

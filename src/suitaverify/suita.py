@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "SuitaRatio",
     "ExperimentReport",
     "ReverseSuitaResult",
-    "CLASSIFICATION_BOUNDS",
     "product_closed_form",
     "suita_F",
     "maximize_F",
@@ -36,13 +35,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CLASSIFICATION_BOUNDS = {
-    "c-convex": 16.0,
-    "convex": 4.0,
-    "symmetric": 16.0 / math.pi**2,
-    "none": math.inf,
-}
-
 
 @dataclass(frozen=True)
 class SuitaRatio:
@@ -51,10 +43,6 @@ class SuitaRatio:
     n: int
     F: float
     classification: str
-
-    @property
-    def bound(self):
-        return CLASSIFICATION_BOUNDS[self.classification]
 
 
 @dataclass
@@ -67,19 +55,8 @@ class ExperimentReport:
     verdicts: dict
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self, path=None):
-        payload = {
-            "kind": self.kind,
-            "grid": self.grid,
-            "samples": self.samples,
-            "verdicts": self.verdicts,
-            "metadata": self.metadata,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=float)
 
 
 def _correction(a, b):

@@ -52,6 +52,20 @@ def _annulus_kernel_mp(r, w0):
             j += 1
 
 
+def _annulus_kernel_q_mp(r, w0):
+    """(1/(pi |w|^2)) (1/(-2 log r) + sum_k sum_{a in {x, y}} a q^k / (1 - a q^k)^2) at 40 digits,
+    x = |w|^2, y = (r/|w|)^2, q = r^2, summed until q^k/(1 - q), which bounds the tail's share,
+    is below 1e-40; unlike the Laurent sum it reaches points next to the circles."""
+    with mp.workdps(40):
+        r, w0 = mp.mpf(r), mp.mpf(w0)
+        q = r * r
+        total, qk = 1 / (-2 * mp.log(r)), mp.mpf(1)
+        while qk > mp.mpf(10) ** -40 * (1 - q):
+            total += sum(a * qk / (1 - a * qk) ** 2 for a in (w0 * w0, (r / w0) ** 2))
+            qk *= q
+        return float(total / (mp.pi * w0 * w0))
+
+
 class TestKernelReinhardt:
     def test_disk_closed_form(self):
         # K(w) = 1 / (pi (1 - |w|^2)^2)
@@ -194,12 +208,14 @@ def test_ball_kernel_closed_form(n, direction, x):
 
 class TestKernelAnnulus:
     def test_series_vs_quadrature_norms(self):
-        # independent route: truncated Laurent sum with norms from monomial_norm
+        # independent route: the truncated Laurent sum of w^{2j} / ||z^j||^2, with
+        # ||z^j||^2 = pi (1 - r^{2j+2}) / (j+1), and -2 pi log r at j = -1
         r, w0 = 0.3, 0.55
-        dom = domains.Annulus(r)
-        total = sum(
-            w0 ** (2 * j) / domains.monomial_norm(dom, j) for j in range(-60, 61)
-        )
+
+        def norm(j):
+            return -2.0 * math.pi * math.log(r) if j == -1 else math.pi * (1.0 - r ** (2 * j + 2)) / (j + 1)
+
+        total = sum(w0 ** (2 * j) / norm(j) for j in range(-60, 61))
         k = kernel_annulus(r, w0)
         assert k.value == pytest.approx(total, rel=1e-10)
 
@@ -228,28 +244,47 @@ class TestKernelAnnulus:
         assert k.value == pytest.approx(expected, rel=1e-13)
         assert k.error_bound <= 1e-16 * k.value
 
+    @pytest.mark.parametrize("r", [1e-4, 0.015, 0.2, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("where", ["next-to-inner", "sqrt", "next-to-outer"])
+    def test_matches_q_series_oracle_next_to_the_circles(self, r, where):
+        w0 = {"next-to-inner": r * (1.0 + 1e-7), "sqrt": math.sqrt(r), "next-to-outer": 1.0 - 1e-7}[where]
+        k = kernel_annulus(r, w0)
+        assert k.value == pytest.approx(_annulus_kernel_q_mp(r, w0), rel=1e-15)
+        assert k.error_bound <= 1e-16 * k.value
+
+    @pytest.mark.parametrize("r", [0.015, 0.2, 0.9])
+    @pytest.mark.parametrize("where", ["near-inner", "sqrt", "near-outer"])
+    def test_the_two_oracles_agree(self, r, where):
+        w0 = {"near-inner": 1.05 * r, "sqrt": math.sqrt(r), "near-outer": 0.95}[where]
+        assert _annulus_kernel_q_mp(r, w0) == pytest.approx(_annulus_kernel_mp(r, w0), rel=1e-15)
+
     def test_error_bound_is_honest(self, monkeypatch):
         # stopped far from rounding, the tail bound must still cover the neglected terms;
         # it is sharp (the denominators past N are all but 1), so allow the sum's rounding
         monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
-        for r, w0 in ((0.2, 0.7), (0.9, 0.93), (0.015, 0.0155)):
+        for r, w0 in ((0.2, 0.7), (0.9, 0.93), (0.015, 0.05)):
             k = kernel_annulus(r, w0)
             expected = _annulus_kernel_mp(r, w0)
             assert 1e-9 * expected < expected - k.value <= k.error_bound + 1e-13 * expected
 
     def test_term_budget_raises(self):
+        # the term count depends on r alone: about 2.6e7 here, past the budget at every w
         with pytest.raises(ConvergenceError):
-            kernel_annulus(0.2, 1.0 - 1e-7)
+            kernel_annulus(1.0 - 1e-6, 1.0 - 5e-7)
 
     def test_logs_its_convergence(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="suitaverify"):
-            k = kernel_annulus(0.2, 0.7)
-        (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
-        assert rec.levelno == logging.DEBUG
-        terms, tail = rec.args
-        # the slower of the two geometric sums, ratio 0.7^2, reaches rounding after about 60 terms
-        assert 50 < terms < 70
-        assert tail == k.error_bound
+        # q^N / (1 - q) <= ROUNDING_SHARE with q = 0.04, whatever the base point
+        expected = math.ceil(math.log(bergman.ROUNDING_SHARE * (1.0 - 0.04)) / math.log(0.04))
+        assert expected == 13
+        for w0 in (0.20000002, 0.7, 0.9999999):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="suitaverify"):
+                k = kernel_annulus(0.2, w0)
+            (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
+            assert rec.levelno == logging.DEBUG
+            terms, tail = rec.args
+            assert terms == expected
+            assert tail == k.error_bound
 
     def test_validation(self):
         with pytest.raises(ValueError):

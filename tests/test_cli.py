@@ -25,6 +25,12 @@ class TestKernelCommand:
         assert payload["value"] > 0
         assert payload["error_bound"] < 1e-10
 
+    @pytest.mark.parametrize("w", ["0.9999999", "0.20000002"], ids=["outer", "inner"])
+    def test_annulus_next_to_the_circles(self, capsys, w):
+        assert run(["kernel", "--annulus", "0.2", "--w", w]) == 0
+        payload = _json_out(capsys)
+        assert payload["error_bound"] <= 1e-16 * payload["value"]
+
     def test_reinhardt_domain(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [0.5, 1.0]}'
         assert run(["kernel", "--domain", dom, "--w", "[0.3, 0]"]) == 0
@@ -128,6 +134,11 @@ class TestSuitaFCommand:
         payload = json.loads(out[out.index("{") :])
         assert payload["F"] >= 1.0
         assert payload["n"] == 1
+
+    def test_annulus_next_to_the_outer_circle(self, capsys):
+        assert run(["suita-f", "--annulus", "0.2", "--w", "0.9999999"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{") :])["F"] >= 1.0
 
     def test_ellipsoid_axis(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [0.5, 1.0]}'

@@ -146,19 +146,6 @@ class TestVolume:
 
 
 class TestMonomialNorm:
-    def test_annulus_log_term(self):
-        r = 0.3
-        assert monomial_norm(Annulus(r), -1) == pytest.approx(-2 * math.pi * math.log(r), rel=1e-12)
-
-    def test_annulus_constant(self):
-        r = 0.3
-        assert monomial_norm(Annulus(r), 0) == pytest.approx(math.pi * (1 - r**2), rel=1e-12)
-
-    def test_annulus_negative_power(self):
-        r = 0.4
-        # j = -2: pi (1 - r^{-2}) / (-1) = pi (r^{-2} - 1)
-        assert monomial_norm(Annulus(r), -2) == pytest.approx(math.pi * (r**-2 - 1), rel=1e-12)
-
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_disk(self, k):
         assert monomial_norm(disk(), [k]) == pytest.approx(math.pi / (k + 1), rel=1e-12)

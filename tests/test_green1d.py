@@ -83,22 +83,30 @@ class SeriesGreen:
         return (g_pole + zeta / rho * (h_rho + 1j * h_th / rho)) * self.phase
 
 
+def _mp_prime(x, q):
+    """P(x) = (1 - x) prod_k (1 - q^k x)(1 - q^k / x), factors down to 1e-42."""
+    p, c = 1 - x, q
+    while c > mp.mpf(10) ** -42:
+        p *= (1 - c * x) * (1 - c / x)
+        c *= q
+    return p
+
+
 def _mp_green(r, w, z):
-    """G from the prime-function product at 40 digits, factors down to 1e-42."""
+    """G from the prime-function product at 40 digits."""
     with mp.workdps(40):
         r, w, z = mp.mpf(r), mp.mpc(w), mp.mpc(z)
-        q = r * r
-
-        def prime(x):
-            p, c = 1 - x, q
-            while c > mp.mpf(10) ** -42:
-                p *= (1 - c * x) * (1 - c / x)
-                c *= q
-            return p
-
         lw = mp.log(abs(w))
-        pw = mp.log(abs(prime(z / w))) - mp.log(abs(prime(z * mp.conj(w))))
+        pw = mp.log(abs(_mp_prime(z / w, r * r))) - mp.log(abs(_mp_prime(z * mp.conj(w), r * r)))
         return lw + pw - lw / mp.log(r) * mp.log(abs(z))
+
+
+def _mp_robin(r, w0):
+    """lim_{z->w} G(z) - log|z - w| = log(prod_k (1 - q^k)^2 / P(|w|^2)) - log(|w|)^2 / log r at 40 digits."""
+    with mp.workdps(40):
+        r, w0 = mp.mpf(r), mp.mpf(w0)
+        q = r * r
+        return float(2 * mp.log(mp.qp(q, q)) - mp.log(_mp_prime(w0 * w0, q)) - mp.log(w0) ** 2 / mp.log(r))
 
 
 # on-axis pole sqrt(r) and an off-axis pole nearer the inner circle
@@ -171,6 +179,13 @@ class TestAnnulusSolve:
         # depends on |w| only
         base = AnnulusGreen(R, 0.5).robin
         assert AnnulusGreen(R, 0.5 * np.exp(1j * theta)).robin == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.015, 0.2, 0.9])
+    @pytest.mark.parametrize("where", ["next-to-inner", "sqrt", "next-to-outer"])
+    def test_robin_matches_mpmath_next_to_the_circles(self, r, where):
+        # 1 - |w|^2 and 1 - r^2 / |w|^2 cancel next to the circles unless taken as products
+        w0 = {"next-to-inner": r * (1.0 + 1e-7), "sqrt": math.sqrt(r), "next-to-outer": 1.0 - 1e-7}[where]
+        assert AnnulusGreen(r, w0).robin == pytest.approx(_mp_robin(r, w0), abs=1e-14)
 
     def test_pole_validation(self):
         with pytest.raises(ValueError):
