@@ -1,7 +1,7 @@
 """Bergman kernel diagonal values on the model domains.
 
 Monomial orthogonal series for Reinhardt domains, the annulus kernel as a
-q-series whose term count depends on r alone, closed forms for the axis
+sum of strip images whose count depends on r alone, closed forms for the axis
 points of complex ellipsoids, the deflation identity linking them, and the
 symmetrized bidisk center value.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains
+from . import domains, green1d
 from .domains import Ellipsoid, EllipsoidFamilyParams, Polydisk
 from .numerics import ConvergenceError
 
@@ -42,8 +42,8 @@ class KernelValue:
         return self.value
 
 
-# The default stop: a degree block below this share of the running total no
-# longer moves a double.
+# The default stop: a degree block, or the annulus images left out, below this
+# share of the running total no longer moves a double.
 ROUNDING_SHARE = 1e-17
 # Most terms the series may evaluate before it gives up.
 TERM_BUDGET = 2**22
@@ -143,50 +143,21 @@ def kernel_reinhardt(domain, w):
 
 
 def kernel_annulus(r, w):
-    """Kernel of { r < |z| < 1 } on the diagonal, summed as a q-series.
+    """Kernel of { r < |z| < 1 } on the diagonal, summed over strip images.
 
-    The Laurent series (1/(pi |w|^2)) (1/(-2 log r) + sum_{j != 0} j |w|^{2j}/(1 - r^{2j}))
-    pairs j with -j into j (x^j + y^j) / (1 - q^j), with x = |w|^2, y = (r/|w|)^2
-    and q = r^2.  Expanding 1/(1 - q^j) and summing over j first gives
-    K(w) = (1/(pi |w|^2)) (1/(-2 log r) + sum_{k>=0} sum_{a in {x, y}} a q^k / (1 - a q^k)^2),
-    the q-expansion behind the Schottky-Klein prime function (Crowdy, CMFT 2010).
-    Each term is exp(e) / expm1(e)^2 with e = log a + k log q, where log x =
-    2 log|w| and log y = -2 log1p((|w| - r)/r), so no 1 - a cancels near
-    either circle.
-
-    Each a/(1 - a)^2 is at most the sum, so the terms from k = N on add at most
-    q^N/(1 - q) of it, and N = ceil(log(ROUNDING_SHARE (1 - q)) / log q) sums
-    to rounding for every w: 13 terms at r = 0.2, 22669 at r = 0.999.
-    ``error_bound`` is the rigorous tail sum_a a q^N / ((1 - q)(1 - a q^N)^2),
-    scaled by 1/(pi |w|^2).  All terms are positive, so the sum is a one-sided
-    lower bound on K(w).  N depends on r alone; when it exceeds TERM_BUDGET
-    (r above about 0.999994) the series raises ConvergenceError before any
-    term is evaluated.
+    K(w) = (2/pi) d^2 G / dz d conj(w) at z = w on the image sum of ``green1d.AnnulusGreen``:
+    K(w) = (c^2 / (pi |w|^2)) (1/s^2 + sum_{k>=1} 2 Re 1/sin^2(theta + i k kappa)), with
+    h = -log r, c = pi/(2h), kappa = pi^2/h, theta = pi min(x0, h - x0)/h, x0 = log(|w|/r)
+    and s = sin theta.  The image count depends on r alone and leaves the omitted images
+    below ROUNDING_SHARE: 7 at r = 0.2, 1 from r ~ 0.79 on.  Images change sign, so
+    ``error_bound`` is two-sided: the omitted 2/sinh^2(k kappa), scaled by c^2/(pi |w|^2).
     """
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ValueError("inner radius must lie in (0, 1)")
     w0 = abs(complex(w))
-    if not r < w0 < 1.0:
-        raise ValueError("base point must lie inside the annulus")
-    log_q = 2.0 * math.log(r)
-    one_minus_q = -math.expm1(log_q)
-    n = math.ceil(math.log(ROUNDING_SHARE * one_minus_q) / log_q)
-    if n > TERM_BUDGET:
-        raise ConvergenceError(f"annulus kernel series would need {n} > {TERM_BUDGET} terms")
-    log_a = np.array([2.0 * math.log(w0), -2.0 * math.log1p((w0 - r) / r)])
-
-    def terms(k):
-        e = log_a + log_q * k[:, None]
-        return np.exp(e) / np.expm1(e) ** 2
-
-    total = 1.0 / -log_q
-    for lo in range(0, n, _CHUNK):
-        total += float(np.sum(terms(np.arange(lo, min(lo + _CHUNK, n), dtype=float))))
-    scale = 1.0 / (math.pi * w0 * w0)
-    err = scale * float(np.sum(terms(np.array([float(n)])))) / one_minus_q
-    log.debug("annulus series: %d terms, tail bound %.3g", n, err)
-    return KernelValue(scale * total, "annulus-series", err)
+    st = green1d._Strip(float(r), w0, ROUNDING_SHARE)
+    scale = (st.c / w0) ** 2 / math.pi
+    err = scale * st.tail
+    log.debug("annulus series: %d images, tail bound %.3g", 2 * st.n + 1, err)
+    return KernelValue(scale / st.s**2 * (1.0 + st.kernel_images), "annulus-series", err)
 
 
 def kernel_ellipsoid_closed(p, b):

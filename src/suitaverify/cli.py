@@ -49,7 +49,7 @@ def _build_parser():
     p.add_argument("--w", default="0", help="base point ('sqrt' = sqrt of the inner radius)")
     p.add_argument("--out", default=None, help="output file path")
 
-    p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': prime-function factor pairs)")
+    p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': strip images summed)")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--w", default="sqrt")
     p.add_argument("--levels", default="", help="comma-separated negative levels to trace")

@@ -257,14 +257,6 @@ class EllipsoidFamilyParams:
         return 2.0 * math.pi * self.omega / (a * (a - 1.0))
 
 
-_VARIANTS = {
-    "ellipsoid": Ellipsoid,
-    "annulus": Annulus,
-    "polydisk": Polydisk,
-    "symmetrized_bidisk": SymmetrizedBidisk,
-}
-
-
 def from_json(text):
     """Domain spec from its JSON object (a string or a dict), keyed by ``variant``."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)

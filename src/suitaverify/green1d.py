@@ -1,6 +1,6 @@
 """One-dimensional Green functions with logarithmic pole.
 
-Closed form on the unit disk, prime-function product on the annulus
+Closed form on the unit disk, a sum of strip images on the annulus
 { r < |z| < 1 }, plus the quantities built on top of them: Robin constant
 and logarithmic capacity, the covering-map upper bound for the capacity,
 traced level curves with flux / co-area density / isoperimetric ratio
@@ -71,67 +71,118 @@ class DiskGreen:
         return -beta + np.sqrt(beta**2 + 1.0 - abs(self.pole) ** 2)
 
 
-class AnnulusGreen:
-    """Green function of { r < |z| < 1 } from the Schottky-Klein prime function.
+class _Strip:
+    """The annulus { r < |z| < 1 } as a strip, with the images of a pole of modulus w0.
 
-    With q = r^2 and P(x) = (1 - x) prod_{k>=1} (1 - q^k x)(1 - q^k / x),
-    G(z) = log|w| + log|P(z/w)| - log|P(z conj w)| + c log|z|, c = -log|w| / log r
-    (Crowdy, CMFT 2010).  The (1 - x) factors make the disk Green function; the
-    product stops after ``n_modes`` pairs, and ``tail_bound`` bounds what the
-    omitted pairs add to G and to ``robin``.
+    log(z/r) maps the annulus onto the strip 0 < Re < h, h = -log r, of period 2 pi i,
+    and the annulus's Green function is the strip's summed over the pole's images.  Scaled
+    by c = pi/(2h), the pole sits at c x0, x0 = log(w0/r), and its images kappa = pi^2/h
+    apart.  Image k != 0 moves G, the Robin constant and s^2 times the kernel, s = sin(2 c x0),
+    by less than 4p/(1 - p)^2, p = e^{-(2|k|-1) kappa}; the ``n`` images on each side, n a
+    closed formula in r, leave a ``tail`` below ``share``.
+    """
+
+    def __init__(self, r, w0, share):
+        if not 0.0 < r < 1.0:
+            raise ValueError("inner radius must lie in (0, 1)")
+        if not r < w0 < 1.0:
+            raise ValueError("the point must lie inside the annulus")
+        h = -math.log(r)
+        self.c, kappa = math.pi / (2.0 * h), math.pi**2 / h
+        # x0 and x1 = h - x0 = -log w0, each without cancellation next to its circle
+        self.x0, self.x1 = math.log1p((w0 - r) / r), -math.log1p(w0 - 1.0)
+        theta = math.pi * min(self.x0, self.x1) / h
+        self.s = math.sin(theta)
+        # sum_{k>n} 8 p_k / (1 - p_k)^2 <= 8 p_{n+1} / ((1 - p_{n+1})^2 (1 - e^{-2 kappa}))
+        gap = -math.expm1(-2.0 * kappa)
+        self.n = n = max(0, math.ceil((math.log(8.0 / (share * gap)) / kappa - 1.0) / 2.0))
+        p = math.exp(-(2 * n + 1) * kappa)
+        self.tail = 8.0 * p / ((1.0 - p) ** 2 * gap)
+        self.shifts = kappa * np.arange(1, n + 1)
+        # sum_{k>=1} log1p(s^2 / sinh^2(k kappa)), and s^2 sum_{k>=1} 2 Re 1/sin^2(theta + i k kappa)
+        self.robin_images = float(np.sum(np.log1p((self.s / np.sinh(self.shifts)) ** 2)))
+        self.kernel_images = self.s**2 * float(np.sum(2.0 * np.real(np.sin(theta + 1j * self.shifts) ** -2)))
+
+
+class AnnulusGreen:
+    """Green function of { r < |z| < 1 } as a sum of strip images.
+
+    With xa = c log|z/w|, xb = c log(|z| |w| / r^2) and y_k = c arg(z conj w) + k kappa in the
+    notation of ``_Strip``, G = 1/2 sum_k log((sin^2 xa + sinh^2 y_k) / (sin^2 xb + sinh^2 y_k)):
+    Jacobi's imaginary transformation (Whittaker & Watson, ch. 21) of the Schottky-Klein
+    prime-function product (Crowdy, CMFT 2010).  The sum stops after the ``n_modes`` images
+    |k| <= n, and ``tail_bound`` bounds what the others add to G and to ``robin``.
     """
 
     def __init__(self, r, w):
-        r = float(r)
-        w = complex(w)
-        if not 0.0 < r < 1.0:
-            raise ValueError("inner radius must lie in (0, 1)")
-        if r > 0.999:
-            # the pair count grows like 1 / (1 - r): 22158 pairs at r = 0.999
-            raise ValueError("inner radius too close to 1: the product converges like r^(2k), too slowly")
-        w0 = abs(w)
-        if not r < w0 < 1.0:
-            raise ValueError("pole must lie inside the annulus")
-        self.inner = r
-        self.pole = w
-        self.domain = domains.Annulus(r)
-        self._disk = DiskGreen(w)
-        q = r * r
-        # in the annulus |x|, 1/|x| < m for x = z/w and for x = z conj(w), so the k-th
-        # pairs' factors are 1 - u, |u| < q^k m, and |log|1 - u|| <= |u| / (1 - |u|)
-        self._m = (max(1.0 / w0, w0 / r), 1.0 / (r * w0))
-        tail = lambda n: sum(2.0 * a / (1.0 - a) for a in (q ** (n + 1) * m for m in self._m)) / (1.0 - q)
-        # G is of order one near the pole and pairs are cheap: truncate below rounding
-        n = 1
-        while tail(n) > 2.0**-53:
-            n += 1
-        self.n_modes, self.tail_bound = n, tail(n)
-        self._qk = qk = q ** np.arange(1, n + 1)
-        self.c_log = -math.log(w0) / math.log(r)
-        # the disk's robin plus the pairs of log(P(1)^2 / P(|w|^2)), which combine to
-        # 1 + q^k (1 - a)^2 / (a (1 - q^k a)(1 - q^k / a)), a = |w|^2; 1 - a and
-        # a (1 - q^k / a) = (|w| - r^k)(|w| + r^k) as products cancel near neither circle
-        rk = r ** np.arange(1, n + 1)
-        oma = (1.0 - w0) * (1.0 + w0)
-        pairs = np.log1p(qk * oma**2 / ((1.0 - qk * w0 * w0) * (w0 - rk) * (w0 + rk)))
-        self.robin = self._disk.robin + float(np.sum(pairs)) + self.c_log * math.log(w0)
+        self.inner = float(r)
+        self.pole = complex(w)
+        # G is of order one near the pole: sum to rounding
+        self._strip = st = _Strip(self.inner, abs(self.pole), 2.0**-53)
+        self.domain = domains.Annulus(self.inner)
+        self._disk = DiskGreen(self.pole)
+        self.n_modes, self.tail_bound = 2 * st.n + 1, st.tail
+        # lim G - log|z - w|: log(c / |w|) - log s from k = 0, -log1p(s^2 / sinh^2(k kappa)) from each +-k
+        self.robin = math.log(st.c / abs(self.pole)) - math.log(st.s) - st.robin_images
+
+    def _coords(self, z):
+        """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; log(|z|/r) and
+        -log|z|.  Next to the pole, log|z/w| = log1p(x)/2 with x = |z/w|^2 - 1 and the angle of
+        z conj(w) = |w|^2 + (z - w) conj(w) cancel in neither part; xb - pi = -c (-log|z| - log|w|)
+        does not cancel next to the outer circle."""
+        st, w = self._strip, self.pole
+        d = z - w
+        dw, w2 = d * np.conj(w), abs(w) ** 2
+        x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
+        near = np.abs(x) < 0.5
+        xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(np.abs(z) / abs(w)))
+        lz, lzc = np.log(np.abs(z) / self.inner), -np.log(np.abs(z))
+        xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
+        return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, lz, lzc
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
-        w, qk = self.pole, self._qk
-        # summing the differences keeps the partial sums, and their rounding, of the order of G
-        twice = np.zeros(z.shape)
-        pairs = zip(_twice_log_pairs(z / w, self._m[0], qk), _twice_log_pairs(z * np.conj(w), self._m[1], qk))
-        for a, b in pairs:
-            twice += a - b
-        return self._disk.value(z) + 0.5 * twice + self.c_log * np.log(np.abs(z))
+        st = self._strip
+        xa, y, xb, lz, lzc = self._coords(z)
+        sb2 = np.sin(xb) ** 2
+        # sin^2 xa - sin^2 xb, the same for every image
+        a = -st.s * np.sin(2.0 * st.c * np.minimum(lz, lzc))
+        # k = 0 through 1/(sin^2 xb + sinh^2 y) = 4q / (4q sin^2 xb + expm1(-2|y|)^2), q = e^{-2|y|},
+        # which does not overflow at large |y|, and through both logs next to the pole
+        q, em = np.exp(-2.0 * np.abs(y)), np.expm1(-2.0 * np.abs(y))
+        num, den = 4.0 * q * np.sin(xa) ** 2 + em**2, 4.0 * q * sb2 + em**2
+        g = np.where(num < 0.5 * den, np.log(num) - np.log(den), np.log1p(a * (4.0 * q / den)))
+        # the images in one log1p of prod_k (1 + a / (sin^2 xb + sinh^2 y_k)) - 1, all factors on one side of 1
+        e = np.zeros_like(g)
+        for sh, _ in self._images(y):
+            x = a / (sb2 + sh**2)
+            e += x + e * x
+        return 0.5 * (g + np.log1p(e))
+
+    def _images(self, y):
+        """sinh and cosh of y_k = y + k kappa for k = +-1, ..., +-n from one exp of y: |y_k| >= kappa/2,
+        so no difference of exponentials cancels, and there are images only where kappa is moderate."""
+        e = np.exp(y) if self._strip.n else None
+        for grow in np.exp(np.concatenate((self._strip.shifts, -self._strip.shifts))):
+            ek = e * grow
+            yield 0.5 * (ek - 1.0 / ek), 0.5 * (ek + 1.0 / ek)
 
     def grad(self, z):
-        """Gradient gx + i gy; conj(f') for the analytic f with G = Re f."""
+        """Gradient gx + i gy; conj(f') for f' = (c s / z) sum_k 1/(sin(xa + i y_k) sin(xb + i y_k))."""
         z = np.asarray(z, dtype=complex)
-        w, qk = self.pole, self._qk
-        df = _dlog_pairs(z / w, qk) / w - np.conj(w) * _dlog_pairs(z * np.conj(w), qk) + self.c_log / z
-        return self._disk.grad(z) + np.conj(df)
+        xa, y, xb, _, _ = self._coords(z)
+        # 1/(sin u sin v) = -4 e^{i(u + v)} / (expm1(2iu) expm1(2iv)), with u and v negated
+        # where Im u = Im v < 0: bounded for every y, and exact next to the pole
+        sg = np.where(y < 0.0, -1.0, 1.0)
+        u, v = sg * (xa + 1j * y), sg * (xb + 1j * y)
+        total = -4.0 * np.exp(1j * (u + v)) / (np.expm1(2j * u) * np.expm1(2j * v))
+        # sin(x + iy) = sin x cosh y + i cos x sinh y for the images, whose |y_k| stays moderate
+        sa, ca, sb, cb = np.sin(xa), np.cos(xa), np.sin(xb), np.cos(xb)
+        for sh, ch in self._images(y):
+            total += 1.0 / ((sa * ch + 1j * ca * sh) * (sb * ch + 1j * cb * sh))
+        # each term times sin(xb - xa) is cot(xa + i y_k) - cot(xb + i y_k); s = sin(xb - xa) holds in exact
+        # arithmetic, and the computed difference keeps an error in xb to the reflected part
+        return np.conj(self._strip.c * np.sin(xb - xa) / z * total)
 
     def in_domain(self, z):
         return self._disk.in_domain(z) & (np.abs(z) > self.inner)
@@ -143,26 +194,6 @@ class AnnulusGreen:
         root = np.sqrt(np.abs(disc))
         s_in = np.where((disc >= 0) & (-beta - root > 0), -beta - root, np.inf)
         return np.minimum(self._disk.boundary_distance(phi), s_in)
-
-
-def _twice_log_pairs(x, m, qk):
-    """2 log|(1 - c x)(1 - c / x)| = 2 log|1 + c^2 - c (x + 1/x)| for each c in qk."""
-    xinv = 1.0 / x
-    v = x + xinv
-    vr, vv = v.real, v.real**2 + v.imag**2
-    for c in qk:
-        if c * m > 0.3:
-            # a factor may come close to 0, where the pair and |pair|^2 - 1 both cancel
-            yield 2.0 * (np.log(np.abs(1.0 - c * x)) + np.log(np.abs(1.0 - c * xinv)))
-        else:
-            # log1p(|pair|^2 - 1), rounded to the order of the pair's distance from 1
-            yield np.log1p(c * (c * (vv + (2.0 + c * c)) - (2.0 * (1.0 + c * c)) * vr))
-
-
-def _dlog_pairs(x, qk):
-    """d/dx sum_{c in qk} log((1 - c x)(1 - c / x)) = sum c / (c x - 1) + c / (x (x - c))."""
-    xinv = 1.0 / x
-    return sum(c / (c * x - 1.0) + c * xinv / (x - c) for c in qk)
 
 
 def robin_capacity(green):
@@ -331,7 +362,7 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     u = stream.points(count)
     z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
     hit_count = 0
-    for lo in range(0, count, 65536):  # chunked: bounds the per-factor temporaries
+    for lo in range(0, count, 65536):  # chunked: bounds the per-image temporaries
         chunk = z[lo : lo + 65536]
         mask = green.in_domain(chunk)
         if np.any(mask):

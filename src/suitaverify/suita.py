@@ -8,10 +8,9 @@ inequality, and packages grid experiments into reproducible reports.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,9 +53,6 @@ class ExperimentReport:
     samples: list
     verdicts: dict
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True, default=float)
 
 
 def _correction(a, b):
@@ -117,9 +113,9 @@ def suita_F(domain, w=None):
     Balanced domains at the center give exactly 1; the symmetrized bidisk
     center uses its explicit kernel and indicatrix; ellipsoid axis points
     take the closed route when the first exponent is 1/2 and the others are
-    equal, else the numeric route in two dimensions; the annulus uses the
-    series kernel together with the capacity form pi/c^2 of the
-    one-dimensional indicatrix volume.
+    equal, else the numeric route in two dimensions; the annulus takes the
+    image-sum kernel, the capacity form pi/c^2 of the indicatrix volume,
+    and F from both image sums, where their common factors cancel exactly.
     """
     if isinstance(domain, SymmetrizedBidisk):
         k = bergman.kernel_g2_center()
@@ -131,7 +127,11 @@ def suita_F(domain, w=None):
         k = bergman.kernel_annulus(domain.inner, wc)
         g = green1d.AnnulusGreen(domain.inner, wc)
         vol = math.pi / green1d.robin_capacity(g) ** 2
-        return SuitaRatio(k, vol, 1, k.value * vol, "none")
+        # pi K = (c / (|w| s))^2 (1 + s^2 T) and c(w)^-2 = (|w| s / c)^2 prod_k (1 + s^2 / sinh^2(k kappa))^2
+        # in the strip images: their first factors cancel exactly, and F - 1 is summed apart from the 1
+        st = green1d._Strip(domain.inner, abs(wc), bergman.ROUNDING_SHARE)
+        a, b = st.kernel_images, math.expm1(2.0 * st.robin_images)
+        return SuitaRatio(k, vol, 1, 1.0 + (a + b + a * b), "none")
     if isinstance(domain, (Ellipsoid, Polydisk)):
         n = domain.dimension
         if w is None:

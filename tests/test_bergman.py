@@ -66,6 +66,23 @@ def _annulus_kernel_q_mp(r, w0):
         return float(total / (mp.pi * w0 * w0))
 
 
+def _annulus_kernel_images_mp(r, w0):
+    """(c^2 / (pi |w|^2)) (1/sin^2 theta + sum_{k>=1} 2 Re 1/sin^2(theta + i k kappa)) at 40 digits,
+    h = -log r, c = pi/(2h), kappa = pi^2/h, theta = pi log(|w|/r)/h, summed until an image is
+    below 1e-45 of the total; its image count falls as r -> 1, where both k-sums above slow down."""
+    with mp.workdps(40):
+        r, w0 = mp.mpf(r), mp.mpf(w0)
+        h = -mp.log(r)
+        kappa, theta = mp.pi**2 / h, mp.pi * mp.log(w0 / r) / h
+        total, k = 1 / mp.sin(theta) ** 2, 1
+        while True:
+            image = 2 * mp.re(1 / mp.sin(theta + 1j * k * kappa) ** 2)
+            total += image
+            if abs(image) < mp.mpf(10) ** -45 * total:
+                return float((mp.pi / (2 * h)) ** 2 / (mp.pi * w0 * w0) * total)
+            k += 1
+
+
 class TestKernelReinhardt:
     def test_disk_closed_form(self):
         # K(w) = 1 / (pi (1 - |w|^2)^2)
@@ -257,33 +274,47 @@ class TestKernelAnnulus:
     def test_the_two_oracles_agree(self, r, where):
         w0 = {"near-inner": 1.05 * r, "sqrt": math.sqrt(r), "near-outer": 0.95}[where]
         assert _annulus_kernel_q_mp(r, w0) == pytest.approx(_annulus_kernel_mp(r, w0), rel=1e-15)
+        assert _annulus_kernel_images_mp(r, w0) == pytest.approx(_annulus_kernel_mp(r, w0), rel=1e-15)
+
+    @pytest.mark.parametrize("r", [1e-4, 0.015, 0.2, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("where", ["next-to-inner", "sqrt", "next-to-outer"])
+    def test_image_oracle_matches_q_series_oracle_next_to_the_circles(self, r, where):
+        w0 = {"next-to-inner": r * (1.0 + 1e-7), "sqrt": math.sqrt(r), "next-to-outer": 1.0 - 1e-7}[where]
+        assert _annulus_kernel_images_mp(r, w0) == pytest.approx(_annulus_kernel_q_mp(r, w0), rel=1e-15)
 
     def test_error_bound_is_honest(self, monkeypatch):
-        # stopped far from rounding, the tail bound must still cover the neglected terms;
-        # it is sharp (the denominators past N are all but 1), so allow the sum's rounding
+        # stopped far from rounding, the two-sided tail bound must still cover the omitted
+        # images; at small r they are large enough to show (at r = 0.9 the first is 1e-81 of K)
         monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
-        for r, w0 in ((0.2, 0.7), (0.9, 0.93), (0.015, 0.05)):
+        for r, w0 in ((0.015, 0.05), (1e-4, 0.01), (1e-4, 0.5)):
             k = kernel_annulus(r, w0)
             expected = _annulus_kernel_mp(r, w0)
-            assert 1e-9 * expected < expected - k.value <= k.error_bound + 1e-13 * expected
+            assert 1e-9 * expected < abs(expected - k.value) <= k.error_bound
 
-    def test_term_budget_raises(self):
-        # the term count depends on r alone: about 2.6e7 here, past the budget at every w
-        with pytest.raises(ConvergenceError):
-            kernel_annulus(1.0 - 1e-6, 1.0 - 5e-7)
+    @pytest.mark.parametrize("w0", [(1.0 - 1e-6) * (1.0 + 1e-7), 1.0 - 5e-7, 1.0 - 1e-7])
+    def test_next_to_r_equal_one(self, w0):
+        # a q-series would need about 2.6e7 terms here; the k = 0 image alone is exact
+        r = 1.0 - 1e-6
+        k = kernel_annulus(r, w0)
+        assert k.value == pytest.approx(_annulus_kernel_images_mp(r, w0), rel=1e-15)
+        assert k.error_bound <= 1e-16 * k.value
 
     def test_logs_its_convergence(self, caplog):
-        # q^N / (1 - q) <= ROUNDING_SHARE with q = 0.04, whatever the base point
-        expected = math.ceil(math.log(bergman.ROUNDING_SHARE * (1.0 - 0.04)) / math.log(0.04))
-        assert expected == 13
+        # the fewest images |k| <= n whose omitted bounds 8 p_k / (1 - p_k)^2,
+        # p_k = e^{-(2k-1) kappa}, sum below ROUNDING_SHARE, whatever the base point
+        kappa = math.pi**2 / -math.log(0.2)
+        p = lambda k: math.exp(-(2 * k - 1) * kappa)
+        tail = lambda n: sum(8 * p(k) / (1 - p(k)) ** 2 for k in range(n + 1, n + 50))
+        n = next(n for n in range(100) if tail(n) <= bergman.ROUNDING_SHARE)
+        assert 2 * n + 1 == 7
         for w0 in (0.20000002, 0.7, 0.9999999):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="suitaverify"):
                 k = kernel_annulus(0.2, w0)
             (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
             assert rec.levelno == logging.DEBUG
-            terms, tail = rec.args
-            assert terms == expected
+            images, tail = rec.args
+            assert images == 2 * n + 1
             assert tail == k.error_bound
 
     def test_validation(self):

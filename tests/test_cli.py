@@ -31,6 +31,11 @@ class TestKernelCommand:
         payload = _json_out(capsys)
         assert payload["error_bound"] <= 1e-16 * payload["value"]
 
+    def test_annulus_next_to_r_equal_one(self, capsys):
+        assert run(["kernel", "--annulus", "0.999999", "--w", "sqrt"]) == 0
+        payload = _json_out(capsys)
+        assert payload["error_bound"] <= 1e-16 * payload["value"]
+
     def test_reinhardt_domain(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [0.5, 1.0]}'
         assert run(["kernel", "--domain", dom, "--w", "[0.3, 0]"]) == 0
@@ -56,6 +61,12 @@ class TestGreenCommand:
         payload = _json_out(capsys)
         assert payload["capacity"] <= payload["covering_bound"]
         assert payload["capacity"] == pytest.approx(payload["covering_bound"], rel=1e-3)
+
+    def test_next_to_r_equal_one(self, capsys):
+        assert run(["green", "--r", "0.9999"]) == 0
+        payload = _json_out(capsys)
+        assert payload["modes"] == 1
+        assert payload["capacity"] <= payload["covering_bound"]
 
     def test_levels(self, capsys):
         assert run(["green", "--r", "0.2", "--levels=-1,-2"]) == 0
@@ -137,6 +148,12 @@ class TestSuitaFCommand:
 
     def test_annulus_next_to_the_outer_circle(self, capsys):
         assert run(["suita-f", "--annulus", "0.2", "--w", "0.9999999"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{") :])["F"] >= 1.0
+
+    @pytest.mark.parametrize("r", ["0.9999", "0.999999"])
+    def test_annulus_next_to_r_equal_one(self, capsys, r):
+        assert run(["suita-f", "--annulus", r, "--w", "sqrt"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{") :])["F"] >= 1.0
 

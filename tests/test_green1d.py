@@ -190,8 +190,6 @@ class TestAnnulusSolve:
     def test_pole_validation(self):
         with pytest.raises(ValueError):
             AnnulusGreen(0.2, 0.1)
-        with pytest.raises(ValueError):
-            AnnulusGreen(0.9995, 0.9997)
 
     @pytest.mark.parametrize("r,w", SERIES_CASES)
     def test_product_matches_mode_series(self, r, w):
@@ -222,6 +220,22 @@ class TestAnnulusSolve:
         th = np.linspace(0, 2 * math.pi, 720, endpoint=False)
         assert np.abs(g.value(np.exp(1j * th))).max() <= 1e-12
         assert np.abs(g.value(r * np.exp(1j * th))).max() <= 1e-12
+
+    def test_next_to_r_equal_one(self):
+        # a product or q-series in r^2 would need some 10^5 pairs here; one strip image suffices
+        r = 0.9999
+        g = AnnulusGreen(r, math.sqrt(r))
+        assert g.n_modes == 1
+        th = np.linspace(0, 2 * math.pi, 720, endpoint=False)
+        assert np.abs(g.value(np.exp(1j * th))).max() <= 1e-12
+        assert np.abs(g.value(r * np.exp(1j * th))).max() <= 1e-12
+        # far from the pole, |Im| of the strip coordinates reaches pi^2 / (2h) ~ 5e4
+        assert np.all(np.isfinite(g.grad(math.sqrt(r) * np.exp(1j * th[1:]))))
+        for t in (-0.5, -2.0):
+            st = level_flux_and_isoperimetric(g, t)
+            assert st.flux == pytest.approx(2 * math.pi, abs=1e-6)
+            hit, err = sublevel_volume(g, t, SampleStream(2, seed=1), 2**16)
+            assert abs(hit - st.area) <= 3.0 * math.hypot(err, st.area_err)
 
     def test_gradient_matches_finite_differences(self, annulus_green):
         h = 1e-7

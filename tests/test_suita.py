@@ -66,6 +66,18 @@ class TestSuitaF:
         assert res.F >= 1.0
         assert res.classification == "none"
 
+    @pytest.mark.parametrize("r", [1e-4, 0.015, 0.05, 0.2, 0.35, 0.5, 0.7, 0.9, 0.99])
+    def test_annulus_at_least_one_next_to_the_circles(self, r):
+        # F - 1 is about 1e-31 here; pi K times pi / c^2 rounds below 1 at some of these points
+        for w0 in (r * (1.0 + 1e-7), r * (1.0 + 1e-5), 1.0 - 1e-5, 1.0 - 1e-7):
+            assert suita_F(Annulus(r), [w0]).F >= 1.0
+
+    @pytest.mark.parametrize("r", [0.015, 0.2, 0.9])
+    def test_annulus_matches_its_factors_inside(self, r):
+        for w0 in (r + 0.1 * (1.0 - r), math.sqrt(r), 1.0 - 0.1 * (1.0 - r)):
+            res = suita_F(Annulus(r), [w0])
+            assert res.F == pytest.approx(res.kernel.value * res.indicatrix_volume, rel=1e-14)
+
     def test_axis_point_closed_family(self):
         res = suita_F(Ellipsoid((0.5, 1.0)), np.array([0.3, 0.0]))
         expected = product_closed_form(EllipsoidFamilyParams(m=1.0, n=2, b=0.3)) ** 0.5
@@ -174,7 +186,7 @@ class TestExperiments:
         assert report.kind == "monotonicity"
         assert report.verdicts["normalized_non_decreasing_3sigma"] is True
         assert report.verdicts["limit_within_2pct"] is True
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(dataclasses.asdict(report), default=float))
         assert payload["grid"]["r"] == 0.2
         assert len(payload["samples"]) == 4
 
@@ -206,8 +218,9 @@ class TestExperiments:
             0.2, 0.5, [-3, -2], SampleStream(2, seed=3), 2**14
         )
         path = tmp_path / "report.json"
-        path.write_text(report.to_json())
-        assert ExperimentReport(**json.loads(path.read_text())).to_json() == report.to_json()
+        dump = lambda rep: json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True, default=float)
+        path.write_text(dump(report))
+        assert dump(ExperimentReport(**json.loads(path.read_text()))) == dump(report)
 
     def test_figure_scan_ell1(self):
         report = figure_scan("ell1", [0.1, 0.3, 0.5], n_list=(2, 3))
