@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains
-from .numerics import DEFAULT_TOL, SampleStream, find_root_monotone
+from .numerics import SampleStream, Tolerance, find_root_monotone
 
 __all__ = [
     "DiskGreen",
@@ -31,6 +31,10 @@ __all__ = [
 
 # A level whose gradient drops below this passes too near a critical point to trace.
 GRAD_FLOOR = 1e-4
+# Level crossings relative to s alone: the flux integrand moves to first order with the root,
+# and an absolute floor such as the default 1e-12, up to 5e-10 of a small s, moves it by up to
+# 1e-13.  Below 1e-12 the roots reach the rounding of G, which moves the flux more, not less.
+_TRACE_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-12)
 
 
 class CriticalLevelError(RuntimeError):
@@ -69,6 +73,31 @@ class DiskGreen:
         d = np.exp(1j * np.asarray(phi, dtype=float))
         beta = np.real(np.conj(self.pole) * d)
         return -beta + np.sqrt(beta**2 + 1.0 - abs(self.pole) ** 2)
+
+
+def _square(a):
+    """a^2 as p + e exactly (Dekker's splitting)."""
+    p, t = a * a, 134217729.0 * a
+    hi = t - (t - a)
+    lo = a - hi
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _log_moduli(z, r):
+    """log(|z|/r) and -log|z|.  Next to the circle |z| = rho each is log1p(x)/2, x = |z|^2/rho^2 - 1,
+    with |z|^2 - rho^2 summed from exact squares: its error is then relative to the distance from
+    the circle, where the rounding of np.abs(z) is relative to |z| itself."""
+    (px, ex), (py, ey) = _square(z.real), _square(z.imag)
+    s = px + py
+    v = s - px
+    low = (px - (s - v)) + (py - v) + ex + ey  # |z|^2 = s + low (two-sum)
+    lm, out = np.log(np.abs(z)), []
+    for rho in (r, 1.0):
+        pr, er = _square(rho)
+        # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
+        x = ((s - pr) + (low - er)) / pr if pr > 1e-290 else np.full_like(s, -1.0)
+        out.append(np.where(x < -0.5, lm - math.log(rho), 0.5 * np.log1p(np.maximum(x, -0.5))))
+    return out[0], -out[1]
 
 
 class _Strip:
@@ -127,16 +156,16 @@ class AnnulusGreen:
 
     def _coords(self, z):
         """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; log(|z|/r) and
-        -log|z|.  Next to the pole, log|z/w| = log1p(x)/2 with x = |z/w|^2 - 1 and the angle of
-        z conj(w) = |w|^2 + (z - w) conj(w) cancel in neither part; xb - pi = -c (-log|z| - log|w|)
-        does not cancel next to the outer circle."""
+        -log|z| (``_log_moduli``).  Next to the pole, log|z/w| = log1p(x)/2, x = |z/w|^2 - 1, and the
+        angle of z conj(w) = |w|^2 + (z - w) conj(w) cancel in neither part; xb - pi = -c (-log|z| -
+        log|w|) does not cancel next to the outer circle."""
         st, w = self._strip, self.pole
         d = z - w
         dw, w2 = d * np.conj(w), abs(w) ** 2
         x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
         near = np.abs(x) < 0.5
         xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(np.abs(z) / abs(w)))
-        lz, lzc = np.log(np.abs(z) / self.inner), -np.log(np.abs(z))
+        lz, lzc = _log_moduli(z, self.inner)
         xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
         return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, lz, lzc
 
@@ -236,7 +265,7 @@ def _crossings(green, t, phis):
         hi[todo[above]] = step[above]
         lo[todo[~above]] = step[~above]
         todo = todo[~above]
-    return find_root_monotone(lambda s, d: green.value(w + s * d) - t, lo, hi, args=(d,))
+    return find_root_monotone(lambda s, d: green.value(w + s * d) - t, lo, hi, _TRACE_TOL, args=(d,))
 
 
 @dataclass
@@ -315,7 +344,7 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     # the even nodes are the n/2-node grid; each root is good to the bracket
     # width at which find_root_monotone stops, abs_tol + rel_tol * s
     trapezoid_err = abs(area - float(np.sum(s[::2] ** 2) * dphi))
-    root_err = float(np.sum(s * (DEFAULT_TOL.abs_tol + DEFAULT_TOL.rel_tol * s)) * dphi)
+    root_err = float(np.sum(s * (_TRACE_TOL.abs_tol + _TRACE_TOL.rel_tol * s)) * dphi)
     iso = length**2 / (4.0 * math.pi * area)
     return LevelStats(
         t=t,

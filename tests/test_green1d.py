@@ -212,6 +212,17 @@ class TestAnnulusSolve:
         assert np.all(np.abs(ref) > 0.1)
         assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
 
+    @pytest.mark.parametrize("r,w", [(0.2, 0.45 * cmath.exp(-2j)), (0.9, 0.95 * cmath.exp(1.1j))], ids=["r0.2", "r0.9"])
+    def test_value_next_to_the_circles_matches_mpmath_product(self, r, w):
+        # G vanishes on the circles, so there its relative error is that of log(|z|/r) and -log|z|,
+        # which the rounding of |z| alone would make 1e-16 / (distance from the circle)
+        g = AnnulusGreen(r, w)
+        gap = (1.0 - r) * np.geomspace(1e-3, 0.1, 12)
+        phase = np.angle(w) + np.random.default_rng(3).uniform(-0.3, 0.3, 24)
+        z = np.concatenate((r + gap, 1.0 - gap)) * np.exp(1j * phase)
+        ref = np.array([float(_mp_green(r, w, c)) for c in z])
+        assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
+
     def test_no_silent_cap_near_one(self):
         # the mode series stopped at 4000 modes here, with a tail bound of 9.2e-11
         r = 0.99
@@ -266,6 +277,12 @@ class TestLevelCurves:
     def test_flux_is_two_pi(self, annulus_green, t):
         stats = level_flux_and_isoperimetric(annulus_green, t)
         assert stats.flux == pytest.approx(2 * math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("r,w0,t", [(0.015, 0.08, -4.5), (0.02, 0.087, -4.5), (0.4, 0.66, -2.5)])
+    def test_flux_is_two_pi_to_rounding(self, r, w0, t):
+        # the flux moves to first order with the crossing radius s, and these levels have a small s
+        stats = level_flux_and_isoperimetric(AnnulusGreen(r, w0 * cmath.exp(0.7j)), t)
+        assert stats.flux == pytest.approx(2 * math.pi, abs=1e-14)
 
     def test_iso_ratio_at_least_one(self, annulus_green):
         for t in (-1.0, -2.0, -3.0):
