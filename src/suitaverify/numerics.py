@@ -2,6 +2,13 @@
 
 Everything here is pure and reentrant; streams are scrambled Sobol value
 objects that can be split by seed derivation for parallel grids.
+
+Each routine imports the scipy subpackage it wraps when it is first
+called, so importing the package loads numpy and ``scipy.special`` only:
+``scipy.stats.qmc`` for Sobol points (``experiment``, ``verify-all``
+without ``--quick``), ``scipy.integrate`` for the quadrature
+(``indicatrix``), and ``scipy.optimize`` for the root finder (level
+tracing: ``green --levels``, criteria 9 and 10).
 """
 from __future__ import annotations
 
@@ -9,9 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import elementwise
-from scipy.stats import qmc
 
 __all__ = [
     "Tolerance",
@@ -61,6 +65,8 @@ def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=()):
     and ConvergenceError when any other element fails (iteration budget,
     non-finite values).
     """
+    from scipy.optimize import elementwise
+
     res = elementwise.find_root(
         f,
         (lo, hi),
@@ -86,6 +92,8 @@ def integrate_1d(f, a, b, knots=()):
         raise ValueError("require a <= b")
     if a == b:
         return 0.0
+    from scipy import integrate
+
     pts = sorted(x for x in knots if a < x < b)
     edges = [a] + pts + [b]
     tol = DEFAULT_TOL
@@ -134,6 +142,8 @@ class SampleStream:
     def points(self, count):
         if count < 1:
             raise ValueError("count must be >= 1")
+        from scipy.stats import qmc
+
         with warnings.catch_warnings():
             # balance warning for non power-of-two counts is informational
             warnings.simplefilter("ignore", UserWarning)

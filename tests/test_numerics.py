@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from suitaverify.domains import EllipsoidFamilyParams
 from suitaverify.indicatrix import indicatrix_volume_closed, kobayashi_profile_p1half
@@ -87,6 +88,10 @@ class TestQuadrature:
         exact = 3 / 4 * (16 - 1) - (8 + 1) / 3 + (4 - 1) - 7 * 3
         assert val == pytest.approx(exact, rel=1e-12)
 
+    def test_divergent_integral(self):
+        with pytest.raises(ConvergenceError):
+            integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+
     def test_kinked_profile_matches_closed_volume(self):
         # radial integral of the two-branch profile against its closed form
         m, n, b = 1.0, 2, 0.5
@@ -107,6 +112,12 @@ class TestSampleStream:
         a = SampleStream(dimension=3, seed=42).points(1000)
         b = SampleStream(dimension=3, seed=42).points(1000)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    @pytest.mark.parametrize("d, seed, n", [(2, 0, 2**10), (4, 11, 1000)])
+    def test_is_scrambled_sobol(self, d, seed, n):
+        expected = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+        assert SampleStream(d, seed).points(n).tobytes() == expected.tobytes()
 
     def test_seeds_differ(self):
         a = SampleStream(2, seed=0).points(100)
