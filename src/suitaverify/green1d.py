@@ -9,6 +9,7 @@ the check route for that volume.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ __all__ = [
     "level_flux_and_isoperimetric",
     "sublevel_volume",
 ]
+
+log = logging.getLogger(__name__)
 
 # A level whose gradient drops below this passes too near a critical point to trace.
 GRAD_FLOOR = 1e-4
@@ -49,6 +52,8 @@ class DiskGreen:
         if abs(w) >= 1.0:
             raise ValueError("pole must lie in the open unit disk")
         self.pole = w
+        # the pole's distance to the boundary
+        self.gap = 1.0 - abs(w)
         self.domain = domains.disk()
         # Robin constant lim (G - log|z - w|) = -log(1 - |w|^2); 1 - |w|^2 as a product
         # does not cancel near the circle
@@ -150,9 +155,11 @@ class AnnulusGreen:
         self._strip = st = _Strip(self.inner, abs(self.pole), 2.0**-53)
         self.domain = domains.Annulus(self.inner)
         self._disk = DiskGreen(self.pole)
+        self.gap = min(self._disk.gap, abs(self.pole) - self.inner)
         self.n_modes, self.tail_bound = 2 * st.n + 1, st.tail
         # lim G - log|z - w|: log(c / |w|) - log s from k = 0, -log1p(s^2 / sinh^2(k kappa)) from each +-k
         self.robin = math.log(st.c / abs(self.pole)) - math.log(st.s) - st.robin_images
+        log.debug("annulus Green function: %d images, tail bound %.3g", self.n_modes, self.tail_bound)
 
     def _coords(self, z):
         """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; log(|z|/r) and
@@ -180,21 +187,25 @@ class AnnulusGreen:
         # which does not overflow at large |y|, and through both logs next to the pole
         q, em = np.exp(-2.0 * np.abs(y)), np.expm1(-2.0 * np.abs(y))
         num, den = 4.0 * q * np.sin(xa) ** 2 + em**2, 4.0 * q * sb2 + em**2
-        g = np.where(num < 0.5 * den, np.log(num) - np.log(den), np.log1p(a * (4.0 * q / den)))
+        # (the log1p is taken only off the pole, where its argument cannot round to -1)
+        near = num < 0.5 * den
+        g = np.where(near, np.log(num) - np.log(den), np.log1p(np.where(near, 0.0, a * (4.0 * q / den))))
         # the images in one log1p of prod_k (1 + a / (sin^2 xb + sinh^2 y_k)) - 1, all factors on one side of 1
         e = np.zeros_like(g)
-        for sh, _ in self._images(y):
+        for ek, inv in self._images(y):
+            sh = 0.5 * (ek - inv)
             x = a / (sb2 + sh**2)
             e += x + e * x
         return 0.5 * (g + np.log1p(e))
 
     def _images(self, y):
-        """sinh and cosh of y_k = y + k kappa for k = +-1, ..., +-n from one exp of y: |y_k| >= kappa/2,
-        so no difference of exponentials cancels, and there are images only where kappa is moderate."""
+        """e^{y_k} and e^{-y_k}, y_k = y + k kappa for k = +-1, ..., +-n, from one exp of y: their half
+        difference and half sum are sinh y_k and cosh y_k, where |y_k| >= kappa/2, so no difference of
+        exponentials cancels, and there are images only where kappa is moderate."""
         e = np.exp(y) if self._strip.n else None
         for grow in np.exp(np.concatenate((self._strip.shifts, -self._strip.shifts))):
             ek = e * grow
-            yield 0.5 * (ek - 1.0 / ek), 0.5 * (ek + 1.0 / ek)
+            yield ek, 1.0 / ek
 
     def grad(self, z):
         """Gradient gx + i gy; conj(f') for f' = (c s / z) sum_k 1/(sin(xa + i y_k) sin(xb + i y_k))."""
@@ -207,7 +218,8 @@ class AnnulusGreen:
         total = -4.0 * np.exp(1j * (u + v)) / (np.expm1(2j * u) * np.expm1(2j * v))
         # sin(x + iy) = sin x cosh y + i cos x sinh y for the images, whose |y_k| stays moderate
         sa, ca, sb, cb = np.sin(xa), np.cos(xa), np.sin(xb), np.cos(xb)
-        for sh, ch in self._images(y):
+        for ek, inv in self._images(y):
+            sh, ch = 0.5 * (ek - inv), 0.5 * (ek + inv)
             total += 1.0 / ((sa * ch + 1j * ca * sh) * (sb * ch + 1j * cb * sh))
         # each term times sin(xb - xa) is cot(xa + i y_k) - cot(xb + i y_k); s = sin(xb - xa) holds in exact
         # arithmetic, and the computed difference keeps an error in xb to the reflected part
@@ -239,20 +251,23 @@ def covering_capacity_bound(r):
 
 
 def _crossings(green, t, phis):
-    """First s > 0 with G(pole + s e^{i phi}) = t along each ray phi."""
+    """First s > 0 with G(pole + s e^{i phi}) = t along each ray phi.
+
+    Every ray starts below the level, at s = gap e^t / 1.2, gap the pole's distance to the
+    boundary: G(z) - log|z - w| is harmonic, and on the boundary it is -log|z - w| <= -log gap,
+    so by the maximum principle G < t wherever |z - w| < gap e^t.  The bound is attained at the
+    centre of the disk, hence the margin 1.2.
+    """
     w = green.pole
     d = np.exp(1j * phis)
     s_max = green.boundary_distance(phis) * (1.0 - 1e-12)
-    lo = np.minimum(0.25 * math.exp(t - green.robin), 0.5 * s_max)
-    # halve the start of every ray that does not yet start below the level
-    todo = np.arange(phis.size)
-    while (todo := todo[green.value(w + lo[todo] * d[todo]) >= t]).size:
-        lo[todo] *= 0.5
-        if lo[todo].min() < 1e-300:
-            raise CriticalLevelError(f"could not start below the level along ray phi={phis[todo[0]]}")
+    start = green.gap * math.exp(t) / 1.2
+    if start == 0.0:
+        raise CriticalLevelError(f"level t={t} lies too close to the pole to trace")
+    lo = np.full(phis.size, start)
     # geometric x1.2 steps, one value() call per step for all unbracketed
     # rays; a bracket ends at the first step at or above the level
-    hi = np.empty_like(lo)
+    f_lo, hi, f_hi = np.full_like(lo, np.nan), np.empty_like(lo), np.empty_like(lo)
     todo = np.arange(phis.size)
     while todo.size:
         stuck = todo[lo[todo] >= s_max[todo]]
@@ -261,11 +276,19 @@ def _crossings(green, t, phis):
             # means the level hugs the boundary beyond resolution
             raise CriticalLevelError(f"no level crossing found along ray phi={phis[stuck[0]]}")
         step = np.minimum(lo[todo] * 1.2, s_max[todo])
-        above = green.value(w + step * d[todo]) >= t
-        hi[todo[above]] = step[above]
-        lo[todo[~above]] = step[~above]
+        f = green.value(w + step * d[todo]) - t
+        above = f >= 0.0
+        hi[todo[above]], f_hi[todo[above]] = step[above], f[above]
+        lo[todo[~above]], f_lo[todo[~above]] = step[~above], f[~above]
         todo = todo[~above]
-    return find_root_monotone(lambda s, d: green.value(w + s * d) - t, lo, hi, _TRACE_TOL, args=(d,))
+    # the first step lands on the bound gap e^t, so it reaches the level only where G attains the
+    # bound; only there is G at the start still unknown
+    first = np.isnan(f_lo)
+    if first.any():
+        f_lo[first] = green.value(w + lo[first] * d[first]) - t
+    return find_root_monotone(
+        lambda s, d: green.value(w + s * d) - t, lo, hi, _TRACE_TOL, args=(d,), f_lo=f_lo, f_hi=f_hi
+    )
 
 
 @dataclass
@@ -389,10 +412,10 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     x0, x1, y0, y1 = _sublevel_box(green, t)
     box_area = (x1 - x0) * (y1 - y0)
     u = stream.points(count)
-    z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
     hit_count = 0
     for lo in range(0, count, 65536):  # chunked: bounds the per-image temporaries
-        chunk = z[lo : lo + 65536]
+        uc = u[lo : lo + 65536]
+        chunk = (x0 + (x1 - x0) * uc[:, 0]) + 1j * (y0 + (y1 - y0) * uc[:, 1])
         mask = green.in_domain(chunk)
         if np.any(mask):
             hit_count += int(np.count_nonzero(green.value(chunk[mask]) < t))

@@ -3,15 +3,16 @@
 Everything here is pure and reentrant; streams are scrambled Sobol value
 objects that can be split by seed derivation for parallel grids.
 
-Each routine imports the scipy subpackage it wraps when it is first
-called, so importing the package loads numpy and ``scipy.special`` only:
-``scipy.stats.qmc`` for Sobol points (``experiment``, ``verify-all``
-without ``--quick``), ``scipy.integrate`` for the quadrature
-(``indicatrix``), and ``scipy.optimize`` for the root finder (level
-tracing: ``green --levels``, criteria 9 and 10).
+The root finder is numpy only.  The sampler and the quadrature import the
+scipy subpackage they wrap when first called, so importing the package
+loads numpy and ``scipy.special`` only: ``scipy.stats.qmc`` for Sobol
+points (``experiment``, ``verify-all`` without ``--quick``) and
+``scipy.integrate`` for the quadrature (``indicatrix``).
 """
 from __future__ import annotations
 
+import logging
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -54,32 +55,90 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+log = logging.getLogger(__name__)
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
-def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=()):
+
+def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=(), f_lo=None, f_hi=None):
     """Root of a continuous monotone function on a bracketing interval.
 
-    Chandrupatla's bracketing method (``scipy.optimize.elementwise``): ``f``
-    acts elementwise, ``lo``/``hi`` may be arrays of brackets broadcast with
-    the per-element data in ``args``, and every bracket is solved at once.
-    Raises BracketError when some f(lo) and f(hi) have the same strict sign
-    and ConvergenceError when any other element fails (iteration budget,
-    non-finite values).
+    Chandrupatla's bracketing method (Adv. Eng. Software 28, 1997) with the
+    termination rules of ``scipy.optimize.elementwise.find_root``: ``f`` acts
+    elementwise, ``lo``/``hi`` may be arrays of brackets broadcast with the
+    per-element data in ``args``, and every bracket is solved at once, each
+    call of ``f`` taking the unfinished ones only.  ``f_lo``/``f_hi``, when
+    given, are f at the ends and save the two initial calls.  The first step
+    is the secant, and the root returned is the secant point of the final
+    bracket, which costs no call.  Raises BracketError when some f(lo) and
+    f(hi) have the same strict sign and ConvergenceError when any other
+    element fails (iteration budget, non-finite values).
     """
-    from scipy.optimize import elementwise
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *(np.shape(a) for a in args))
+    # the unfinished elements: their flat indices and their entries of ``args``
+    idx, extra = np.arange(math.prod(shape)), [np.broadcast_to(a, shape).ravel() for a in args]
+    x1, x2 = (np.array(np.broadcast_to(x, shape), dtype=float).ravel() for x in (lo, hi))
 
-    res = elementwise.find_root(
-        f,
-        (lo, hi),
-        args=args,
-        tolerances=dict(xatol=max(tol.abs_tol, 1e-300), xrtol=max(tol.rel_tol, 4 * np.finfo(float).eps)),
-        maxiter=tol.max_iter,
+    def call(x):
+        return np.asarray(f(x, *extra), dtype=float).reshape(x.shape)
+
+    f1 = call(x1) if f_lo is None else np.array(np.broadcast_to(f_lo, shape), dtype=float).ravel()
+    f2 = call(x2) if f_hi is None else np.array(np.broadcast_to(f_hi, shape), dtype=float).ravel()
+    x3 = f3 = None
+    xatol, xrtol = max(tol.abs_tol, 1e-300), max(tol.rel_tol, 4 * _EPS)
+    root, status, width = np.empty(x1.size), np.empty(x1.size, dtype=int), np.empty(x1.size)
+    nit = 0
+    while True:
+        with np.errstate(all="ignore"):
+            small = np.abs(f1) < np.abs(f2)
+            xmin, fmin = np.where(small, x1, x2), np.where(small, f1, f2)
+            dx, tol_x = np.abs(x2 - x1), np.abs(xmin) * xrtol + xatol
+            # the first rule that holds decides: f at rounding (0), no sign change (-1), non-finite
+            # values (-3), a bracket within tolerance (0); else unfinished (1)
+            code = np.where(dx < tol_x, 0, 1)
+            code = np.where(~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)), -3, code)
+            code = np.where(np.sign(f1) == np.sign(f2), -1, code)
+            code = np.where(np.abs(fmin) <= _TINY, 0, code)
+            if nit == tol.max_iter:
+                code[code == 1] = -2
+            done = code != 1
+            if done.any():
+                sec = xmin - fmin * ((x2 - x1) / (f2 - f1))
+                sec = np.where(np.isfinite(sec), np.clip(sec, np.minimum(x1, x2), np.maximum(x1, x2)), xmin)
+                i = idx[done]
+                root[i], status[i], width[i] = sec[done], code[done], dx[done]
+                keep = ~done
+                idx, extra = idx[keep], [a[keep] for a in extra]
+                x1, f1, x2, f2, dx, tol_x = x1[keep], f1[keep], x2[keep], f2[keep], dx[keep], tol_x[keep]
+                if x3 is not None:
+                    x3, f3 = x3[keep], f3[keep]
+            if not x1.size:
+                break
+            if x3 is None:
+                # first step: the secant through the ends
+                t = f1 / (f1 - f2)
+                t = np.where(np.isfinite(t), t, 0.5)
+            else:
+                # inverse quadratic interpolation where the last three points allow it, else bisection
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = (1.0 - np.sqrt(1.0 - xi1) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol_x / dx
+            x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        fx = call(x)
+        nit += 1
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    log.debug(
+        "root finder: %d brackets, %d iterations, widest final bracket %.3g", root.size, nit, width.max(initial=0.0)
     )
-    status = np.asarray(res.status)
     if np.any(status == -1):
         raise BracketError(f"no sign change on {np.count_nonzero(status == -1)} of {status.size} brackets")
     if np.any(status != 0):
         raise ConvergenceError(f"root finder failed (status {status.min()}) within {tol.max_iter} iterations")
-    return float(res.x) if np.ndim(res.x) == 0 else res.x
+    return float(root[0]) if shape == () else root.reshape(shape)
 
 
 def integrate_1d(f, a, b, knots=()):

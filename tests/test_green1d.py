@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from suitaverify import domains
@@ -191,6 +193,14 @@ class TestAnnulusSolve:
         with pytest.raises(ValueError):
             AnnulusGreen(0.2, 0.1)
 
+    def test_logs_its_image_count(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify"):
+            g = AnnulusGreen(R, W)
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.green1d"]
+        assert rec.levelno == logging.DEBUG
+        assert rec.args == (g.n_modes, g.tail_bound)
+        assert g.n_modes == 7
+
     @pytest.mark.parametrize("r,w", SERIES_CASES)
     def test_product_matches_mode_series(self, r, w):
         g, ref = AnnulusGreen(r, w), SeriesGreen(r, w)
@@ -326,6 +336,36 @@ class TestLevelCurves:
     def test_positive_level_rejected(self, annulus_green):
         with pytest.raises(ValueError):
             level_flux_and_isoperimetric(annulus_green, 0.5)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        r=st.floats(1e-4, 0.999),
+        inner=st.booleans(),
+        where=st.floats(0.0, 1.0),
+        arg=st.floats(0.0, 2.0 * math.pi),
+        t=st.floats(-30.0, -1e-3),
+    )
+    def test_every_ray_starts_below_the_level(self, r, inner, where, arg, t):
+        # the trace starts at gap e^t / 1.2 (maximum principle for G - log|z - w|); |w| lies
+        # between 1e-7 off one circle and sqrt(r), log-uniformly in its distance to that circle
+        far = math.sqrt(r) - r if inner else 1.0 - math.sqrt(r)
+        delta = 1e-7 * (far / 1e-7) ** where
+        w0 = r + delta if inner else 1.0 - delta
+        g = AnnulusGreen(r, w0 * cmath.exp(1j * arg))
+        assert g.gap == pytest.approx(min(1.0 - w0, w0 - r), rel=1e-8)
+        # a uniform grid of rays and the ray towards the nearest boundary point
+        phis = np.append(np.arange(512) * (2.0 * math.pi / 512), arg + (math.pi if inner else 0.0))
+        lo = g.gap * math.exp(t) / 1.2
+        # below the spacing of floats at w a start rounds to the pole itself, where G = -inf
+        with np.errstate(divide="ignore"):
+            assert np.all(g.value(g.pole + lo * np.exp(1j * phis)) < t)
+        disk = DiskGreen(0.0)
+        assert np.all(disk.value(disk.gap * math.exp(t) / 1.2 * np.exp(1j * phis)) < t)
+
+    def test_level_too_near_the_pole_refused(self, annulus_green):
+        # e^t underflows: the trace has no start below the level
+        with pytest.raises(CriticalLevelError):
+            level_flux_and_isoperimetric(annulus_green, -800.0)
 
     def test_trace_matches_one_call_per_step_walk(self):
         # at t = -0.3 the rays need different numbers of steps

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,72 @@ class TestRootFinder:
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError):
             find_root_monotone(lambda x: x**3 - 2.0 * x - 5.0, 1.0, 3.0, Tolerance(max_iter=1))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x, c: x**3 - c,
+            lambda x, c: np.exp(x) - c,
+            lambda x, c: np.arctan(x - c),
+            lambda x, c: x + 0.5 * np.sin(x) - c,
+            lambda x, c: np.log1p(x) - 0.1 * c,
+            lambda x, c: np.tanh(5.0 * (x - c)) + 1e-3 * (x - c),
+        ],
+        ids=["cube", "exp", "arctan", "sine", "log1p", "tanh"],
+    )
+    def test_matches_scipy_elementwise(self, f):
+        from scipy.optimize import elementwise
+
+        c = np.linspace(0.5, 10.0, 40)
+        x = find_root_monotone(f, -0.9, 20.0, Tolerance(abs_tol=1e-300, rel_tol=1e-15), args=(c,))
+        ref = elementwise.find_root(f, (-0.9, 20.0), args=(c,), tolerances=dict(xatol=1e-300, xrtol=1e-15)).x
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).min()
+
+    def test_end_values_save_two_calls(self):
+        c = np.array([0.5, 2.0, 7.0])
+        lo, hi = np.zeros(3), np.full(3, 3.0)
+        calls = []
+
+        def f(x, c):
+            calls.append(x.size)
+            return x * x - c
+
+        x = find_root_monotone(f, lo, hi, args=(c,))
+        n = len(calls)
+        x_ends = find_root_monotone(f, lo, hi, args=(c,), f_lo=lo * lo - c, f_hi=hi * hi - c)
+        assert len(calls) - n == n - 2
+        assert x_ends.tolist() == x.tolist()
+
+    def test_non_finite_values(self):
+        with pytest.raises(ConvergenceError):
+            find_root_monotone(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_scalar_bracket_gives_a_float(self):
+        assert type(find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0)) is float
+        assert find_root_monotone(lambda x: x * x - 2.0, np.zeros(1), 2.0).shape == (1,)
+
+    def test_no_runtime_warnings(self):
+        # infinite end values, roots on the ends, non-finite values and a failed bracket
+        # go through divisions by zero and infinities; none of them may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_root_monotone(np.log, 0.0, 2.0, f_lo=-np.inf) == pytest.approx(1.0, abs=1e-12)
+            assert find_root_monotone(lambda x: x, 0.0, 1.0) == 0.0
+            assert find_root_monotone(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+            with pytest.raises(ConvergenceError):
+                find_root_monotone(lambda x: np.where(x > 0.5, np.nan, -1.0), 0.0, 1.0, f_hi=1.0)
+            with pytest.raises(BracketError):
+                find_root_monotone(lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_logs_each_call(self, caplog):
+        c = np.array([0.5, 2.0, 7.0])
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.numerics"):
+            x = find_root_monotone(lambda x, c: x * x - c, np.zeros(3), np.full(3, 3.0), args=(c,))
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.numerics"]
+        assert rec.levelno == logging.DEBUG
+        brackets, iterations, widest = rec.args
+        assert brackets == 3 and 1 <= iterations <= DEFAULT_TOL.max_iter
+        assert 0.0 < widest <= DEFAULT_TOL.abs_tol + DEFAULT_TOL.rel_tol * x.max()
 
 
 class TestQuadrature:
