@@ -208,7 +208,7 @@ def _cmd_indicatrix(args):
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
     if args.format == "csv":
         rs = np.linspace(0.0, profile.r_max, 512)
-        _write_csv(args.out, ["r", "gamma"], zip(rs, profile.gamma_values(rs)))
+        _write_csv(args.out, ["r", "gamma"], zip(rs, profile.gamma(rs)))
         print(f"wrote {args.out}")
         return 0
     _emit(args, payload)

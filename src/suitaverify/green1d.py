@@ -38,6 +38,10 @@ GRAD_FLOOR = 1e-4
 # and an absolute floor such as the default 1e-12, up to 5e-10 of a small s, moves it by up to
 # 1e-13.  Below 1e-12 the roots reach the rounding of G, which moves the flux more, not less.
 _TRACE_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-12)
+# A trace starts at s = gap e^t / 1.2, and the rounding of the points next to the pole moves the
+# flux by about 0.02 spacing(|w|) / s (measured); a start within this many spacings of the pole
+# would cost the flux more than 2e-8, so such a level is refused.
+_START_SPACINGS = 2.0**20
 
 
 class CriticalLevelError(RuntimeError):
@@ -262,8 +266,8 @@ def _crossings(green, t, phis):
     d = np.exp(1j * phis)
     s_max = green.boundary_distance(phis) * (1.0 - 1e-12)
     start = green.gap * math.exp(t) / 1.2
-    if start == 0.0:
-        raise CriticalLevelError(f"level t={t} lies too close to the pole to trace")
+    if start < _START_SPACINGS * np.spacing(abs(w)):
+        raise CriticalLevelError(f"level t={t} lies too close to the pole to trace (start {start:.3g})")
     lo = np.full(phis.size, start)
     # geometric x1.2 steps, one value() call per step for all unbracketed
     # rays; a bracket ends at the first step at or above the level

@@ -3,7 +3,9 @@
 Balanced domains are their own indicatrix at the center, so no profile is
 needed there (``domains.volume``); the symmetrized bidisk center has an
 explicit balanced indicatrix; convex complex ellipsoids with first
-exponent 1/2 have a closed radial profile, and for general
+exponent 1/2 have a closed radial profile, whose volume is a tanh-sinh
+quadrature of its pieces, each written in the distance from the end where
+it kinks or vanishes, next to the closed volume; and for general
 two-dimensional ellipsoids the boundary is swept by the extremal disc
 parametrization, whose upper envelope gives the volume numerically.
 """
@@ -40,81 +42,67 @@ class EnvelopeGapError(RuntimeError):
 class IndicatrixProfile:
     """Rotation-invariant indicatrix as a radial profile.
 
-    gamma describes { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) } on
-    [0, r_max], with kink locations listed in ``knots``.
+    gamma describes { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) } on [0, r_max].
+    ``pieces`` lists (length, g) for consecutive intervals of |X_1| from 0 to r_max; on each,
+    g(x) is gamma at the distance x below the interval's upper end, where the profile kinks
+    or vanishes, so that neither g nor the quadrature cancels there.
     """
 
     dimension: int
-    gamma: object
-    r_max: float
-    knots: tuple = ()
+    pieces: tuple
     slice_exponent: float = 1.0
 
-    def gamma_values(self, r):
-        return self.gamma(np.asarray(r, dtype=float))
+    @property
+    def r_max(self):
+        return sum(length for length, _ in self.pieces)
+
+    def gamma(self, r):
+        r = np.asarray(r, dtype=float)
+        out, end = np.zeros(r.shape), 0.0
+        for length, g in self.pieces:
+            start, end = end, end + length
+            inside = (start <= r) & (r <= end)
+            out[inside] = g(end - r[inside])
+        return out
 
     def volume(self):
         k = self.dimension - 1
         m = self.slice_exponent
         omega = domains.volume(domains.Ellipsoid((m,) * k))  # of { sum_{j<=k} |X_j|^{2m} < 1 }
-        integrand = lambda r: r * float(self.gamma(np.asarray(r))) ** (k / m)
-        return 2.0 * math.pi * omega * integrate_1d(integrand, 0.0, self.r_max, knots=self.knots)
+        total, end = 0.0, 0.0
+        for length, g in self.pieces:
+            end += length
+            total += integrate_1d(lambda x, end=end, g=g: (end - x) * g(x) ** (k / m), 0.0, length)
+        return 2.0 * math.pi * omega * total
 
 
 def azukawa_g2_center():
-    """Indicatrix of the symmetrized bidisk at 0: { |X1| + 2 |X2| < 2 }."""
-
-    def gamma(r):
-        return ((2.0 - np.asarray(r, dtype=float)) / 2.0) ** 2
-
-    return IndicatrixProfile(
-        dimension=2,
-        gamma=gamma,
-        r_max=2.0,
-        knots=(),
-        slice_exponent=1.0,
-    )
+    """Indicatrix of the symmetrized bidisk at 0: { |X1| + 2 |X2| < 2 }, gamma(r) = ((2 - r)/2)^2."""
+    return IndicatrixProfile(dimension=2, pieces=((2.0, lambda x: (x / 2.0) ** 2),), slice_exponent=1.0)
 
 
 def kobayashi_profile_p1half(m, n, b):
     """Radial profile for { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 } at (b, 0, ..., 0).
 
     gamma(r) = 1 - b - r^2/(4b(1-b)) up to the kink at r = 2b(1-b), then
-    1 - b^2 - r down to the support endpoint 1 - b^2.
+    1 - b^2 - r down to the support endpoint 1 - b^2.  As pieces in the distance x below
+    each end: (1-b)^2 + x (1 - x/(2 knot)) on [0, knot], and x on [0, (1-b)^2], which
+    cancel neither as b -> 1 nor next to the kink.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     if m < 0.5 or n < 2:
         raise ValueError("need m >= 1/2 and n >= 2")
     knot = 2.0 * b * (1.0 - b)
-
-    def gamma(r):
-        r = np.asarray(r, dtype=float)
-        inner = 1.0 - b - r**2 / (4.0 * b * (1.0 - b))
-        outer = 1.0 - b**2 - r
-        return np.where(r <= knot, inner, np.clip(outer, 0.0, None))
-
-    return IndicatrixProfile(
-        dimension=n,
-        gamma=gamma,
-        r_max=1.0 - b**2,
-        knots=(knot,),
-        slice_exponent=float(m),
-    )
+    inner = lambda x: (1.0 - b) ** 2 + x * (1.0 - x / (2.0 * knot))
+    pieces = ((knot, inner), ((1.0 - b) ** 2, lambda x: x))
+    return IndicatrixProfile(dimension=n, pieces=pieces, slice_exponent=float(m))
 
 
 def indicatrix_volume_closed(params: EllipsoidFamilyParams):
     """Closed volume 2 pi omega (1-b)^a ((1-b)^a + 2ab) / (a (a-1))."""
-    a = params.a
-    b = params.b
-    return (
-        2.0
-        * math.pi
-        * params.omega
-        * (1.0 - b) ** a
-        * ((1.0 - b) ** a + 2.0 * a * b)
-        / (a * (a - 1.0))
-    )
+    a, b = params.a, params.b
+    return 2.0 * math.pi * params.omega * (1.0 - b) ** a * ((1.0 - b) ** a + 2.0 * a * b) / (a * (a - 1.0))
 
 
 def extremal_disc_arcs(p1, b, u_in, u_out):
@@ -150,21 +138,15 @@ def extremal_disc_arcs(p1, b, u_in, u_out):
     return (rho_in, np.clip(s_in, 0.0, None)), (rho_out, np.clip(s_out, 0.0, None))
 
 
-def _arc_samples(p, b, n_samples):
-    """(rho, S) arrays along both boundary arcs."""
+def _envelope_volume(p, b, n_grid, n_samples):
     u = np.linspace(b, 1.0, n_samples)
     u[-1] = 1.0 - 1e-13  # open endpoint of the 1-in-A branch
-    return extremal_disc_arcs(p[0], b, u, np.linspace(0.0, 1.0, n_samples))
-
-
-def _envelope_volume(p, b, n_grid, n_samples):
-    p2 = p[1]
-    arcs = _arc_samples(p, b, n_samples)
+    arcs = extremal_disc_arcs(p[0], b, u, np.linspace(0.0, 1.0, n_samples))
     rho_max = max(float(r.max()) for r, _ in arcs)
     grid = np.linspace(0.0, rho_max, n_grid)
     height = np.full(n_grid, -np.inf)
     for r, s in arcs:
-        y = s ** (1.0 / (2.0 * p2))
+        y = s ** (1.0 / (2.0 * p[1]))
         # split into monotone pieces of r so interpolation is well defined
         splits = np.flatnonzero(np.diff(np.sign(np.diff(r))) != 0) + 1
         bounds = [0, *splits.tolist(), len(r) - 1]

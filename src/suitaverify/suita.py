@@ -189,7 +189,7 @@ def check_lower_bound_est1(domain, w, t):
     if t > 0:
         raise ValueError("require t <= 0")
     if isinstance(domain, (Ellipsoid, Polydisk)):
-        on_axis, w = _is_axis_point(w if w is not None else np.zeros(domain.dimension), domain.dimension)
+        _, w = _is_axis_point(w if w is not None else np.zeros(domain.dimension), domain.dimension)
         if w.any():
             raise ValueError("balanced case is evaluated at the center")
         # K = 1/lambda at the center and e^{-2nt} lambda({G<t}) = lambda exactly

@@ -97,6 +97,11 @@ class TestIndicatrixCommand:
         payload = _json_out(capsys)
         assert payload["volume_closed"] == pytest.approx(payload["volume_quadrature"], rel=1e-8)
 
+    def test_ell1_next_to_the_boundary(self, capsys):
+        assert run(["indicatrix", "--family", "ell1", "--m", "8", "--b", "0.999"]) == 0
+        payload = _json_out(capsys)
+        assert payload["volume_quadrature"] == pytest.approx(payload["volume_closed"], rel=1e-13, abs=0.0)
+
     def test_g2(self, capsys):
         assert run(["indicatrix", "--family", "g2"]) == 0
         payload = _json_out(capsys)

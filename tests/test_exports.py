@@ -40,6 +40,9 @@ NO_LAZY_IMPORT = [
     ["kernel", "--domain", '{"variant":"ellipsoid","p":[0.5,2.0]}', "--w", "[0.3,0.1]"],
     ["scan", "--family", "p", "--grid", "3", "--m-list", "2"],
     ["green", "--r", "0.2", "--levels=-1"],
+    ["indicatrix", "--family", "ell1"],
+    ["indicatrix", "--family", "g2"],
+    ["indicatrix", "--family", "p"],
 ]
 # a fresh interpreter: this session has already imported every scipy subpackage.
 # Each entry lists the public scipy subpackages loaded since ``import suitaverify``.

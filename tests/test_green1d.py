@@ -367,6 +367,13 @@ class TestLevelCurves:
         with pytest.raises(CriticalLevelError):
             level_flux_and_isoperimetric(annulus_green, -800.0)
 
+    @pytest.mark.parametrize("t", [-20.0, -22.0])
+    def test_level_whose_start_rounds_at_the_pole_refused(self, t):
+        # 1e-7 from the outer circle the start gap e^t / 1.2 lies 1.5 (t = -20) or 0.2 (t = -22)
+        # float spacings from the pole: the traced flux would be 4e-3 or 1e3 off
+        with pytest.raises(CriticalLevelError):
+            level_flux_and_isoperimetric(AnnulusGreen(0.2, 1.0 - 1e-7), t)
+
     def test_trace_matches_one_call_per_step_walk(self):
         # at t = -0.3 the rays need different numbers of steps
         g = AnnulusGreen(R, 0.5 * cmath.exp(2.0j))

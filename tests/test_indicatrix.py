@@ -17,12 +17,12 @@ class TestG2Indicatrix:
     def test_volume(self):
         # 2 pi^2 int_0^2 r ((2-r)/2)^2 dr = 2 pi^2 / 3
         prof = azukawa_g2_center()
-        assert prof.volume() == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-10)
+        assert prof.volume() == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-14)
 
     def test_profile_endpoints(self):
         prof = azukawa_g2_center()
-        assert prof.gamma_values(0.0) == pytest.approx(1.0)
-        assert prof.gamma_values(2.0) == pytest.approx(0.0)
+        assert prof.gamma(0.0) == pytest.approx(1.0)
+        assert prof.gamma(2.0) == pytest.approx(0.0)
 
 
 class TestRadialProfile:
@@ -30,15 +30,15 @@ class TestRadialProfile:
         b = 0.3
         prof = kobayashi_profile_p1half(1.0, 2, b)
         knot = 2.0 * b * (1.0 - b)
-        assert prof.gamma_values(0.0) == pytest.approx(1.0 - b)
+        assert prof.gamma(0.0) == pytest.approx(1.0 - b)
         # both branches give (1-b)^2 at the kink, with matching slope -1
-        assert prof.gamma_values(knot) == pytest.approx((1.0 - b) ** 2, rel=1e-12)
+        assert prof.gamma(knot) == pytest.approx((1.0 - b) ** 2, rel=1e-12)
         h = 1e-7
-        left = (prof.gamma_values(knot) - prof.gamma_values(knot - h)) / h
-        right = (prof.gamma_values(knot + h) - prof.gamma_values(knot)) / h
+        left = (prof.gamma(knot) - prof.gamma(knot - h)) / h
+        right = (prof.gamma(knot + h) - prof.gamma(knot)) / h
         assert left == pytest.approx(-1.0, abs=1e-6)
         assert right == pytest.approx(-1.0, abs=1e-6)
-        assert prof.gamma_values(prof.r_max) == pytest.approx(0.0, abs=1e-12)
+        assert prof.gamma(prof.r_max) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m,n", [(0.5, 2), (1.0, 2), (1.0, 3), (2.0, 4)])
     def test_profile_volume_matches_closed(self, m, n):
@@ -46,6 +46,14 @@ class TestRadialProfile:
         prof = kobayashi_profile_p1half(m, n, b)
         closed = indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=n, b=b))
         assert prof.volume() == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.35, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6])
+    def test_profile_volume_to_rounding(self, b):
+        # next to b = 1, 1 - b^2 and 1 - b - r^2/(4b(1-b)) cancel; the pieces in their end distances do not
+        for m in (0.5, 1.0, 2.0, 8.0, 128.0):
+            for n in (2, 3, 5):
+                closed = indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=n, b=b))
+                assert kobayashi_profile_p1half(m, n, b).volume() == pytest.approx(closed, rel=1e-13, abs=0.0), (m, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import qmc
 
 from suitaverify.domains import EllipsoidFamilyParams
-from suitaverify.indicatrix import indicatrix_volume_closed, kobayashi_profile_p1half
+from suitaverify.indicatrix import indicatrix_volume_closed
 from suitaverify.numerics import (
     DEFAULT_TOL,
     BracketError,
@@ -148,31 +148,58 @@ class TestQuadrature:
     def test_linear(self):
         assert integrate_1d(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
 
+    def test_constant(self):
+        assert integrate_1d(lambda x: 2.0, 0.0, 1.5) == pytest.approx(3.0, rel=1e-15)
+
     def test_sine(self):
-        assert integrate_1d(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+        assert integrate_1d(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
 
     def test_cubic_exact(self):
         val = integrate_1d(lambda x: 3 * x**3 - x**2 + 2 * x - 7, -1.0, 2.0)
         exact = 3 / 4 * (16 - 1) - (8 + 1) / 3 + (4 - 1) - 7 * 3
         assert val == pytest.approx(exact, rel=1e-12)
 
-    def test_divergent_integral(self):
-        with pytest.raises(ConvergenceError):
-            integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+    def test_divergent_integral(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.numerics"):
+            with pytest.raises(ConvergenceError):
+                integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.numerics"]
+        assert rec.levelno == logging.DEBUG
+        levels, nodes, change = rec.args
+        assert levels >= 1 and nodes > 0 and change > 0.0
+
+    def test_end_singularity_too_strong_to_resolve(self):
+        # x^-0.2 is integrable, but its part below the outermost node is 6e-14, not rounding
+        with pytest.raises(ConvergenceError, match="beyond its outermost nodes"):
+            integrate_1d(lambda x: x**-0.2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("f, exact", [(np.log, -1.0), (np.sqrt, 2.0 / 3.0), (lambda x: x**-0.1, 1.0 / 0.9)])
+    def test_mild_end_singularities(self, f, exact):
+        assert integrate_1d(f, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+
+    def test_calls_f_once_per_level_on_arrays(self, caplog):
+        calls = []
+
+        def f(x):
+            assert np.all((0.0 < x) & (x < 1.0))  # no node on an end
+            calls.append(x.size)
+            return np.exp(x)
+
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.numerics"):
+            assert integrate_1d(f, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.numerics"]
+        levels, nodes, _ = rec.args
+        assert len(calls) == levels and sum(calls) == nodes
 
     def test_kinked_profile_matches_closed_volume(self):
-        # radial integral of the two-branch profile against its closed form
+        # radial integral of the two-branch profile against its closed form, split at the kink
         m, n, b = 1.0, 2, 0.5
         params = EllipsoidFamilyParams(m=m, n=n, b=b)
-        profile = kobayashi_profile_p1half(m, n, b)
-        integral = integrate_1d(
-            lambda r: r * float(profile.gamma(np.asarray(r))) ** ((n - 1) / m),
-            0.0,
-            1.0 - b**2,
-            knots=profile.knots,
-        )
+        knot, a = 2.0 * b * (1.0 - b), (n - 1) / m
+        inner = integrate_1d(lambda r: r * (1.0 - b - r**2 / (4.0 * b * (1.0 - b))) ** a, 0.0, knot)
+        outer = integrate_1d(lambda r: r * (1.0 - b**2 - r) ** a, knot, 1.0 - b**2)
         expected = indicatrix_volume_closed(params) / (2.0 * math.pi * params.omega)
-        assert integral == pytest.approx(expected, rel=1e-10)
+        assert inner + outer == pytest.approx(expected, rel=1e-10)
 
 
 class TestSampleStream:
