@@ -39,7 +39,7 @@ from .indicatrix import (
     indicatrix_volume_numeric,
     kobayashi_profile_p1half,
 )
-from .numerics import DEFAULT_TOL, SampleStream, Tolerance, find_root_monotone, integrate_1d
+from .numerics import SampleStream, find_root_monotone, integrate_1d
 from .suita import (
     ExperimentReport,
     SuitaRatio,

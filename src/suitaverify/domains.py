@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .numerics import Tolerance, find_root_monotone
+from .numerics import find_root_monotone
 
 __all__ = [
     "Ellipsoid",
@@ -157,7 +157,7 @@ def minkowski_functional(domain, z):
     lo = 1e-12 * hi
     while defect(lo) < 0:  # z microscopically small: shrink bracket
         lo *= 1e-3
-    return find_root_monotone(defect, lo, hi, Tolerance(abs_tol=1e-300, rel_tol=1e-15))
+    return find_root_monotone(defect, lo, hi, 1e-15)
 
 
 def _log_ellipsoid_volume(exponents, radii):
@@ -258,15 +258,23 @@ class EllipsoidFamilyParams:
 
 
 def from_json(text):
-    """Domain spec from its JSON object (a string or a dict), keyed by ``variant``."""
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
+    """Domain spec from its JSON object (a string or a dict), keyed by ``variant``.
+
+    Raises ValueError for a spec that is not an object or lacks a key of its variant.
+    """
+    obj = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(obj, dict):
+        raise ValueError(f"a domain spec is a JSON object, not {type(obj).__name__}")
     variant = obj.get("variant")
-    if variant == "ellipsoid":
-        return Ellipsoid(tuple(obj["p"]), tuple(obj["radii"]) if "radii" in obj else None)
-    if variant == "annulus":
-        return Annulus(float(obj["r"]))
-    if variant == "polydisk":
-        return Polydisk(int(obj["n"]))
+    try:
+        if variant == "ellipsoid":
+            return Ellipsoid(tuple(obj["p"]), tuple(obj["radii"]) if "radii" in obj else None)
+        if variant == "annulus":
+            return Annulus(float(obj["r"]))
+        if variant == "polydisk":
+            return Polydisk(int(obj["n"]))
+    except KeyError as exc:
+        raise ValueError(f"{variant} spec lacks the key {exc}") from None
     if variant == "symmetrized_bidisk":
         return SymmetrizedBidisk()
     raise ValueError(f"unknown domain variant {variant!r}")

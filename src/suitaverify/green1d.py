@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains
-from .numerics import SampleStream, Tolerance, find_root_monotone
+from .numerics import SampleStream, find_root_monotone
 
 __all__ = [
     "DiskGreen",
@@ -35,9 +35,9 @@ log = logging.getLogger(__name__)
 # A level whose gradient drops below this passes too near a critical point to trace.
 GRAD_FLOOR = 1e-4
 # Level crossings relative to s alone: the flux integrand moves to first order with the root,
-# and an absolute floor such as the default 1e-12, up to 5e-10 of a small s, moves it by up to
+# and an absolute floor such as 1e-12, up to 5e-10 of a small s, moves it by up to
 # 1e-13.  Below 1e-12 the roots reach the rounding of G, which moves the flux more, not less.
-_TRACE_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-12)
+_TRACE_REL_TOL = 1e-12
 # A trace starts at s = gap e^t / 1.2, and the rounding of the points next to the pole moves the
 # flux by about 0.02 spacing(|w|) / s (measured); a start within this many spacings of the pole
 # would cost the flux more than 2e-8, so such a level is refused.
@@ -58,7 +58,6 @@ class DiskGreen:
         self.pole = w
         # the pole's distance to the boundary
         self.gap = 1.0 - abs(w)
-        self.domain = domains.disk()
         # Robin constant lim (G - log|z - w|) = -log(1 - |w|^2); 1 - |w|^2 as a product
         # does not cancel near the circle
         self.robin = -math.log((1.0 - abs(w)) * (1.0 + abs(w)))
@@ -157,7 +156,6 @@ class AnnulusGreen:
         self.pole = complex(w)
         # G is of order one near the pole: sum to rounding
         self._strip = st = _Strip(self.inner, abs(self.pole), 2.0**-53)
-        self.domain = domains.Annulus(self.inner)
         self._disk = DiskGreen(self.pole)
         self.gap = min(self._disk.gap, abs(self.pole) - self.inner)
         self.n_modes, self.tail_bound = 2 * st.n + 1, st.tail
@@ -291,7 +289,7 @@ def _crossings(green, t, phis):
     if first.any():
         f_lo[first] = green.value(w + lo[first] * d[first]) - t
     return find_root_monotone(
-        lambda s, d: green.value(w + s * d) - t, lo, hi, _TRACE_TOL, args=(d,), f_lo=f_lo, f_hi=f_hi
+        lambda s, d: green.value(w + s * d) - t, lo, hi, _TRACE_REL_TOL, args=(d,), f_lo=f_lo, f_hi=f_hi
     )
 
 
@@ -369,9 +367,9 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     density = float(np.sum(speed / absg) * dphi)
     area = 0.5 * float(np.sum(s**2) * dphi)
     # the even nodes are the n/2-node grid; each root is good to the bracket
-    # width at which find_root_monotone stops, abs_tol + rel_tol * s
+    # width at which find_root_monotone stops, rel_tol * s
     trapezoid_err = abs(area - float(np.sum(s[::2] ** 2) * dphi))
-    root_err = float(np.sum(s * (_TRACE_TOL.abs_tol + _TRACE_TOL.rel_tol * s)) * dphi)
+    root_err = float(np.sum(s * (_TRACE_REL_TOL * s)) * dphi)
     iso = length**2 / (4.0 * math.pi * area)
     return LevelStats(
         t=t,

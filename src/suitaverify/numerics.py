@@ -1,7 +1,8 @@
 """Shared numerical kernels: root bracketing, tanh-sinh quadrature, sample streams.
 
 Everything here is pure and reentrant; streams are scrambled Sobol value
-objects that can be split by seed derivation for parallel grids.
+objects that can be split by seed derivation for parallel grids.  The root
+finder takes one relative tolerance and raises at its first failure.
 
 The root finder and the quadrature are numpy only.  The sampler imports
 ``scipy.stats.qmc`` when first called (``experiment``, ``verify-all``
@@ -18,8 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "BracketError",
     "ConvergenceError",
     "SampleStream",
@@ -34,43 +33,31 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
+    """An iterative routine exhausted its budget or met a non-finite value."""
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_TOL = Tolerance()
 
 log = logging.getLogger(__name__)
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+# iteration budget of find_root_monotone
+_ROOT_MAX_ITER = 200
 
 
-def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=(), f_lo=None, f_hi=None):
+def find_root_monotone(f, lo, hi, rel_tol=1e-10, args=(), f_lo=None, f_hi=None):
     """Root of a continuous monotone function on a bracketing interval.
 
     Chandrupatla's bracketing method (Adv. Eng. Software 28, 1997) with the
     termination rules of ``scipy.optimize.elementwise.find_root``: ``f`` acts
     elementwise, ``lo``/``hi`` may be arrays of brackets broadcast with the
     per-element data in ``args``, and every bracket is solved at once, each
-    call of ``f`` taking the unfinished ones only.  ``f_lo``/``f_hi``, when
+    call of ``f`` taking the unfinished ones only.  A bracket is done when f
+    at one end is at rounding or its width is below ``rel_tol`` (at least
+    4 eps) times the end with the smaller |f|.  ``f_lo``/``f_hi``, when
     given, are f at the ends and save the two initial calls.  The first step
     is the secant, and the root returned is the secant point of the final
     bracket, which costs no call.  Raises BracketError when some f(lo) and
-    f(hi) have the same strict sign and ConvergenceError when any other
-    element fails (iteration budget, non-finite values).
+    f(hi) have the same strict sign, and ConvergenceError at the first NaN
+    value or non-finite point, or when a bracket is unfinished after
+    ``_ROOT_MAX_ITER`` steps.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *(np.shape(a) for a in args))
     # the unfinished elements: their flat indices and their entries of ``args``
@@ -82,29 +69,27 @@ def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=(), f_lo=None, f_hi=None
 
     f1 = call(x1) if f_lo is None else np.array(np.broadcast_to(f_lo, shape), dtype=float).ravel()
     f2 = call(x2) if f_hi is None else np.array(np.broadcast_to(f_hi, shape), dtype=float).ravel()
+    # checked once: each step keeps a sign change between f1 and f2
+    flat = (np.sign(f1) == np.sign(f2)) & (np.minimum(np.abs(f1), np.abs(f2)) > _TINY)
+    if flat.any():
+        raise BracketError(f"no sign change on {np.count_nonzero(flat)} of {flat.size} brackets")
+    rel_tol = max(rel_tol, 4 * _EPS)
     x3 = f3 = None
-    xatol, xrtol = max(tol.abs_tol, 1e-300), max(tol.rel_tol, 4 * _EPS)
-    root, status, width = np.empty(x1.size), np.empty(x1.size, dtype=int), np.empty(x1.size)
+    root, width = np.empty(x1.size), np.empty(x1.size)
     nit = 0
     while True:
         with np.errstate(all="ignore"):
             small = np.abs(f1) < np.abs(f2)
             xmin, fmin = np.where(small, x1, x2), np.where(small, f1, f2)
-            dx, tol_x = np.abs(x2 - x1), np.abs(xmin) * xrtol + xatol
-            # the first rule that holds decides: f at rounding (0), no sign change (-1), non-finite
-            # values (-3), a bracket within tolerance (0); else unfinished (1)
-            code = np.where(dx < tol_x, 0, 1)
-            code = np.where(~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)), -3, code)
-            code = np.where(np.sign(f1) == np.sign(f2), -1, code)
-            code = np.where(np.abs(fmin) <= _TINY, 0, code)
-            if nit == tol.max_iter:
-                code[code == 1] = -2
-            done = code != 1
+            dx, tol_x = np.abs(x2 - x1), np.abs(xmin) * rel_tol + 1e-300
+            if not np.isfinite(dx).all() or np.isnan(f1).any() or np.isnan(f2).any():
+                raise ConvergenceError(f"root finder met a non-finite point or value after {nit} iterations")
+            done = (dx < tol_x) | (np.abs(fmin) <= _TINY)
             if done.any():
                 sec = xmin - fmin * ((x2 - x1) / (f2 - f1))
                 sec = np.where(np.isfinite(sec), np.clip(sec, np.minimum(x1, x2), np.maximum(x1, x2)), xmin)
                 i = idx[done]
-                root[i], status[i], width[i] = sec[done], code[done], dx[done]
+                root[i], width[i] = sec[done], dx[done]
                 keep = ~done
                 idx, extra = idx[keep], [a[keep] for a in extra]
                 x1, f1, x2, f2, dx, tol_x = x1[keep], f1[keep], x2[keep], f2[keep], dx[keep], tol_x[keep]
@@ -112,6 +97,8 @@ def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=(), f_lo=None, f_hi=None
                     x3, f3 = x3[keep], f3[keep]
             if not x1.size:
                 break
+            if nit == _ROOT_MAX_ITER:
+                raise ConvergenceError(f"{x1.size} brackets unfinished after {_ROOT_MAX_ITER} iterations")
             if x3 is None:
                 # first step: the secant through the ends
                 t = f1 / (f1 - f2)
@@ -133,10 +120,6 @@ def find_root_monotone(f, lo, hi, tol=DEFAULT_TOL, args=(), f_lo=None, f_hi=None
     log.debug(
         "root finder: %d brackets, %d iterations, widest final bracket %.3g", root.size, nit, width.max(initial=0.0)
     )
-    if np.any(status == -1):
-        raise BracketError(f"no sign change on {np.count_nonzero(status == -1)} of {status.size} brackets")
-    if np.any(status != 0):
-        raise ConvergenceError(f"root finder failed (status {status.min()}) within {tol.max_iter} iterations")
     return float(root[0]) if shape == () else root.reshape(shape)
 
 

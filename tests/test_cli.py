@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from suitaverify import checks
+from suitaverify import checks, cli
 from suitaverify.cli import run
 from suitaverify.numerics import ConvergenceError
 
@@ -53,6 +53,11 @@ class TestKernelCommand:
     def test_boundary_point_is_validation_error(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [1.0]}'
         assert run(["kernel", "--domain", dom, "--w", "[1.0]"]) == 1
+
+    @pytest.mark.parametrize("dom", ["[1, 2]", '{"variant": "ellipsoid"}'], ids=["list", "no-p"])
+    def test_malformed_domain_is_validation_error(self, dom, capsys):
+        assert run(["kernel", "--domain", dom]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestGreenCommand:
@@ -321,6 +326,19 @@ class TestParser:
 
     def test_bad_base_point(self, capsys):
         assert run(["kernel", "--annulus", "0.2", "--w", "zebra"]) == 1
+
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys):
+        assert run(["suita-f", "--g2", "--out", str(tmp_path / "missing" / "x.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("error", cli._NUMERICAL_ERRORS, ids=lambda error: error.__name__)
+    def test_numerical_errors_exit_2(self, error, monkeypatch, capsys):
+        def fail(args):
+            raise error("stub failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "green", fail)
+        assert run(["green", "--r", "0.2"]) == 2
+        assert capsys.readouterr().err == "numerical failure: stub failure\n"
 
 
 def _stub(name, verdicts, sampling=False):

@@ -213,6 +213,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json('{"variant": "torus"}')
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["[1, 2]", '"ellipsoid"', '{"variant": "ellipsoid"}', '{"variant": "annulus"}', '{"variant": "polydisk"}'],
+        ids=["list", "string", "ellipsoid-without-p", "annulus-without-r", "polydisk-without-n"],
+    )
+    def test_malformed_spec(self, spec):
+        with pytest.raises(ValueError):
+            from_json(spec)
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             Ellipsoid((-1.0,))

@@ -6,33 +6,17 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from suitaverify import numerics
 from suitaverify.domains import EllipsoidFamilyParams
 from suitaverify.indicatrix import indicatrix_volume_closed
 from suitaverify.numerics import (
-    DEFAULT_TOL,
     BracketError,
     ConvergenceError,
     SampleStream,
-    Tolerance,
     find_root_monotone,
     golden_section_max,
     integrate_1d,
 )
-
-
-class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOL.abs_tol == 1e-12
-        assert DEFAULT_TOL.rel_tol == 1e-10
-        assert DEFAULT_TOL.max_iter == 200
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=0.0, rel_tol=0.0)
-
-    def test_rejects_bad_iter(self):
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
 
 
 class TestRootFinder:
@@ -73,9 +57,10 @@ class TestRootFinder:
         with pytest.raises(BracketError):
             find_root_monotone(lambda x, c: x * x - c, np.zeros(3), np.full(3, 3.0), args=(c,))
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            find_root_monotone(lambda x: x**3 - 2.0 * x - 5.0, 1.0, 3.0, Tolerance(max_iter=1))
+            find_root_monotone(lambda x: x**3 - 2.0 * x - 5.0, 1.0, 3.0)
 
     @pytest.mark.parametrize(
         "f",
@@ -93,7 +78,7 @@ class TestRootFinder:
         from scipy.optimize import elementwise
 
         c = np.linspace(0.5, 10.0, 40)
-        x = find_root_monotone(f, -0.9, 20.0, Tolerance(abs_tol=1e-300, rel_tol=1e-15), args=(c,))
+        x = find_root_monotone(f, -0.9, 20.0, rel_tol=1e-15, args=(c,))
         ref = elementwise.find_root(f, (-0.9, 20.0), args=(c,), tolerances=dict(xatol=1e-300, xrtol=1e-15)).x
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).min()
 
@@ -115,6 +100,17 @@ class TestRootFinder:
     def test_non_finite_values(self):
         with pytest.raises(ConvergenceError):
             find_root_monotone(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_first_nan_ends_the_solve(self):
+        values = []
+
+        def f(x):
+            values.append(np.where(x > 0.5, np.nan, -1.0))
+            return values[-1]
+
+        with pytest.raises(ConvergenceError):
+            find_root_monotone(f, 0.0, 1.0, f_lo=-1.0, f_hi=1.0)
+        assert [bool(np.isnan(v).any()) for v in values] == [False] * (len(values) - 1) + [True]
 
     def test_scalar_bracket_gives_a_float(self):
         assert type(find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0)) is float
@@ -140,8 +136,8 @@ class TestRootFinder:
         (rec,) = [r for r in caplog.records if r.name == "suitaverify.numerics"]
         assert rec.levelno == logging.DEBUG
         brackets, iterations, widest = rec.args
-        assert brackets == 3 and 1 <= iterations <= DEFAULT_TOL.max_iter
-        assert 0.0 < widest <= DEFAULT_TOL.abs_tol + DEFAULT_TOL.rel_tol * x.max()
+        assert brackets == 3 and 1 <= iterations <= numerics._ROOT_MAX_ITER
+        assert 0.0 < widest <= 1e-10 * x.max()
 
 
 class TestQuadrature:
