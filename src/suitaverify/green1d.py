@@ -42,6 +42,9 @@ _TRACE_REL_TOL = 1e-12
 # flux by about 0.02 spacing(|w|) / s (measured); a start within this many spacings of the pole
 # would cost the flux more than 2e-8, so such a level is refused.
 _START_SPACINGS = 2.0**20
+# Below half the float spacing at 1, 1 - |w| keeps no digit of |w|, and the strip's
+# x1 = -log1p(|w| - 1) is wrong or infinite: the annulus refuses such a pole.
+_POLE_MIN = 2.0**-53
 
 
 class CriticalLevelError(RuntimeError):
@@ -124,6 +127,8 @@ class _Strip:
             raise ValueError("inner radius must lie in (0, 1)")
         if not r < w0 < 1.0:
             raise ValueError("the point must lie inside the annulus")
+        if w0 < _POLE_MIN:
+            raise ValueError(f"pole modulus {w0:.3g} is below {_POLE_MIN:.3g}: 1 - |w| keeps none of its digits")
         h = -math.log(r)
         self.c, kappa = math.pi / (2.0 * h), math.pi**2 / h
         # x0 and x1 = h - x0 = -log w0, each without cancellation next to its circle
@@ -415,8 +420,9 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     box_area = (x1 - x0) * (y1 - y0)
     u = stream.points(count)
     hit_count = 0
-    for lo in range(0, count, 65536):  # chunked: bounds the per-image temporaries
-        uc = u[lo : lo + 65536]
+    # chunks of 2^14 points bound value's per-image temporaries (128 KiB per float array)
+    for lo in range(0, count, 2**14):
+        uc = u[lo : lo + 2**14]
         chunk = (x0 + (x1 - x0) * uc[:, 0]) + 1j * (y0 + (y1 - y0) * uc[:, 1])
         mask = green.in_domain(chunk)
         if np.any(mask):

@@ -4,16 +4,14 @@ Everything here is pure and reentrant; streams are scrambled Sobol value
 objects that can be split by seed derivation for parallel grids.  The root
 finder takes one relative tolerance and raises at its first failure.
 
-The root finder and the quadrature are numpy only.  The sampler imports
-``scipy.stats.qmc`` when first called (``experiment``, ``verify-all``
-without ``--quick``), so importing the package loads numpy and
-``scipy.special`` only.
+All of it is numpy only: the sampler reproduces scipy's scrambled Sobol
+engine bit for bit without loading ``scipy.stats``, so no command loads a
+scipy subpackage other than ``scipy.special``.
 """
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,10 +175,40 @@ def integrate_1d(f, a, b):
     return estimate
 
 
+# Sobol direction numbers of 30 bits, so at most 2^30 points; dimension 1 is van der Corput, and
+# dimensions 2-4 take Joe & Kuo's primitive polynomial (degree s, coefficient bits a) and initial
+# numbers m_1..m_s
+_SOBOL_BITS = 30
+_SOBOL_POLYS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_SOBOL_MAX_DIM = len(_SOBOL_POLYS) + 1
+
+
+def _sobol_directions(dimension):
+    """Direction numbers v[j, k], bit k of dimension j at the top of a 30-bit word."""
+    v = np.empty((dimension, _SOBOL_BITS), dtype=np.uint32)
+    v[0] = [1 << (_SOBOL_BITS - 1 - k) for k in range(_SOBOL_BITS)]
+    for j, (s, a, m) in enumerate(_SOBOL_POLYS[: dimension - 1], start=1):
+        row = [mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
+        for k in range(s, _SOBOL_BITS):
+            x = row[k - s] ^ (row[k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    x ^= row[k - i]
+            row.append(x)
+        v[j] = row
+    return v
+
+
 @dataclass(frozen=True)
 class SampleStream:
-    """Deterministic scrambled Sobol point stream in the unit cube.
+    """Deterministic scrambled Sobol point stream in the unit cube, dimensions 1 to 4.
 
+    Sobol points with Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 30, 2008), scrambled
+    by a random lower-triangular matrix and a digital shift (Matousek, J. Complexity 14, 1998),
+    in the Gray-code order of Antonov & Saleev (USSR Comput. Math. Math. Phys. 19, 1979).  The
+    random bits come from ``np.random.default_rng(seed)`` in the order scipy's engine draws
+    them, so ``points(n)`` is byte-identical to
+    ``scipy.stats.qmc.Sobol(dimension, scramble=True, seed=seed).random(n)``, in numpy only.
     The same (dimension, seed) always reproduces the identical sequence.
     """
 
@@ -188,19 +216,37 @@ class SampleStream:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        if not 1 <= self.dimension <= _SOBOL_MAX_DIM:
+            raise ValueError(f"dimension must lie in 1..{_SOBOL_MAX_DIM}")
 
     def points(self, count):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        from scipy.stats import qmc
-
-        with warnings.catch_warnings():
-            # balance warning for non power-of-two counts is informational
-            warnings.simplefilter("ignore", UserWarning)
-            engine = qmc.Sobol(d=self.dimension, scramble=True, seed=self.seed)
-            return engine.random(count)
+        if not 1 <= count <= 2**_SOBOL_BITS:
+            raise ValueError(f"count must lie in 1..2^{_SOBOL_BITS}")
+        d, bits = self.dimension, _SOBOL_BITS
+        rng = np.random.default_rng(self.seed)
+        up = np.arange(bits, dtype=np.uint32)
+        # scipy's draws in its order: the bits of the digital shift, lowest first, then the matrices,
+        # whose diagonal scipy sets to 1
+        shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (np.uint32(1) << up)
+        ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+        ltm[:, up, up] = 1
+        down = up[::-1]
+        # the scramble multiplies the bit columns of v, top bit first, by ltm over GF(2)
+        v_bits = (_sobol_directions(d)[:, None, :] >> down[:, None]) & 1
+        v = ((ltm @ v_bits) & 1).transpose(0, 2, 1) @ (np.uint32(1) << down)
+        # point i is the shift xor the v_k of the bits k of i's Gray code: each bit doubles the
+        # points so far, xor-ing v_k into them in reverse order
+        sample, a = np.empty((count, d)), np.empty(count, dtype=np.uint32)
+        for j in range(d):
+            a[0], h = shift[j], 1
+            for vk in v[j]:
+                if h >= count:
+                    break
+                m = min(h, count - h)
+                np.bitwise_xor(a[h - 1 :: -1][:m], vk, out=a[h : h + m])
+                h *= 2
+            np.multiply(a, 2.0**-bits, out=sample[:, j])
+        return sample
 
     def split(self, index):
         """Derived stream for parallel cell ``index`` of a grid."""

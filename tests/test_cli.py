@@ -90,6 +90,11 @@ class TestGreenCommand:
     def test_pole_outside_is_validation_error(self, capsys):
         assert run(["green", "--r", "0.2", "--w", "0.1"]) == 1
 
+    def test_pole_below_rounding_of_one_is_validation_error(self, capsys):
+        # |w| = 1e-20: 1 - |w| rounds to 1, so the strip cannot place the pole
+        assert run(["green", "--r", "1e-40"]) == 1
+        assert capsys.readouterr().err == "error: pole modulus 1e-20 is below 1.11e-16: 1 - |w| keeps none of its digits\n"
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "green.json"
         assert run(["green", "--r", "0.2", "--out", str(out)]) == 0

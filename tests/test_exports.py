@@ -65,12 +65,9 @@ print(json.dumps(loaded))
 def test_commands_load_scipy_subpackages_only_when_used():
     src = str(Path(suitaverify.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    commands = NO_LAZY_IMPORT + [["verify-all", "--quick"]]
+    commands = NO_LAZY_IMPORT + [["verify-all"], ["experiment", "--r", "0.2", "--t-grid=-2,-1", "--samples", "4096"]]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    *plain, quick = json.loads(proc.stdout.splitlines()[-1])
-    assert plain == [[]] * len(NO_LAZY_IMPORT)
-    assert "scipy.stats" not in quick
-    assert "scipy.optimize" not in quick
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * len(commands)

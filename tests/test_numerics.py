@@ -205,10 +205,21 @@ class TestSampleStream:
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.filterwarnings("ignore:The balance properties")
-    @pytest.mark.parametrize("d, seed, n", [(2, 0, 2**10), (4, 11, 1000)])
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1024, 2**14 + 3, 2**20])
+    @pytest.mark.parametrize("seed", [0, 12345, SampleStream(2, 0).split(3).seed])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_is_scrambled_sobol(self, d, seed, n):
         expected = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
         assert SampleStream(d, seed).points(n).tobytes() == expected.tobytes()
+
+    def test_dimension_above_four_is_refused(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SampleStream(5)
+
+    def test_count_above_two_to_the_thirty_is_refused(self):
+        # raised before any allocation: 2^30 + 1 points would take 16 GiB
+        with pytest.raises(ValueError, match="count"):
+            SampleStream(2).points(2**30 + 1)
 
     def test_seeds_differ(self):
         a = SampleStream(2, seed=0).points(100)
