@@ -37,6 +37,8 @@ class KernelValue:
     value: float
     method: str
     error_bound: float = 0.0
+    # multi-indices summed by the monomial series, images by the annulus sum; None for closed forms
+    terms: int | None = None
 
     def __float__(self):
         return self.value
@@ -65,19 +67,21 @@ def _chunk_end(k, lo, rows):
 
 
 def _multi_indices(k, lo, hi):
-    """All alpha in N^k with lo <= |alpha| < hi, one row each.
+    """All alpha in N^k with lo <= |alpha| < hi: (columns, degree), the k
+    index columns and each row's |alpha|, as int64 arrays.
 
     The first k-1 coordinates range over every head of total at most hi-1,
     and each head is repeated once per admissible value of the last one.
     """
-    alpha = np.zeros((1, 0), dtype=np.int64)
+    cols, degree = [], np.zeros(1, dtype=np.int64)
     for col in range(k):
-        s = alpha.sum(axis=1)
-        start = np.maximum(lo - s, 0) if col == k - 1 else np.zeros_like(s)
-        counts = hi - s - start
+        start = np.maximum(lo - degree, 0) if col == k - 1 else np.zeros_like(degree)
+        counts = hi - degree - start
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        alpha = np.column_stack((np.repeat(alpha, counts, axis=0), np.repeat(start, counts) + within))
-    return alpha
+        cols = [np.repeat(c, counts) for c in cols]
+        cols.append(np.repeat(start, counts) + within)
+        degree = np.repeat(degree, counts) + cols[-1]
+    return cols, degree
 
 
 def kernel_reinhardt(domain, w):
@@ -87,10 +91,18 @@ def kernel_reinhardt(domain, w):
     so degrees in the thousands neither overflow nor underflow.  They are
     taken in chunks of whole degree blocks that grow from 2^8 to 2^16
     multi-indices; only a single block in four or more active coordinates
-    can hold more.  The block sums
+    can hold more.  The log term of a row is a sum of per-coordinate table
+    entries ``alpha_j log|w_j|^2 - own_j(alpha_j)`` (``domains.log_norm_parts``)
+    plus the coupling term, which is taken once per degree where the active
+    exponents are equal and once per row otherwise; coordinates with w_j = 0
+    enter only through alpha_j = 0.  So a chunk holds per row its k index
+    columns and its degree (int64) and two float64 arrays, the log terms and
+    their exponentials, and two more float64 arrays while a per-row coupling
+    is taken.  The block sums
     decay geometrically in the Minkowski functional of w, which also gives
     the tail estimate reported in ``error_bound``.  All terms are positive,
-    so the partial sum is a one-sided lower bound on K(w).
+    so the partial sum is a one-sided lower bound on K(w); ``terms`` counts
+    the multi-indices summed.
 
     The series is summed to rounding: it stops at the first degree from 8 on
     whose block is below ROUNDING_SHARE of the total.  Past TERM_BUDGET terms
@@ -104,25 +116,47 @@ def kernel_reinhardt(domain, w):
         raise ValueError("base point has wrong dimension")
     if not domains.contains(domain, w):
         raise ValueError("base point on or outside the boundary: series diverges")
-    # coordinates with w_j = 0 contribute only alpha_j = 0
     active = np.flatnonzero(w)
     if active.size == 0:
         norm = domains.monomial_norm(domain, np.zeros(domain.dimension), log=True)
-        return KernelValue(math.exp(-norm), "monomial-series")
-    log_w2 = 2.0 * np.log(np.abs(w[active]))
+        return KernelValue(math.exp(-norm), "monomial-series", terms=1)
     k = active.size
+    log_w2 = 2.0 * np.log(np.abs(w[active]))
+    # coordinates that no table carries contribute their alpha_j = 0 parts as constants
+    own0, share0 = domains.log_norm_parts(domain, np.zeros(domain.dimension))
+    rest = -float(np.sum(np.delete(own0, active)))
+    # with equal active exponents, every row of degree d has the coupling of the
+    # row that puts all of d on the first active coordinate
+    by_degree = share0 is not None and np.all(share0[active] == share0[active[0]])
+    if share0 is not None:
+        share_rest = float(np.sum(np.delete(share0, active[:1] if by_degree else active)))
     total, prev, lo, terms = 0.0, 0.0, 0, 0
     while True:
         room = TERM_BUDGET - terms
         if math.comb(lo + k - 1, k - 1) > room:
             raise ConvergenceError(f"kernel series did not converge within {TERM_BUDGET} terms")
         hi = _chunk_end(k, lo, min(_CHUNK, max(_FIRST_CHUNK, terms), room))
-        alpha = _multi_indices(k, lo, hi)
-        full = np.zeros((len(alpha), domain.dimension))
-        full[:, active] = alpha
-        log_terms = alpha @ log_w2 - domains.monomial_norm(domain, full, log=True)
-        blocks = np.bincount(alpha.sum(axis=1) - lo, weights=np.exp(log_terms), minlength=hi - lo)
-        terms += len(alpha)
+        cols, degree = _multi_indices(k, lo, hi)
+        # per-coordinate tables: one active coordinate takes the values lo .. hi-1
+        # only, several take 0 .. hi-1
+        base = lo if k == 1 else 0
+        a = np.arange(base, hi)[:, None]
+        own, share = domains.log_norm_parts(domain, a, active)
+        table = (a * log_w2 - own).T
+        log_terms = rest + table[0][cols[0] - base]
+        for j in range(1, k):
+            log_terms += table[j][cols[j]]
+        if by_degree:
+            lead = share[lo - base :, 0]  # the first active coordinate's share at a = lo .. hi-1
+            log_terms += domains.log_norm_coupling(share_rest + lead)[degree - lo]
+        elif share is not None:
+            share = share.T
+            row_share = share_rest + share[0][cols[0]]
+            for j in range(1, k):
+                row_share += share[j][cols[j]]
+            log_terms += domains.log_norm_coupling(row_share)
+        blocks = np.bincount(degree - lo, weights=np.exp(log_terms), minlength=hi - lo)
+        terms += len(degree)
         running = total + np.cumsum(blocks)
         before = np.concatenate(([prev], blocks[:-1]))
         ratio = np.divide(blocks, before, out=np.zeros_like(blocks), where=before > 0)
@@ -137,7 +171,8 @@ def kernel_reinhardt(domain, w):
                 "monomial series: degree %d, %d terms, tail estimate %.3g",
                 lo + stop, terms, tail,
             )
-            return KernelValue(total, "monomial-series", tail)
+            # degrees 0 .. lo + stop of N^k hold comb(lo + stop + k, k) multi-indices
+            return KernelValue(total, "monomial-series", tail, math.comb(lo + stop + k, k))
         total += float(np.sum(blocks))
         prev, lo = blocks[-1], hi
 
@@ -156,8 +191,9 @@ def kernel_annulus(r, w):
     st = green1d._Strip(float(r), w0, ROUNDING_SHARE)
     scale = (st.c / w0) ** 2 / math.pi
     err = scale * st.tail
-    log.debug("annulus series: %d images, tail bound %.3g", 2 * st.n + 1, err)
-    return KernelValue(scale / st.s**2 * (1.0 + st.kernel_images), "annulus-series", err)
+    images = 2 * st.n + 1
+    log.debug("annulus series: %d images, tail bound %.3g", images, err)
+    return KernelValue(scale / st.s**2 * (1.0 + st.kernel_images), "annulus-series", err, images)
 
 
 def kernel_ellipsoid_closed(p, b):

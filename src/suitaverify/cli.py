@@ -144,7 +144,7 @@ def _cmd_kernel(args):
         k = bergman.kernel_reinhardt(dom, w)
     else:
         raise _ArgumentError("choose one of --g2, --annulus, --domain")
-    _emit(args, {"value": k.value, "method": k.method, "error_bound": k.error_bound})
+    _emit(args, {"value": k.value, "method": k.method, "error_bound": k.error_bound, "terms": k.terms})
     return 0
 
 

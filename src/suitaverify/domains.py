@@ -28,6 +28,8 @@ __all__ = [
     "minkowski_functional",
     "volume",
     "monomial_norm",
+    "log_norm_parts",
+    "log_norm_coupling",
     "from_json",
 ]
 
@@ -189,32 +191,50 @@ def volume(domain):
     raise TypeError(f"unsupported domain {domain!r}")
 
 
+def log_norm_parts(domain, alpha, coords=None):
+    """The parts of log ||z^alpha||^2 that each depend on one entry alpha_j: (own, share).
+
+    log ||z^alpha||^2 = sum_j own_j - log_norm_coupling(sum_j share_j), summed over all
+    n coordinates.  On an ellipsoid own_j = log(pi / p_j) + log Gamma((alpha_j + 1) / p_j)
+    + 2 (alpha_j + 1) log R_j and share_j = (alpha_j + 1) / p_j; on the polydisk
+    own_j = log(pi / (alpha_j + 1)) and share is None, for it has no coupling term.
+    The last axis of ``alpha`` runs over the coordinates ``coords`` (all by default),
+    so a column of exponents gives one table per coordinate.
+    """
+    a1 = np.asarray(alpha, dtype=float) + 1.0
+    if isinstance(domain, Polydisk):
+        return math.log(math.pi) - np.log(a1), None
+    if not isinstance(domain, Ellipsoid):
+        raise TypeError(f"unsupported domain {domain!r}")
+    sel = slice(None) if coords is None else coords
+    p = np.asarray(domain.exponents)[sel]
+    log_r = np.log(np.asarray(domain.radii)[sel])
+    share = a1 / p
+    return (math.log(math.pi) - np.log(p)) + gammaln(share) + 2.0 * a1 * log_r, share
+
+
+def log_norm_coupling(share_sum):
+    """The term of log ||z^alpha||^2 that couples the coordinates, from sum_j share_j."""
+    return gammaln(1.0 + share_sum)
+
+
 def monomial_norm(domain, alpha, log=False):
     """Squared L^2 norm of z^alpha over an ellipsoid or polydisk, or its natural log.
 
     ``alpha`` is a multi-index of non-negative integers, or an array of them
-    indexed by the last axis, which gives an array of norms.  The log form
+    indexed by the last axis, which gives an array of norms; any other entry
+    raises ValueError.  The log form, assembled from ``log_norm_parts``,
     neither overflows nor underflows at high degree.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.shape[-1] != domain.dimension or np.any(alpha < 0):
-        raise ValueError("multi-index must be non-negative of the domain dimension")
-    a1 = alpha + 1.0
-    n = domain.dimension
-    if isinstance(domain, Polydisk):
-        lg = n * math.log(math.pi) - np.sum(np.log(a1), axis=-1)
-    elif isinstance(domain, Ellipsoid):
-        p = np.asarray(domain.exponents)
-        r = np.asarray(domain.radii)
-        lg = (
-            n * math.log(math.pi)
-            - float(np.sum(np.log(p)))
-            + np.sum(gammaln(a1 / p), axis=-1)
-            - gammaln(1.0 + np.sum(a1 / p, axis=-1))
-            + 2.0 * np.sum(a1 * np.log(r), axis=-1)
-        )
-    else:
-        raise TypeError(f"unsupported domain {domain!r}")
+    alpha = np.atleast_1d(np.asarray(alpha))
+    if alpha.shape[-1] != domain.dimension:
+        raise ValueError("multi-index must have the domain dimension")
+    if not np.all(np.isfinite(alpha) & (alpha >= 0) & (alpha == np.floor(alpha))):
+        raise ValueError("multi-index entries must be non-negative integers")
+    own, share = log_norm_parts(domain, alpha)
+    lg = np.sum(own, axis=-1)
+    if share is not None:
+        lg = lg - log_norm_coupling(np.sum(share, axis=-1))
     out = lg if log else np.exp(lg)
     return float(out) if out.ndim == 0 else out
 

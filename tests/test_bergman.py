@@ -109,6 +109,7 @@ class TestKernelReinhardt:
             k = kernel_reinhardt(dom, np.zeros(dom.dimension))
             assert k.value == pytest.approx(1.0 / domains.volume(dom), rel=1e-12)
             assert k.error_bound == 0.0
+            assert k.terms == 1
 
     @pytest.mark.parametrize("p,b", [(1.0, 0.3), (2.0, 0.6), (5.0, 0.2)])
     def test_matches_closed_form_axis(self, p, b):
@@ -145,12 +146,23 @@ class TestKernelReinhardt:
         # the partial sum of positive terms is a lower bound; the tail is at rounding
         assert k.error_bound < 1e-15 * k.value
 
-    def test_off_axis_ellipsoid_matches_loop_reference(self):
+    @pytest.mark.parametrize(
+        "dom,w",
+        [
+            (Ellipsoid((0.7, 1.5, 2.0)), [0.15, 0.2j, -0.3]),
+            (Ellipsoid((0.7, 1.5, 2.0), radii=(1.3, 0.8, 1.1)), [0.2, 0.15j, -0.3]),
+            # a zero coordinate whose exponent differs from the active ones,
+            # which are equal in the first case and unequal in the second
+            (Ellipsoid((3.0, 1.0, 1.0)), [0.0, 0.3, 0.25j]),
+            (Ellipsoid((0.7, 3.0, 2.0), radii=(1.0, 0.9, 1.0)), [0.25, 0.0, -0.3]),
+        ],
+        ids=["unit-radii", "radii", "zero-coordinate", "zero-coordinate-unequal"],
+    )
+    def test_off_axis_ellipsoid_matches_loop_reference(self, dom, w):
         # one multi-index at a time with the scalar norm, summed to degree 30:
         # the neglected tail is about (h^2)^30 with h the Minkowski functional,
         # and h < 0.46 because w / 0.46 lies in the domain
-        dom = Ellipsoid((0.7, 1.5, 2.0))
-        w = np.array([0.15, 0.2j, -0.3])
+        w = np.array(w, dtype=complex)
         absw = np.abs(w)
         ref = math.fsum(
             float(np.prod(absw ** (2.0 * np.array(alpha)))) / domains.monomial_norm(dom, alpha)
@@ -174,6 +186,8 @@ class TestKernelReinhardt:
         degree, terms, tail = rec.args
         assert degree >= 8 and terms >= (degree + 1) * (degree + 2) // 2
         assert tail == k.error_bound
+        # the value sums degrees 0 .. degree; the logged count also holds the rest of the last chunk
+        assert k.terms == (degree + 1) * (degree + 2) // 2
 
     def test_error_bound_is_honest(self, monkeypatch):
         # stopped far from rounding, the tail estimate must still cover the neglected terms
@@ -211,11 +225,13 @@ class TestKernelReinhardt:
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(
-    n=st.integers(2, 3),
-    direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
-    x=st.floats(0.0, 0.7),
+    n=st.integers(2, 4),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    share=st.floats(0.0, 1.0),
 )
-def test_ball_kernel_closed_form(n, direction, x):
+def test_ball_kernel_closed_form(n, direction, share):
+    # |w|^2 up to 0.7, and up to 0.4 in n = 4, whose degree blocks reach thousands of rows
+    x = share * (0.7 if n < 4 else 0.4)
     u = np.array(direction[:n]) + 1j * np.array(direction[n : 2 * n])
     size = np.linalg.norm(u)
     w = u * (math.sqrt(x) / size) if size > 1e-100 else np.zeros(n, dtype=complex)
@@ -315,7 +331,7 @@ class TestKernelAnnulus:
             (rec,) = [r for r in caplog.records if r.name == "suitaverify.bergman"]
             assert rec.levelno == logging.DEBUG
             images, tail = rec.args
-            assert images == 2 * n + 1
+            assert images == k.terms == 2 * n + 1
             assert tail == k.error_bound
 
     def test_validation(self):

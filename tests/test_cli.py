@@ -17,6 +17,7 @@ class TestKernelCommand:
         assert run(["kernel", "--g2"]) == 0
         payload = _json_out(capsys)
         assert payload["value"] == pytest.approx(2.0 / math.pi**2)
+        assert payload["terms"] is None
 
     def test_annulus_sqrt_point(self, capsys):
         assert run(["kernel", "--annulus", "0.2", "--w", "sqrt"]) == 0
@@ -24,17 +25,20 @@ class TestKernelCommand:
         assert payload["method"] == "annulus-series"
         assert payload["value"] > 0
         assert payload["error_bound"] < 1e-10
+        assert payload["terms"] == 7  # strip images at r = 0.2
 
     @pytest.mark.parametrize("w", ["0.9999999", "0.20000002"], ids=["outer", "inner"])
     def test_annulus_next_to_the_circles(self, capsys, w):
         assert run(["kernel", "--annulus", "0.2", "--w", w]) == 0
         payload = _json_out(capsys)
         assert payload["error_bound"] <= 1e-16 * payload["value"]
+        assert payload["terms"] == 7  # the image count depends on r alone
 
     def test_annulus_next_to_r_equal_one(self, capsys):
         assert run(["kernel", "--annulus", "0.999999", "--w", "sqrt"]) == 0
         payload = _json_out(capsys)
         assert payload["error_bound"] <= 1e-16 * payload["value"]
+        assert payload["terms"] == 1
 
     def test_reinhardt_domain(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [0.5, 1.0]}'
@@ -42,6 +46,9 @@ class TestKernelCommand:
         payload = _json_out(capsys)
         expected = (1 + 1) / (4 * math.pi**2 * 0.3) * ((0.7) ** -3 - (1.3) ** -3)
         assert payload["value"] == pytest.approx(expected, rel=1e-8)
+        # one multi-index per degree on an axis point, degrees 0 .. 8 at least;
+        # the terms fall by about 0.3^2 per degree, so 1e-17 is reached before degree 40
+        assert 9 <= payload["terms"] <= 40
 
     def test_missing_selector_is_validation_error(self, capsys):
         assert run(["kernel"]) == 1

@@ -175,15 +175,30 @@ class TestMonomialNorm:
         assert scaled == pytest.approx(2.0 ** (2 * 2 + 2) * 2.0 ** (2 * 1 + 2) * base, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "dom", [Ellipsoid((0.7, 1.5, 2.0), radii=(1.0, 0.9, 1.1)), Polydisk(3)], ids=["ellipsoid", "polydisk"]
+        "dom",
+        [
+            Ellipsoid((0.7, 1.5, 2.0), radii=(1.0, 0.9, 1.1)),
+            Polydisk(3),
+            Ellipsoid((1.5, 1.5, 1.5)),
+            Ellipsoid((0.6, 1.0, 2.5, 4.0), radii=(1.0, 1.2, 0.8, 1.0)),
+        ],
+        ids=["ellipsoid", "polydisk", "equal-exponents", "ellipsoid4"],
     )
     def test_array_and_log_forms_match_rows(self, dom):
-        alpha = np.array([[0, 0, 0], [3, 1, 4], [200, 0, 7], [50, 60, 70]])
+        alpha = np.array([[0, 0, 0, 0], [3, 1, 4, 1], [200, 0, 7, 5], [50, 60, 70, 80]])[:, : dom.dimension]
         logs = monomial_norm(dom, alpha, log=True)
         assert logs.shape == (4,)
         for row, lg in zip(alpha, logs):
             assert lg == pytest.approx(math.log(monomial_norm(dom, row)), rel=1e-14, abs=1e-14)
         assert np.allclose(monomial_norm(dom, alpha), np.exp(logs), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("dom", [Ellipsoid((0.5, 1.0)), Polydisk(2)], ids=["ellipsoid", "polydisk"])
+    @pytest.mark.parametrize(
+        "alpha", [[-1, 2], [1, 2, 3], [0.5, 1], [1.7, 0], [np.inf, 0]], ids=["negative", "length", "half", "fraction", "inf"]
+    )
+    def test_rejects_what_is_not_a_multi_index(self, dom, alpha):
+        with pytest.raises(ValueError):
+            monomial_norm(dom, alpha)
 
     def test_log_form_beyond_double_range(self):
         # on {|z1/R| + |z2|^2 < 1}: ||z1^j||^2 = 2 pi^2 R^(2j+2) / ((2j+2)(2j+3)),
