@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bergman, checks, domains, green1d, indicatrix, suita
-from .domains import Annulus, EllipsoidFamilyParams
+from .domains import Annulus, EllipsoidFamilyParams, SymmetrizedBidisk
 from .indicatrix import EnvelopeGapError
 from .numerics import BracketError, ConvergenceError, SampleStream
 
@@ -38,51 +38,73 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+# the options each family uses, with their defaults; a family refuses the others
+_INDICATRIX_OPTIONS = {"ell1": {"m": 0.5, "n": 2, "b": 0.5}, "p": {"m": 0.5, "b": 0.5}, "g2": {}}
+_SCAN_OPTIONS = {"ell1": {"m": 0.5, "n": "2..6"}, "p": {"m_list": "0.5,2,8,32,128"}}
+
+
+def _family_options(args, options):
+    """Refuse a given option that ``args.family`` does not use; give the ones it uses their defaults."""
+    used = options[args.family]
+    for name in sorted(set().union(*options.values()) - used.keys()):
+        if getattr(args, name) is not None:
+            raise _ArgumentError(f"--{name.replace('_', '-')} does not apply to --family {args.family}")
+    vars(args).update({name: v for name, v in used.items() if getattr(args, name) is None})
+
+
+_W_HELP = "base point: a JSON list, on the annulus also a number or 'sqrt' (default: origin; sqrt(R) on the annulus)"
+
+
+def _add_domain_options(p):
+    """The domain selector, base point and JSON ``--out`` of ``kernel`` and ``suita-f``."""
+    sel = p.add_mutually_exclusive_group(required=True)
+    sel.add_argument("--g2", action="store_true", help="the symmetrized bidisk")
+    sel.add_argument("--annulus", type=float, metavar="R", help="the annulus { R < |z| < 1 }")
+    sel.add_argument("--domain", metavar="SPEC", help="any domain spec as inline JSON")
+    p.add_argument("--w", help=_W_HELP)
+    p.add_argument("--out", type=_json_path, help="JSON output file path")
+
+
+def _json_path(text):
+    if text.endswith(".csv"):
+        raise argparse.ArgumentTypeError("this command writes JSON; only indicatrix and scan write CSV")
+    return text
+
+
 def _build_parser():
     parser = _Parser(prog="suitaverify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel", help="Bergman kernel diagonal value")
-    p.add_argument("--domain", help="domain spec as inline JSON")
-    p.add_argument("--annulus", type=float, help="annulus inner radius")
-    p.add_argument("--g2", action="store_true", help="symmetrized bidisk at 0")
-    p.add_argument("--w", default="0", help="base point ('sqrt' = sqrt of the inner radius)")
-    p.add_argument("--out", default=None, help="output file path")
+    p = sub.add_parser("kernel", help="Bergman kernel diagonal value at a point of a domain")
+    _add_domain_options(p)
 
     p = sub.add_parser("green", help="annulus Green function diagnostics ('modes': strip images summed)")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--w", default="sqrt")
+    p.add_argument("--w", help=_W_HELP)
     p.add_argument("--levels", default="", help="comma-separated negative levels to trace")
-    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--out", type=_json_path, help="JSON output file path")
 
     p = sub.add_parser("indicatrix", help="indicatrix profile and volume")
-    p.add_argument("--family", choices=("ell1", "p", "g2"), default="ell1")
-    p.add_argument("--m", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--family", choices=tuple(_INDICATRIX_OPTIONS), default="ell1")
+    p.add_argument("--m", type=float, help="exponent m (ell1 and p; default 0.5)")
+    p.add_argument("--n", type=int, help="dimension (ell1; default 2)")
+    p.add_argument("--b", type=float, help="axis coordinate (ell1 and p; default 0.5)")
+    p.add_argument("--out", help="output file path; a .csv path writes the radial profile (ell1, g2)")
 
-    p = sub.add_parser("suita-f", help="the invariant F at a supported point")
-    p.add_argument("--g2", action="store_true")
-    p.add_argument("--domain", help="domain spec as inline JSON")
-    p.add_argument("--annulus", type=float)
-    p.add_argument("--w", default="0")
-    p.add_argument("--b", type=float, help="axis coordinate for ellipsoid specs")
-    p.add_argument("--out", default=None, help="output file path")
+    p = sub.add_parser("suita-f", help="the invariant F at a point of a domain")
+    _add_domain_options(p)
 
     p = sub.add_parser("scan", help="figure tables (b, F) along a family")
-    p.add_argument("--family", choices=("ell1", "p"), required=True)
-    p.add_argument("--m", type=float, default=0.5)
-    p.add_argument("--n", default="2..6", help="n range like 2..6 (ell1 family)")
-    p.add_argument("--m-list", default="0.5,2,8,32,128", help="m values (p family)")
+    p.add_argument("--family", choices=tuple(_SCAN_OPTIONS), required=True)
+    p.add_argument("--m", type=float, help="exponent m (ell1; default 0.5)")
+    p.add_argument("--n", help="n range like 2..6 (ell1; default 2..6)")
+    p.add_argument("--m-list", help="m values (p; default 0.5,2,8,32,128)")
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--out", help="output file path; a .csv path writes the curves and a .json beside them")
 
     p = sub.add_parser("experiment", help="sublevel-volume monotonicity experiment")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--w", default="sqrt")
+    p.add_argument("--w", help=_W_HELP)
     p.add_argument("--t-grid", default="-6,-5,-4,-3,-2,-1,-0.5")
     p.add_argument("--seed", type=int, default=0, help="sample stream seed")
     p.add_argument(
@@ -91,22 +113,35 @@ def _build_parser():
         default=2**20,
         help="hit-count points for the cross-check of the traced volumes and for any level that falls back",
     )
-    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--out", type=_json_path, help="JSON output file path")
 
     p = sub.add_parser("verify-all", help="run the full verification table")
     p.add_argument("--quick", action="store_true", help="skip sampling-heavy checks")
     return parser
 
 
-def _parse_w(text, r=None):
-    if text == "sqrt":
-        if r is None:
-            raise _ArgumentError("--w sqrt needs an annulus radius")
-        return complex(math.sqrt(r))
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise _ArgumentError(f"cannot parse base point {text!r}") from exc
+def _base_point(domain, text):
+    """The point ``--w`` names on ``domain``, as a complex array of its dimension."""
+    annulus = isinstance(domain, Annulus)
+    if text is None or annulus and text == "sqrt":
+        w = math.sqrt(domain.inner) if annulus else np.zeros(domain.dimension)
+    else:
+        try:
+            w = complex(text) if annulus and not text.lstrip().startswith("[") else json.loads(text)
+        except ValueError as exc:
+            raise _ArgumentError(f"cannot parse base point {text!r}") from exc
+    return domains._as_point(domain, w)
+
+
+def _selected(args):
+    """(domain, base point) from the selector and ``--w`` of ``kernel`` and ``suita-f``."""
+    if args.g2:
+        dom = SymmetrizedBidisk()
+    elif args.annulus is not None:
+        dom = Annulus(args.annulus)
+    else:
+        dom = domains.from_json(args.domain)
+    return dom, _base_point(dom, args.w)
 
 
 def _emit(args, payload, path=None):
@@ -131,25 +166,21 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_kernel(args):
-    if args.g2:
+    dom, w = _selected(args)
+    if isinstance(dom, SymmetrizedBidisk):
+        if w.any():
+            raise _ArgumentError("the symmetrized bidisk kernel is known at the origin only")
         k = bergman.kernel_g2_center()
-    elif args.annulus is not None:
-        if not 0.0 < args.annulus < 1.0:
-            raise _ArgumentError(f"annulus radius {args.annulus} outside (0, 1)")
-        w = _parse_w(args.w, args.annulus)
-        k = bergman.kernel_annulus(args.annulus, w)
-    elif args.domain:
-        dom = domains.from_json(args.domain)
-        w = np.asarray(json.loads(args.w), dtype=complex) if args.w != "0" else np.zeros(dom.dimension)
-        k = bergman.kernel_reinhardt(dom, w)
+    elif isinstance(dom, Annulus):
+        k = bergman.kernel_annulus(dom.inner, w[0])
     else:
-        raise _ArgumentError("choose one of --g2, --annulus, --domain")
-    _emit(args, {"value": k.value, "method": k.method, "error_bound": k.error_bound, "terms": k.terms})
+        k = bergman.kernel_reinhardt(dom, w)
+    _emit(args, asdict(k))
     return 0
 
 
 def _cmd_green(args):
-    w = _parse_w(args.w, args.r)
+    w = _base_point(Annulus(args.r), args.w)[0]
     g = green1d.AnnulusGreen(args.r, w)
     payload = {
         "r": args.r,
@@ -162,32 +193,15 @@ def _cmd_green(args):
     }
     levels = [float(t) for t in args.levels.split(",") if t.strip()]
     if levels:
-        payload["levels"] = []
-        for t in levels:
-            st = green1d.level_flux_and_isoperimetric(g, t)
-            payload["levels"].append(
-                {
-                    "t": t,
-                    "flux": st.flux,
-                    "density": st.density,
-                    "length": st.length,
-                    "area": st.area,
-                    "area_err": st.area_err,
-                    "iso_ratio": st.iso_ratio,
-                }
-            )
+        payload["levels"] = [asdict(green1d.level_flux_and_isoperimetric(g, t)) for t in levels]
     _emit(args, payload)
     return 0
 
 
-def _require_out_for_csv(args):
-    if args.format == "csv" and not args.out:
-        raise _ArgumentError("--format csv writes files and needs --out")
-
-
 def _cmd_indicatrix(args):
-    _require_out_for_csv(args)
-    if args.family == "p" and args.format == "csv":
+    _family_options(args, _INDICATRIX_OPTIONS)
+    csv_out = (args.out or "").endswith(".csv")
+    if args.family == "p" and csv_out:
         raise _ArgumentError("the p family has no radial profile to write as CSV")
     if args.family == "g2":
         profile = indicatrix.azukawa_g2_center()
@@ -206,7 +220,7 @@ def _cmd_indicatrix(args):
     else:
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
-    if args.format == "csv":
+    if csv_out:
         rs = np.linspace(0.0, profile.r_max, 512)
         _write_csv(args.out, ["r", "gamma"], zip(rs, profile.gamma(rs)))
         print(f"wrote {args.out}")
@@ -216,30 +230,9 @@ def _cmd_indicatrix(args):
 
 
 def _cmd_suita_f(args):
-    if args.g2:
-        ratio = suita.suita_F(domains.SymmetrizedBidisk())
-    elif args.annulus is not None:
-        w = _parse_w(args.w, args.annulus)
-        ratio = suita.suita_F(Annulus(args.annulus), np.array([w]))
-    elif args.domain:
-        dom = domains.from_json(args.domain)
-        w = np.zeros(dom.dimension, dtype=complex)
-        if args.b is not None:
-            w[0] = args.b
-        ratio = suita.suita_F(dom, w)
-    else:
-        raise _ArgumentError("choose one of --g2, --annulus, --domain")
+    ratio = suita.suita_F(*_selected(args))
     print(f"F = {ratio.F:.7f}")
-    _emit(
-        args,
-        {
-            "F": ratio.F,
-            "kernel": ratio.kernel.value,
-            "indicatrix_volume": ratio.indicatrix_volume,
-            "n": ratio.n,
-            "classification": ratio.classification,
-        },
-    )
+    _emit(args, {**asdict(ratio), "kernel": ratio.kernel.value})
     return 0
 
 
@@ -251,7 +244,7 @@ def _parse_range(text):
 
 
 def _cmd_scan(args):
-    _require_out_for_csv(args)
+    _family_options(args, _SCAN_OPTIONS)
     if args.grid < 2:
         raise _ArgumentError("grid must have at least 2 points")
     b_grid = np.linspace(1e-3, 1.0 - 1e-3, args.grid)
@@ -260,7 +253,7 @@ def _cmd_scan(args):
     else:
         m_list = [float(x) for x in getattr(args, "m_list").split(",") if x.strip()]
         report = suita.figure_scan("p", b_grid, m_list=m_list)
-    if args.format == "csv":
+    if (args.out or "").endswith(".csv"):
         rows = ((row["curve"], row["b"], row["F"]) for row in report.samples)
         _write_csv(args.out, ["curve", "b", "F"], rows)
         print(f"wrote {args.out}")
@@ -271,7 +264,7 @@ def _cmd_scan(args):
 
 
 def _cmd_experiment(args):
-    w = _parse_w(args.w, args.r)
+    w = _base_point(Annulus(args.r), args.w)[0]
     t_grid = [float(t) for t in getattr(args, "t_grid").split(",") if t.strip()]
     stream = SampleStream(dimension=2, seed=args.seed)
     report = suita.monotonicity_experiment(args.r, w, t_grid, stream, args.samples)

@@ -100,10 +100,9 @@ def _numeric_ratio(domain: Ellipsoid, b):
     return SuitaRatio(k, vol, 2, math.sqrt(k.value * vol), "convex")
 
 
-def _is_axis_point(w, n):
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if w.shape != (n,):
-        raise ValueError("base point has wrong dimension")
+def _is_axis_point(domain, w):
+    """(whether ``w`` lies on the first axis, ``w`` as a point of ``domain``); None is the origin."""
+    w = np.zeros(domain.dimension, dtype=complex) if w is None else domains._as_point(domain, w)
     return bool(np.all(w[1:] == 0)), w
 
 
@@ -116,14 +115,18 @@ def suita_F(domain, w=None):
     equal, else the numeric route in two dimensions; the annulus takes the
     image-sum kernel, the capacity form pi/c^2 of the indicatrix volume,
     and F from both image sums, where their common factors cancel exactly.
+    A base point of the wrong dimension, or off the origin of the
+    symmetrized bidisk, raises ValueError.
     """
     if isinstance(domain, SymmetrizedBidisk):
+        if _is_axis_point(domain, w)[1].any():
+            raise ValueError("the symmetrized bidisk is evaluated at the origin only")
         k = bergman.kernel_g2_center()
         vol = 2.0 * math.pi**2 / 3.0
         f = math.sqrt(k.value * vol)
         return SuitaRatio(k, vol, 2, f, "c-convex")
     if isinstance(domain, Annulus):
-        wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
+        wc = complex(domains._as_point(domain, w)[0])
         k = bergman.kernel_annulus(domain.inner, wc)
         g = green1d.AnnulusGreen(domain.inner, wc)
         vol = math.pi / green1d.robin_capacity(g) ** 2
@@ -134,9 +137,7 @@ def suita_F(domain, w=None):
         return SuitaRatio(k, vol, 1, 1.0 + (a + b + a * b), "none")
     if isinstance(domain, (Ellipsoid, Polydisk)):
         n = domain.dimension
-        if w is None:
-            w = np.zeros(n, dtype=complex)
-        on_axis, w = _is_axis_point(w, n)
+        on_axis, w = _is_axis_point(domain, w)
         if not w.any():
             vol = domains.volume(domain)
             k = KernelValue(1.0 / vol, "closed-form")
@@ -159,8 +160,8 @@ def maximize_F(m, n=2, tol=1e-6, family="ell1"):
     """Maximum of b -> F(b, 0, ..., 0) over (0, 1).
 
     family 'ell1' uses the closed form for { |z1| + sum |z_j|^{2m} < 1 };
-    family 'p' runs the numeric pipeline for { |z1|^{2m} + |z2|^2 < 1 }.
-    Returns (b_star, F_star).
+    family 'p' runs the numeric pipeline for { |z1|^{2m} + |z2|^2 < 1 }, so
+    n must be 2 there.  Returns (b_star, F_star).
     """
     if family == "ell1":
 
@@ -169,6 +170,8 @@ def maximize_F(m, n=2, tol=1e-6, family="ell1"):
 
         return golden_section_max(objective, 1e-4, 1.0 - 1e-4, tol=tol)
     if family == "p":
+        if n != 2:
+            raise ValueError(f"the p family is two-dimensional, not n = {n}")
         dom = Ellipsoid((float(m), 1.0))
 
         def objective(b):
@@ -189,13 +192,12 @@ def check_lower_bound_est1(domain, w, t):
     if t > 0:
         raise ValueError("require t <= 0")
     if isinstance(domain, (Ellipsoid, Polydisk)):
-        _, w = _is_axis_point(w if w is not None else np.zeros(domain.dimension), domain.dimension)
-        if w.any():
+        if _is_axis_point(domain, w)[1].any():
             raise ValueError("balanced case is evaluated at the center")
         # K = 1/lambda at the center and e^{-2nt} lambda({G<t}) = lambda exactly
         return 0.0, 0.0
     if isinstance(domain, Annulus):
-        wc = complex(np.atleast_1d(np.asarray(w, dtype=complex))[0])
+        wc = complex(domains._as_point(domain, w)[0])
         k = bergman.kernel_annulus(domain.inner, wc)
         g = green1d.AnnulusGreen(domain.inner, wc)
         st = green1d.level_flux_and_isoperimetric(g, t)

@@ -1,10 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from suitaverify import checks, cli
+from suitaverify import checks, cli, suita
 from suitaverify.cli import run
+from suitaverify.domains import Ellipsoid
 from suitaverify.numerics import ConvergenceError
 
 
@@ -14,10 +17,11 @@ def _json_out(capsys):
 
 class TestKernelCommand:
     def test_g2(self, capsys):
-        assert run(["kernel", "--g2"]) == 0
-        payload = _json_out(capsys)
-        assert payload["value"] == pytest.approx(2.0 / math.pi**2)
-        assert payload["terms"] is None
+        for selector in (["--g2"], ["--domain", '{"variant": "symmetrized_bidisk"}']):
+            assert run(["kernel", *selector]) == 0
+            payload = _json_out(capsys)
+            assert payload["value"] == pytest.approx(2.0 / math.pi**2)
+            assert payload["terms"] is None
 
     def test_annulus_sqrt_point(self, capsys):
         assert run(["kernel", "--annulus", "0.2", "--w", "sqrt"]) == 0
@@ -26,6 +30,10 @@ class TestKernelCommand:
         assert payload["value"] > 0
         assert payload["error_bound"] < 1e-10
         assert payload["terms"] == 7  # strip images at r = 0.2
+        # sqrt(r) is the default point, and an annulus spec selects the same domain
+        for selector in (["--annulus", "0.2"], ["--domain", '{"variant": "annulus", "r": 0.2}']):
+            assert run(["kernel", *selector]) == 0
+            assert _json_out(capsys) == payload
 
     @pytest.mark.parametrize("w", ["0.9999999", "0.20000002"], ids=["outer", "inner"])
     def test_annulus_next_to_the_circles(self, capsys, w):
@@ -134,7 +142,7 @@ class TestIndicatrixCommand:
     def test_profile_csv(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
         code = run(
-            ["indicatrix", "--family", "ell1", "--b", "0.3", "--out", str(out), "--format", "csv"]
+            ["indicatrix", "--family", "ell1", "--b", "0.3", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -147,12 +155,8 @@ class TestIndicatrixCommand:
 
     def test_p_family_csv_is_refused_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
-        assert run(["indicatrix", "--family", "p", "--out", str(out), "--format", "csv"]) == 1
+        assert run(["indicatrix", "--family", "p", "--out", str(out)]) == 1
         assert not out.exists()
-
-    def test_csv_without_out_is_refused(self, capsys):
-        assert run(["indicatrix", "--family", "g2", "--format", "csv"]) == 1
-        assert capsys.readouterr().out == ""
 
 
 class TestSuitaFCommand:
@@ -181,9 +185,11 @@ class TestSuitaFCommand:
 
     def test_ellipsoid_axis(self, capsys):
         dom = '{"variant": "ellipsoid", "p": [0.5, 1.0]}'
-        assert run(["suita-f", "--domain", dom, "--b", "0.3"]) == 0
+        assert run(["suita-f", "--domain", dom, "--w", "[0.3, 0]"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("F = 1.0023391\n")
         payload = json.loads(out[out.index("{") :])
+        assert payload["F"] == suita.suita_F(Ellipsoid((0.5, 1.0)), [0.3, 0]).F
         assert 1.0 < payload["F"] < 4.0
         assert payload["classification"] == "convex"
 
@@ -206,7 +212,7 @@ class TestScanCommand:
     def test_csv_artifacts(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code = run(
-            ["scan", "--family", "ell1", "--n", "2..2", "--grid", "8", "--out", str(out), "--format", "csv"]
+            ["scan", "--family", "ell1", "--n", "2..2", "--grid", "8", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -217,10 +223,6 @@ class TestScanCommand:
 
     def test_grid_too_small(self, capsys):
         assert run(["scan", "--family", "ell1", "--grid", "1"]) == 1
-
-    def test_csv_without_out_is_refused(self, capsys):
-        assert run(["scan", "--family", "ell1", "--n", "2..2", "--grid", "8", "--format", "csv"]) == 1
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("option", [["--family", "p", "--m-list", ""], ["--family", "ell1", "--n", "5..2"]])
     def test_empty_curve_list_is_validation_error(self, option, capsys):
@@ -297,23 +299,62 @@ class TestExperimentCommand:
         assert out.out == "" and out.err.startswith("error: t grid")
 
 
-# a cheap valid command per subcommand, then each option it used to accept and ignore
+# a cheap valid command per subcommand or family, then each option it used to accept and ignore
 _IGNORED_OPTIONS = (
-    (["kernel", "--g2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
-    (["green", "--r", "0.2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
-    (["indicatrix", "--family", "g2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--numeric"]),
-    (["suita-f", "--g2"], ["--tol", "1e-9"], ["--seed", "7"], ["--samples", "64"], ["--format", "json"]),
+    (
+        ["kernel", "--g2"],
+        ["--tol", "1e-9"],
+        ["--seed", "7"],
+        ["--samples", "64"],
+        ["--format", "json"],
+        ["--annulus", "0.2"],
+        ["--w", "0.5"],
+        ["--out", "x.csv"],
+    ),
+    (
+        ["green", "--r", "0.2"],
+        ["--tol", "1e-9"],
+        ["--seed", "7"],
+        ["--samples", "64"],
+        ["--format", "json"],
+        ["--out", "x.csv"],
+    ),
+    (
+        ["indicatrix", "--family", "g2"],
+        ["--tol", "1e-9"],
+        ["--seed", "7"],
+        ["--samples", "64"],
+        ["--numeric"],
+        ["--m", "5", "--b", "0.9"],
+        ["--format", "csv"],
+    ),
+    (["indicatrix", "--family", "p", "--m", "2", "--b", "0.4"], ["--n", "3"]),
+    (["indicatrix", "--family", "ell1"], ["--out", "x.csv", "--format", "csv"]),
+    (
+        ["suita-f", "--g2"],
+        ["--tol", "1e-9"],
+        ["--seed", "7"],
+        ["--samples", "64"],
+        ["--format", "json"],
+        ["--w", "[0.5, 0.2]"],
+        ["--out", "x.csv"],
+    ),
+    (["suita-f", "--domain", '{"variant": "ellipsoid", "p": [0.5, 1.0]}'], ["--b", "0.3"]),
     (
         ["scan", "--family", "ell1", "--n", "2..2", "--grid", "2"],
         ["--tol", "1e-9"],
         ["--seed", "7"],
         ["--samples", "64"],
+        ["--m-list", "2"],
+        ["--format", "csv"],
     ),
+    (["scan", "--family", "p", "--m-list", "2", "--grid", "2"], ["--n", "2..3", "--m", "4"]),
     (
         ["experiment", "--r", "0.2", "--t-grid=-2", "--samples", "64"],
         ["--tol", "1e-9"],
         ["--format", "json"],
         ["--kind", "monotonicity"],
+        ["--out", "x.csv"],
     ),
 )
 
@@ -330,8 +371,20 @@ class TestParser:
             for option in dropped
         ],
     )
-    def test_ignored_options_are_refused(self, command, option, capsys):
+    def test_ignored_options_are_refused(self, command, option, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert run([*command, *option]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not any(tmp_path.iterdir())
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("suitaverify ")]
+        assert len(lines) >= 10
+        parser = cli._build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
 
     def test_bad_flag_value(self, capsys):
         assert run(["green", "--r", "zebra"]) == 1

@@ -103,8 +103,16 @@ class TestSuitaF:
         assert res.kernel.value == pytest.approx(expected, rel=1e-13)
 
     def test_off_axis_rejected(self):
-        with pytest.raises(ValueError):
-            suita_F(Ellipsoid((0.5, 1.0)), np.array([0.2, 0.3]))
+        # off the axis, off the symmetrized-bidisk origin, or of the wrong dimension
+        for call in (
+            lambda: suita_F(Ellipsoid((0.5, 1.0)), np.array([0.2, 0.3])),
+            lambda: suita_F(SymmetrizedBidisk(), [0.5, 0.2]),
+            lambda: suita_F(Annulus(0.2), [0.5, 0.9]),
+            lambda: suita_F(ball(2), [0.3]),
+            lambda: check_lower_bound_est1(Annulus(0.2), [0.5, 0.9], -2.0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     def test_high_dim_irregular_rejected(self):
         with pytest.raises(ValueError):
@@ -129,8 +137,10 @@ class TestMaximizeF:
         assert f_star > 1.0
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            maximize_F(1.0, family="q")
+        # the p family is two-dimensional only
+        for n, family in ((2, "q"), (3, "p")):
+            with pytest.raises(ValueError):
+                maximize_F(1.0, n, family=family)
 
 
 class TestLowerBound:
