@@ -66,22 +66,24 @@ def _chunk_end(k, lo, rows):
     return hi
 
 
-def _multi_indices(k, lo, hi):
-    """All alpha in N^k with lo <= |alpha| < hi: (columns, degree), the k
-    index columns and each row's |alpha|, as int64 arrays.
+def _rows(lo, hi, tables):
+    """The rows of every alpha in N^k with lo <= |alpha| < hi, in lexicographic order:
+    (degree, sums), each row's |alpha| (int64) and, for each table t of shape (k, >= hi),
+    the row's t[0][alpha_0] + ... + t[k-1][alpha_{k-1}], added left to right.
 
-    The first k-1 coordinates range over every head of total at most hi-1,
-    and each head is repeated once per admissible value of the last one.
+    The first coordinate takes every value below hi; each later one repeats the rows
+    made so far once per value it may take, the last one only up to degree lo .. hi-1.
     """
-    cols, degree = [], np.zeros(1, dtype=np.int64)
-    for col in range(k):
-        start = np.maximum(lo - degree, 0) if col == k - 1 else np.zeros_like(degree)
+    k = len(tables[0])
+    degree = np.arange(hi)
+    sums = [t[0][:hi] for t in tables]
+    for j in range(1, k):
+        start = np.maximum(lo - degree, 0) if j == k - 1 else 0
         counts = hi - degree - start
-        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = [np.repeat(c, counts) for c in cols]
-        cols.append(np.repeat(start, counts) + within)
-        degree = np.repeat(degree, counts) + cols[-1]
-    return cols, degree
+        col = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+        degree = np.repeat(degree, counts) + col
+        sums = [np.repeat(s, counts) + t[j][col] for s, t in zip(sums, tables)]
+    return degree, sums
 
 
 def kernel_reinhardt(domain, w):
@@ -95,10 +97,12 @@ def kernel_reinhardt(domain, w):
     entries ``alpha_j log|w_j|^2 - own_j(alpha_j)`` (``domains.log_norm_parts``)
     plus the coupling term, which is taken once per degree where the active
     exponents are equal and once per row otherwise; coordinates with w_j = 0
-    enter only through alpha_j = 0.  So a chunk holds per row its k index
-    columns and its degree (int64) and two float64 arrays, the log terms and
-    their exponentials, and two more float64 arrays while a per-row coupling
-    is taken.  The block sums
+    enter only through alpha_j = 0.  One active coordinate takes its tables
+    for the chunk's degrees only; several take theirs from alpha_j = 0 on,
+    made once and extended as the degree grows, so each table entry costs
+    one log-gamma evaluation per call.  A chunk holds per row its degree and
+    one index column (int64) and two float64 arrays, the log terms and their
+    exponentials, and one more while a per-row coupling is taken.  The block sums
     decay geometrically in the Minkowski functional of w, which also gives
     the tail estimate reported in ``error_bound``.  All terms are positive,
     so the partial sum is a one-sided lower bound on K(w); ``terms`` counts
@@ -122,49 +126,71 @@ def kernel_reinhardt(domain, w):
         return KernelValue(math.exp(-norm), "monomial-series", terms=1)
     k = active.size
     log_w2 = 2.0 * np.log(np.abs(w[active]))
-    # coordinates that no table carries contribute their alpha_j = 0 parts as constants
     own0, share0 = domains.log_norm_parts(domain, np.zeros(domain.dimension))
-    rest = -float(np.sum(np.delete(own0, active)))
+    # coordinates that no table carries contribute their alpha_j = 0 parts as constants
+    keep = np.ones(domain.dimension, dtype=bool)
+    keep[active] = False
+    rest = -float(np.sum(own0[keep]))
+    coupled = share0 is not None
     # with equal active exponents, every row of degree d has the coupling of the
     # row that puts all of d on the first active coordinate
-    by_degree = share0 is not None and np.all(share0[active] == share0[active[0]])
-    if share0 is not None:
-        share_rest = float(np.sum(np.delete(share0, active[:1] if by_degree else active)))
-    total, prev, lo, terms = 0.0, 0.0, 0, 0
+    by_degree = coupled and bool(np.all(share0[active] == share0[active[0]]))
+    if coupled:
+        keep[active[1:]] = by_degree
+        share_rest = float(np.sum(share0[keep]))
+
+    def tables(a):
+        """At the values a: the tables, a row per active coordinate with rest and
+        share_rest on the first, and the coupling at degree a where it is by degree."""
+        own, share = domains.log_norm_parts(domain, a[:, None], active, share_rest if by_degree else None)
+        log_t = (a[:, None] * log_w2 - own).T
+        log_t[0] = rest + log_t[0]
+        if by_degree or not coupled:
+            return [log_t], share
+        share = share.T
+        share[0] = share_rest + share[0]
+        return [log_t, share], None
+
+    total, prev, lo, terms, size = 0.0, 0.0, 0, 0, 0
     while True:
         room = TERM_BUDGET - terms
         if math.comb(lo + k - 1, k - 1) > room:
             raise ConvergenceError(f"kernel series did not converge within {TERM_BUDGET} terms")
         hi = _chunk_end(k, lo, min(_CHUNK, max(_FIRST_CHUNK, terms), room))
-        cols, degree = _multi_indices(k, lo, hi)
-        # per-coordinate tables: one active coordinate takes the values lo .. hi-1
-        # only, several take 0 .. hi-1
-        base = lo if k == 1 else 0
-        a = np.arange(base, hi)[:, None]
-        own, share = domains.log_norm_parts(domain, a, active)
-        table = (a * log_w2 - own).T
-        log_terms = rest + table[0][cols[0] - base]
-        for j in range(1, k):
-            log_terms += table[j][cols[j]]
-        if by_degree:
-            lead = share[lo - base :, 0]  # the first active coordinate's share at a = lo .. hi-1
-            log_terms += domains.log_norm_coupling(share_rest + lead)[degree - lo]
-        elif share is not None:
-            share = share.T
-            row_share = share_rest + share[0][cols[0]]
-            for j in range(1, k):
-                row_share += share[j][cols[j]]
-            log_terms += domains.log_norm_coupling(row_share)
-        blocks = np.bincount(degree - lo, weights=np.exp(log_terms), minlength=hi - lo)
-        terms += len(degree)
-        running = total + np.cumsum(blocks)
-        before = np.concatenate(([prev], blocks[:-1]))
-        ratio = np.divide(blocks, before, out=np.zeros_like(blocks), where=before > 0)
-        done = (np.arange(lo, hi) >= 8) & (blocks <= ROUNDING_SHARE * running) & (ratio < 1.0)
-        if done.any():
-            stop = int(np.argmax(done))
+        if k == 1:
+            # one active coordinate: row j of the chunk is alpha = lo + j, a block of its own
+            tabs, coupling = tables(np.arange(lo, hi))
+            log_terms = tabs[0][0]
+            if coupling is not None:
+                log_terms += coupling
+            blocks = np.exp(log_terms)
+            terms += hi - lo
+        else:
+            if hi > size:
+                # several active coordinates index their tables from 0 on: the tables
+                # of the first chunk are kept, and at least doubled when outgrown
+                more, more_coupling = tables(np.arange(size, max(hi, 2 * size)))
+                if size:
+                    more = [np.concatenate(pair, axis=1) for pair in zip(tabs, more)]
+                    if by_degree:
+                        more_coupling = np.concatenate((coupling, more_coupling))
+                tabs, coupling, size = more, more_coupling, more[0].shape[1]
+            degree, sums = _rows(lo, hi, tabs)
+            log_terms = sums[0]
+            if by_degree:
+                log_terms += coupling[degree]
+            elif coupled:
+                log_terms += domains.log_norm_coupling(sums[1])
+            blocks = np.bincount(degree - lo, weights=np.exp(log_terms), minlength=hi - lo)
+            terms += len(degree)
+        # the first degree from 8 on whose block is small against the total and below the one before
+        for stop in np.flatnonzero(blocks <= ROUNDING_SHARE * (total + np.cumsum(blocks))).tolist():
+            before = blocks[stop - 1] if stop else prev
+            r = blocks[stop] / before if before > 0 else 0.0
+            if lo + stop < 8 or r >= 1.0:
+                continue
             total += float(np.sum(blocks[: stop + 1]))
-            block, r = blocks[stop], ratio[stop]
+            block = blocks[stop]
             # geometric tail estimate from the last two block ratios
             tail = float(block * r / (1.0 - r) if r > 0 else block)
             log.debug(

@@ -5,8 +5,8 @@ objects that can be split by seed derivation for parallel grids.  The root
 finder takes one relative tolerance and raises at its first failure.
 
 All of it is numpy only: the sampler reproduces scipy's scrambled Sobol
-engine bit for bit without loading ``scipy.stats``, so no command loads a
-scipy subpackage other than ``scipy.special``.
+engine bit for bit without loading ``scipy.stats``, and no command loads
+any scipy module.
 """
 from __future__ import annotations
 

@@ -116,7 +116,7 @@ def suita_F(domain, w=None):
     image-sum kernel, the capacity form pi/c^2 of the indicatrix volume,
     and F from both image sums, where their common factors cancel exactly.
     A base point of the wrong dimension, or off the origin of the
-    symmetrized bidisk, raises ValueError.
+    symmetrized bidisk or the polydisk, raises ValueError.
     """
     if isinstance(domain, SymmetrizedBidisk):
         if _is_axis_point(domain, w)[1].any():
@@ -142,7 +142,9 @@ def suita_F(domain, w=None):
             vol = domains.volume(domain)
             k = KernelValue(1.0 / vol, "closed-form")
             return SuitaRatio(k, vol, n, 1.0, "symmetric")
-        if not isinstance(domain, Ellipsoid) or not on_axis:
+        if isinstance(domain, Polydisk):
+            raise ValueError("the polydisk is evaluated at the origin only")
+        if not on_axis:
             raise ValueError("off-axis base points are not supported")
         b = abs(w[0])
         p = domain.exponents

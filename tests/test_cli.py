@@ -201,6 +201,11 @@ class TestSuitaFCommand:
         assert payload["F"] == 1.0
         assert payload["classification"] == "symmetric"
 
+    def test_polydisk_axis_point_is_refused_by_name(self, capsys):
+        dom = '{"variant": "polydisk", "n": 2}'
+        assert run(["suita-f", "--domain", dom, "--w", "[0.5, 0]"]) == 1
+        assert capsys.readouterr().err == "error: the polydisk is evaluated at the origin only\n"
+
 
 class TestScanCommand:
     def test_ell1_json(self, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from suitaverify.domains import (
     contains,
     disk,
     from_json,
+    log_gamma,
     minkowski_functional,
     monomial_norm,
     volume,
@@ -208,6 +210,94 @@ class TestMonomialNorm:
         expected = math.log(2.0 * math.pi**2 / ((2 * j + 2) * (2 * j + 3))) + (2 * j + 2) * math.log(0.01)
         assert monomial_norm(dom, [j, 0]) == 0.0
         assert monomial_norm(dom, [j, 0], log=True) == pytest.approx(expected, rel=1e-13)
+
+
+def _log_gamma_points():
+    """Log-uniform points in (1e-8, 13) and [13, 1e10], the arguments (a+1)/p of the series'
+    tables, and the neighbours of the zeros at 1 and 2 and of Cephes' branch points."""
+    rng = np.random.default_rng(21)
+    low = np.exp(rng.uniform(math.log(1e-8), math.log(13.0), 3000))
+    high = np.exp(rng.uniform(math.log(13.0), math.log(1e10), 3000))
+    tables = [a / p for p in (0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 128.0) for a in range(1, 200)]
+    near = []
+    for edge in (1.0, 2.0, 13.0, 1000.0, 1e8):
+        near += [edge * (1.0 + s * 10.0**-j) for s in (-1.0, 1.0) for j in range(1, 16)]
+        for toward in (0.0, math.inf):
+            x = edge
+            for _ in range(4):
+                near.append(x)
+                x = math.nextafter(x, toward)
+    return np.concatenate((low, high, tables, near))
+
+
+class TestLogGamma:
+    POINTS = _log_gamma_points()
+
+    @staticmethod
+    def _errors(values, points):
+        """Absolute errors below 13 and relative errors from 13 up, against 40 digits."""
+        below, above = [], []
+        with mp.workdps(40):
+            for v, x in zip(values, points):
+                ref = mp.loggamma(mp.mpf(float(x)))
+                err = abs(mp.mpf(float(v)) - ref)
+                if x < 13.0:
+                    below.append(float(err))
+                else:
+                    above.append(float(err / abs(ref)))
+        return max(below), max(above)
+
+    def test_points_cover_both_ranges(self):
+        x = self.POINTS
+        assert len(x) >= 6000 and x.min() < 1e-7 and x.max() > 1e9
+        assert np.count_nonzero(x < 13.0) >= 3000 and np.count_nonzero(x >= 13.0) >= 3000
+
+    def test_array_path_against_40_digits(self):
+        below, above = self._errors(log_gamma(self.POINTS), self.POINTS)
+        assert below <= 4e-15
+        assert above <= 4e-16
+
+    def test_float_path_against_40_digits(self):
+        below, above = self._errors([log_gamma(float(x)) for x in self.POINTS], self.POINTS)
+        assert below <= 4e-15
+        assert above <= 4e-16
+
+    def test_agrees_with_scipy_gammaln(self):
+        from scipy.special import gammaln
+
+        x = self.POINTS
+        ref = gammaln(x)
+        for got in (log_gamma(x), np.array([log_gamma(float(v)) for v in x])):
+            below = x < 13.0
+            assert np.max(np.abs(got - ref)[below]) <= 4e-15
+            assert np.max(np.abs(got - ref)[~below] / ref[~below]) <= 4e-16
+            # the same algorithm: bits differ only where the two log functions round apart
+            assert np.mean(got == ref) > 0.99
+
+    def test_exact_at_the_integers(self):
+        # Cephes returns log((n-1)!) from the exact product there, and 0 at 1 and 2
+        for n in range(1, 13):
+            assert log_gamma(float(n)) == math.log(math.factorial(n - 1))
+        assert log_gamma(np.arange(1.0, 13.0)).tolist() == [math.log(math.factorial(n - 1)) for n in range(1, 13)]
+
+    def test_float_in_float_out(self):
+        for x in (0.3, 2.5, 12.5, 13.0, 40.0, 5e3, 2e8):
+            for form in (x, np.float64(x), np.array(x)):
+                assert type(log_gamma(form)) is float
+                assert log_gamma(form) == log_gamma(x)
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [(0.1, 12.9), (13.0, 900.0), (0.1, 40.0), (500.0, 5e8), (0.01, 3.0)],
+        ids=["below-13", "stirling", "mixed", "upper-branches", "shift-up"],
+    )
+    @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (40,), (4, 10), (2, 3, 7)])
+    def test_arrays_keep_their_shape(self, low, high, shape):
+        x = np.random.default_rng(3).uniform(low, high, shape)
+        got = log_gamma(x)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        want = np.array([log_gamma(float(v)) for v in x.ravel()]).reshape(shape)
+        assert np.allclose(got, want, rtol=4e-16, atol=4e-15)
 
 
 class TestSerialization:

@@ -1,5 +1,5 @@
-"""The package's export lists agree with what its modules define, and importing
-it loads only the scipy subpackages its commands use."""
+"""The package's export lists agree with what its modules define, and neither
+importing it nor running a command loads scipy."""
 import ast
 import importlib
 import json
@@ -34,7 +34,7 @@ def test_package_imports_only_exported_names():
     assert unexported == []
 
 
-NO_LAZY_IMPORT = [
+COMMANDS = [
     ["suita-f", "--g2"],
     ["kernel", "--annulus", "0.2", "--w", "sqrt"],
     ["kernel", "--domain", '{"variant":"ellipsoid","p":[0.5,2.0]}', "--w", "[0.3,0.1]"],
@@ -43,31 +43,54 @@ NO_LAZY_IMPORT = [
     ["indicatrix", "--family", "ell1"],
     ["indicatrix", "--family", "g2"],
     ["indicatrix", "--family", "p"],
+    ["verify-all"],
+    ["experiment", "--r", "0.2", "--t-grid=-2,-1", "--samples", "4096"],
 ]
-# a fresh interpreter: this session has already imported every scipy subpackage.
-# Each entry lists the public scipy subpackages loaded since ``import suitaverify``.
+# a fresh interpreter: this session has already imported scipy.  The first entry lists
+# the scipy modules loaded by ``import suitaverify``, each later one those after a command.
 _PROBE = """
 import contextlib, io, json, sys
 import suitaverify
 from suitaverify import cli
-def subpackages():
-    return {m.split(".")[1] for m in sys.modules if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
-base = subpackages()
-loaded = []
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.run(argv)
-    loaded.append(sorted("scipy." + m for m in subpackages() - base))
+    loaded.append(scipy_modules())
 print(json.dumps(loaded))
+"""
+# a numpy-only install: every ``import scipy`` fails, as it would without the package
+_WITHOUT_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+sys.meta_path.insert(0, NoScipy())
+from suitaverify import cli
+sys.exit(cli.run(sys.argv[1:]))
 """
 
 
-def test_commands_load_scipy_subpackages_only_when_used():
+def _fresh_python(*args):
     src = str(Path(suitaverify.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    commands = NO_LAZY_IMPORT + [["verify-all"], ["experiment", "--r", "0.2", "--t-grid=-2,-1", "--samples", "4096"]]
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * len(commands)
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_and_commands_load_no_scipy():
+    proc = _fresh_python(_PROBE, json.dumps(COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (len(COMMANDS) + 1)
+
+
+def test_verify_all_without_scipy_prints_the_same_table(capsys):
+    from suitaverify import cli
+
+    proc = _fresh_python(_WITHOUT_SCIPY, "verify-all", "--quick")
+    assert proc.returncode == cli.run(["verify-all", "--quick"])
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.splitlines()[-1].endswith(("checks failed", "all checks passed")), proc.stderr

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from suitaverify import bergman, domains, green1d, indicatrix
-from suitaverify.domains import Annulus, Ellipsoid, EllipsoidFamilyParams, SymmetrizedBidisk, ball
+from suitaverify.domains import Annulus, Ellipsoid, EllipsoidFamilyParams, Polydisk, SymmetrizedBidisk, ball
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import (
     ExperimentReport,
@@ -113,6 +113,11 @@ class TestSuitaF:
         ):
             with pytest.raises(ValueError):
                 call()
+
+    @pytest.mark.parametrize("w", [[0.5, 0.0], [0.0, 0.5], [0.2, 0.3]], ids=["axis", "second-axis", "off-axis"])
+    def test_polydisk_off_the_origin_rejected_by_name(self, w):
+        with pytest.raises(ValueError, match="^the polydisk is evaluated at the origin only$"):
+            suita_F(Polydisk(2), w)
 
     def test_high_dim_irregular_rejected(self):
         with pytest.raises(ValueError):
