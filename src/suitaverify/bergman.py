@@ -67,9 +67,9 @@ def _chunk_end(k, lo, rows):
 
 
 def _rows(lo, hi, tables):
-    """The rows of every alpha in N^k with lo <= |alpha| < hi, in lexicographic order:
-    (degree, sums), each row's |alpha| (int64) and, for each table t of shape (k, >= hi),
-    the row's t[0][alpha_0] + ... + t[k-1][alpha_{k-1}], added left to right.
+    """The rows of every alpha in N^k, k >= 2, with lo <= |alpha| < hi, in lexicographic
+    order: (degree, sums), each row's |alpha| (int64) and, for each table t of shape
+    (k, >= hi), the row's t[0][alpha_0] + ... + t[k-1][alpha_{k-1}], added left to right.
 
     The first coordinate takes every value below hi; each later one repeats the rows
     made so far once per value it may take, the last one only up to degree lo .. hi-1.

@@ -3,7 +3,9 @@
 Membership tests, Minkowski functionals of balanced domains, Lebesgue
 volumes, and squared monomial norms on complex ellipsoids and the
 polydisk.  Points in C^n are numpy complex arrays of length n; volumes
-are with respect to Lebesgue measure on C^n = R^2n.
+are with respect to Lebesgue measure on C^n = R^2n.  The Gamma factors of
+the volumes and norms come from ``log_gamma``, a numpy port of Cephes
+``lgam``, so the module needs numpy only.
 """
 from __future__ import annotations
 
@@ -153,7 +155,7 @@ _FEW = 16
 
 
 def _horner(coefs, x):
-    """The polynomial at x in Horner's order, in place when x is an array."""
+    """The polynomial at x in Horner's order; for an array x, one new array updated in place."""
     acc = coefs[0] * x
     for c in coefs[1:-1]:
         acc += c
@@ -190,10 +192,12 @@ def _log_gamma_stirling(x):
     q *= np.log(x)
     q -= x
     q += _LOG_SQRT_2PI
-    for coefs, part in ((_STIRLING, x < 1000.0), (_STIRLING_SHORT, (x >= 1000.0) & (x <= 1e8))):
-        if np.count_nonzero(part) == x.size:
-            q += _horner(coefs, 1.0 / (x * x)) / x
-            break
+    mid = x < 1000.0
+    if np.count_nonzero(mid) == x.size:
+        q += _horner(_STIRLING, 1.0 / (x * x)) / x
+        return q
+    # Cephes' upper branches: a shorter correction from 1000 up, none above 1e8
+    for coefs, part in ((_STIRLING, mid), (_STIRLING_SHORT, ~mid & (x <= 1e8))):
         xp = x[part]
         q[part] += _horner(coefs, 1.0 / (xp * xp)) / xp
     return q
@@ -205,7 +209,7 @@ def _log_gamma_small(x):
     # Every shifted argument is exact, so the one in [2, 3) is t + 2 with t = x - n.
     n = np.floor(x)
     t = x - n
-    shifts = _SHIFTS[: int(n.max()) - 2]
+    shifts = _SHIFTS[: max(int(n.max()) - 2, 0)]
     z = np.multiply.reduce(x - shifts, axis=0, where=shifts <= n - 2.0, initial=1.0)
     np.divide(z, x, out=z, where=x < 2.0)
     np.divide(z, x + 1.0, out=z, where=x < 1.0)

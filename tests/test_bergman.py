@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -172,6 +173,22 @@ class TestKernelReinhardt:
         )
         assert domains.contains(dom, w / 0.46) and 0.46**60 < 1e-20
         assert kernel_reinhardt(dom, w).value == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("k,lo,hi", [(2, 0, 9), (2, 5, 12), (3, 0, 7), (3, 4, 9), (4, 2, 6)])
+    def test_rows_match_a_loop_over_the_degree_blocks(self, k, lo, hi):
+        rng = np.random.default_rng(10 * k + lo)
+        tables = [rng.standard_normal((k, hi)), rng.standard_normal((k, hi + 3))]
+        degree, sums = bergman._rows(lo, hi, tables)
+        alphas = [a for a in itertools.product(range(hi), repeat=k) if lo <= sum(a) < hi]
+        assert degree.tolist() == [sum(a) for a in alphas]
+        for t, s in zip(tables, sums):
+            want = []
+            for a in alphas:
+                acc = t[0][a[0]]
+                for j in range(1, k):
+                    acc = acc + t[j][a[j]]
+                want.append(float(acc))
+            assert s.tolist() == want
 
     def test_term_budget_raises(self, monkeypatch):
         monkeypatch.setattr(bergman, "TERM_BUDGET", 10_000)

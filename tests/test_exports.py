@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import suitaverify
+from suitaverify import cli
 
 MODULES = ["bergman", "checks", "domains", "green1d", "indicatrix", "numerics", "suita"]
 
@@ -88,8 +89,6 @@ def test_import_and_commands_load_no_scipy():
 
 
 def test_verify_all_without_scipy_prints_the_same_table(capsys):
-    from suitaverify import cli
-
     proc = _fresh_python(_WITHOUT_SCIPY, "verify-all", "--quick")
     assert proc.returncode == cli.run(["verify-all", "--quick"])
     assert proc.stdout == capsys.readouterr().out
