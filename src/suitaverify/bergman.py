@@ -72,7 +72,8 @@ def _rows(lo, hi, tables):
     (k, >= hi), the row's t[0][alpha_0] + ... + t[k-1][alpha_{k-1}], added left to right.
 
     The first coordinate takes every value below hi; each later one repeats the rows
-    made so far once per value it may take, the last one only up to degree lo .. hi-1.
+    made so far once per value it may take, and the last one takes only the values
+    that bring the row's degree into lo .. hi-1.
     """
     k = len(tables[0])
     degree = np.arange(hi)

@@ -194,7 +194,11 @@ def _log_gamma_stirling(x):
     q += _LOG_SQRT_2PI
     mid = x < 1000.0
     if np.count_nonzero(mid) == x.size:
-        q += _horner(_STIRLING, 1.0 / (x * x)) / x
+        p = x * x
+        np.divide(1.0, p, out=p)
+        p = _horner(_STIRLING, p)
+        p /= x
+        q += p
         return q
     # Cephes' upper branches: a shorter correction from 1000 up, none above 1e8
     for coefs, part in ((_STIRLING, mid), (_STIRLING_SHORT, ~mid & (x <= 1e8))):
