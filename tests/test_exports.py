@@ -47,7 +47,7 @@ COMMANDS = [
     ["verify-all"],
     ["experiment", "--r", "0.2", "--t-grid=-2,-1", "--samples", "4096"],
 ]
-# a fresh interpreter: this session has already imported scipy.  The first entry lists
+# a fresh interpreter: the test process has already imported scipy.  The first entry lists
 # the scipy modules loaded by ``import suitaverify``, each later one those after a command.
 _PROBE = """
 import contextlib, io, json, sys
