@@ -45,6 +45,14 @@ _START_SPACINGS = 2.0**20
 # Below half the float spacing at 1, 1 - |w| keeps no digit of |w|, and the strip's
 # x1 = -log1p(|w| - 1) is wrong or infinite: the annulus refuses such a pole.
 _POLE_MIN = 2.0**-53
+# AnnulusGreen.below screens with the images of a strip whose tail is below _SCREEN_SHARE (one pair
+# at r = 0.2, against three for value).  Its moduli come from np.abs(z), off by about eps (1 - log r)
+# absolute; G magnifies that by at most a few times (pi/2) / m (4.2 times, measured), where m, the
+# pole's strip distance to the nearer circle, is at least gap.  So _SCREEN_ROUNDING (1 + |G| + 1/gap)
+# bounds every rounding difference from value with a wide margin; 2^-30 (1 + |G|) alone fell 300x
+# short with the pole 7e-10 from the outer circle.
+_SCREEN_SHARE = 2.0**-10
+_SCREEN_ROUNDING = 2.0**-30
 
 
 class CriticalLevelError(RuntimeError):
@@ -69,6 +77,10 @@ class DiskGreen:
         z = np.asarray(z, dtype=complex)
         w = self.pole
         return np.log(np.abs(z - w)) - np.log(np.abs(1.0 - np.conj(w) * z))
+
+    def below(self, z, t):
+        """G(z) < t as a boolean array, and how many points took ``value`` (all of them)."""
+        return self.value(z) < t, int(np.size(z))
 
     def grad(self, z):
         """Gradient gx + i gy; conj(f') for f = log(z - w) - log(1 - conj(w) z)."""
@@ -111,6 +123,12 @@ def _log_moduli(z, r):
     return out[0], -out[1]
 
 
+def _plain_moduli(z, r):
+    """log(|z|/r) and -log|z| from np.abs(z), whose rounding is relative to |z| (the hit screen's)."""
+    lm = np.log(np.abs(z))
+    return lm - math.log(r), -lm
+
+
 class _Strip:
     """The annulus { r < |z| < 1 } as a strip, with the images of a pole of modulus w0.
 
@@ -146,6 +164,16 @@ class _Strip:
         self.kernel_images = self.s**2 * float(np.sum(2.0 * np.real(np.sin(theta + 1j * self.shifts) ** -2)))
 
 
+def _images(y, st):
+    """e^{y_k} and e^{-y_k}, y_k = y + k kappa for the images k = +-1, ..., +-n of strip ``st``, from
+    one exp of y: their half difference and half sum are sinh y_k and cosh y_k, where |y_k| >= kappa/2,
+    so no difference of exponentials cancels, and there are images only where kappa is moderate."""
+    e = np.exp(y) if st.n else None
+    for grow in np.exp(np.concatenate((st.shifts, -st.shifts))):
+        ek = e * grow
+        yield ek, 1.0 / ek
+
+
 class AnnulusGreen:
     """Green function of { r < |z| < 1 } as a sum of strip images.
 
@@ -161,6 +189,7 @@ class AnnulusGreen:
         self.pole = complex(w)
         # G is of order one near the pole: sum to rounding
         self._strip = st = _Strip(self.inner, abs(self.pole), 2.0**-53)
+        self._coarse = _Strip(self.inner, abs(self.pole), _SCREEN_SHARE)
         self._disk = DiskGreen(self.pole)
         self.gap = min(self._disk.gap, abs(self.pole) - self.inner)
         self.n_modes, self.tail_bound = 2 * st.n + 1, st.tail
@@ -168,9 +197,9 @@ class AnnulusGreen:
         self.robin = math.log(st.c / abs(self.pole)) - math.log(st.s) - st.robin_images
         log.debug("annulus Green function: %d images, tail bound %.3g", self.n_modes, self.tail_bound)
 
-    def _coords(self, z):
+    def _coords(self, z, moduli=_log_moduli):
         """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; log(|z|/r) and
-        -log|z| (``_log_moduli``).  Next to the pole, log|z/w| = log1p(x)/2, x = |z/w|^2 - 1, and the
+        -log|z| (from ``moduli``).  Next to the pole, log|z/w| = log1p(x)/2, x = |z/w|^2 - 1, and the
         angle of z conj(w) = |w|^2 + (z - w) conj(w) cancel in neither part; xb - pi = -c (-log|z| -
         log|w|) does not cancel next to the outer circle."""
         st, w = self._strip, self.pole
@@ -179,40 +208,57 @@ class AnnulusGreen:
         x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
         near = np.abs(x) < 0.5
         xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(np.abs(z) / abs(w)))
-        lz, lzc = _log_moduli(z, self.inner)
+        lz, lzc = moduli(z, self.inner)
         xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
         return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, lz, lzc
 
     def value(self, z):
+        return self._sum(np.asarray(z, dtype=complex), self._strip, _log_moduli)
+
+    def below(self, z, t):
+        """G(z) < t as a boolean array, and how many points took ``value``.
+
+        A screen sums the images of a coarse strip (tail below ``_SCREEN_SHARE``) on moduli from
+        np.abs(z).  It differs from ``value`` by at most that tail plus rounding, which
+        ``_SCREEN_ROUNDING (1 + |G| + 1/gap)`` bounds, so every point whose screened G lies farther
+        than that from t is settled; ``value`` decides the band left.  The result is ``value(z) < t``.
+        """
         z = np.asarray(z, dtype=complex)
-        st = self._strip
-        xa, y, xb, lz, lzc = self._coords(z)
+        g = self._sum(z, self._coarse, _plain_moduli)
+        hit = g < t
+        slack = self._coarse.tail + _SCREEN_ROUNDING * (1.0 + 1.0 / self.gap + np.abs(g))
+        # written so that a NaN, or -inf at the pole, falls into the band
+        band = ~(np.abs(g - t) > slack)
+        n = int(np.count_nonzero(band))
+        if n:
+            hit[band] = self.value(z[band]) < t
+        return hit, n
+
+    def _sum(self, z, st, moduli):
+        """G summed over the images of strip ``st``, with log(|z|/r) and -log|z| from ``moduli``."""
+        xa, y, xb, lz, lzc = self._coords(z, moduli)
         sb2 = np.sin(xb) ** 2
         # sin^2 xa - sin^2 xb, the same for every image
         a = -st.s * np.sin(2.0 * st.c * np.minimum(lz, lzc))
+        # arrays are dropped once dead: the most alive at once sets how much memory each hit-count
+        # chunk touches, and where the heap is trimmed after every chunk, how many pages it faults
+        del xb, lz, lzc
         # k = 0 through 1/(sin^2 xb + sinh^2 y) = 4q / (4q sin^2 xb + expm1(-2|y|)^2), q = e^{-2|y|},
         # which does not overflow at large |y|, and through both logs next to the pole
         q, em = np.exp(-2.0 * np.abs(y)), np.expm1(-2.0 * np.abs(y))
         num, den = 4.0 * q * np.sin(xa) ** 2 + em**2, 4.0 * q * sb2 + em**2
+        del xa
         # (the log1p is taken only off the pole, where its argument cannot round to -1)
         near = num < 0.5 * den
         g = np.where(near, np.log(num) - np.log(den), np.log1p(np.where(near, 0.0, a * (4.0 * q / den))))
+        del q, em, num, den, near
         # the images in one log1p of prod_k (1 + a / (sin^2 xb + sinh^2 y_k)) - 1, all factors on one side of 1
         e = np.zeros_like(g)
-        for ek, inv in self._images(y):
+        for ek, inv in _images(y, st):
             sh = 0.5 * (ek - inv)
             x = a / (sb2 + sh**2)
             e += x + e * x
         return 0.5 * (g + np.log1p(e))
-
-    def _images(self, y):
-        """e^{y_k} and e^{-y_k}, y_k = y + k kappa for k = +-1, ..., +-n, from one exp of y: their half
-        difference and half sum are sinh y_k and cosh y_k, where |y_k| >= kappa/2, so no difference of
-        exponentials cancels, and there are images only where kappa is moderate."""
-        e = np.exp(y) if self._strip.n else None
-        for grow in np.exp(np.concatenate((self._strip.shifts, -self._strip.shifts))):
-            ek = e * grow
-            yield ek, 1.0 / ek
 
     def grad(self, z):
         """Gradient gx + i gy; conj(f') for f' = (c s / z) sum_k 1/(sin(xa + i y_k) sin(xb + i y_k))."""
@@ -225,7 +271,7 @@ class AnnulusGreen:
         total = -4.0 * np.exp(1j * (u + v)) / (np.expm1(2j * u) * np.expm1(2j * v))
         # sin(x + iy) = sin x cosh y + i cos x sinh y for the images, whose |y_k| stays moderate
         sa, ca, sb, cb = np.sin(xa), np.cos(xa), np.sin(xb), np.cos(xb)
-        for ek, inv in self._images(y):
+        for ek, inv in _images(y, self._strip):
             sh, ch = 0.5 * (ek - inv), 0.5 * (ek + inv)
             total += 1.0 / ((sa * ch + 1j * ca * sh) * (sb * ch + 1j * cb * sh))
         # each term times sin(xb - xa) is cot(xa + i y_k) - cot(xb + i y_k); s = sin(xb - xa) holds in exact
@@ -403,8 +449,12 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     ``obj`` is either a balanced domain spec (sublevel volume is the exact
     scaling e^{2nt} lambda(domain) of the Minkowski functional) or a Green
     object, in which case points are counted inside a bounding box fitted to
-    the sublevel component around the pole.  This is the check route for
-    the traced area of ``level_flux_and_isoperimetric``.
+    the sublevel component around the pole with the Green object's ``below``:
+    on the annulus a coarse image sum settles every point outside a thin band
+    around the level and ``value`` decides the band, so the count is that of
+    ``value(z) < t``.  A DEBUG record gives the points, the hits and how many
+    points took ``value``.  This is the check route for the traced area of
+    ``level_flux_and_isoperimetric``.
     """
     if t > 0.0:
         raise ValueError("require t <= 0")
@@ -419,14 +469,17 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     x0, x1, y0, y1 = _sublevel_box(green, t)
     box_area = (x1 - x0) * (y1 - y0)
     u = stream.points(count)
-    hit_count = 0
-    # chunks of 2^14 points bound value's per-image temporaries (128 KiB per float array)
+    hit_count = exact = 0
+    # chunks of 2^14 points bound the per-image temporaries of the screen and of value (128 KiB per float array)
     for lo in range(0, count, 2**14):
         uc = u[lo : lo + 2**14]
         chunk = (x0 + (x1 - x0) * uc[:, 0]) + 1j * (y0 + (y1 - y0) * uc[:, 1])
         mask = green.in_domain(chunk)
         if np.any(mask):
-            hit_count += int(np.count_nonzero(green.value(chunk[mask]) < t))
+            hit, n_exact = green.below(chunk[mask], t)
+            hit_count += int(np.count_nonzero(hit))
+            exact += n_exact
+    log.debug("hit count at t=%g: %d points, %d hits, %d evaluated exactly", t, count, hit_count, exact)
     p = hit_count / count
     value = box_area * p
     stderr = box_area * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)

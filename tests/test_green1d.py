@@ -20,6 +20,7 @@ from suitaverify.green1d import (
     sublevel_volume,
     trace_level,
 )
+from suitaverify.green1d import _SCREEN_ROUNDING, _plain_moduli
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -479,3 +480,97 @@ class TestSublevelVolume:
     def test_positive_t_rejected(self, annulus_green):
         with pytest.raises(ValueError):
             sublevel_volume(annulus_green, 0.5)
+
+
+# (r, pole, level) of the screened hit count: from r = 1e-6 to a thin annulus, poles off the
+# axis and next to a circle, a level near the pole and levels next to the boundary
+SCREEN_CASES = [
+    pytest.param(1e-6, 1e-3, -0.5, id="r1e-6"),
+    pytest.param(0.01, 0.3 * cmath.exp(1j), -1e-3, id="r0.01-off-axis-t-1e-3"),
+    pytest.param(0.2, W * cmath.exp(2.5j), -8.0, id="r0.2-off-axis-near-the-pole"),
+    pytest.param(0.2, 1.0 - 1e-6, -1.0, id="r0.2-pole-next-to-the-outer-circle"),
+    pytest.param(0.9, 0.95 * cmath.exp(-1j), -0.5, id="r0.9-off-axis"),
+    pytest.param(0.99, math.sqrt(0.99), -1e-3, id="r0.99-t-1e-3"),
+]
+
+
+def _assert_screen_counts_as_value(monkeypatch, g, t, count):
+    """Hit-count with every chunk's screened hits checked against value(z) < t; the band sizes."""
+    screened, bands = AnnulusGreen.below, []
+
+    def checked(self, z, t):
+        hit, band = screened(self, z, t)
+        assert np.array_equal(hit, self.value(z) < t)
+        bands.append(band)
+        return hit, band
+
+    monkeypatch.setattr(AnnulusGreen, "below", checked)
+    sublevel_volume(g, t, SampleStream(2, seed=4), count)
+    return bands
+
+
+class TestHitScreen:
+    @pytest.mark.parametrize("r, w, t", SCREEN_CASES)
+    def test_screen_counts_what_value_counts(self, monkeypatch, r, w, t):
+        bands = _assert_screen_counts_as_value(monkeypatch, AnnulusGreen(r, w), t, 2**16)
+        assert len(bands) == 4 and sum(bands) < 2**16 // 20
+
+    def test_screen_counts_what_value_counts_at_the_saddle(self, monkeypatch, annulus_green):
+        # the level of test_curve_falls_back_to_hit_counting_at_the_saddle, where G is flat
+        _assert_screen_counts_as_value(monkeypatch, annulus_green, _saddle_level(annulus_green), 2**16)
+
+    def test_criterion_10_count_is_pinned(self, annulus_green, caplog):
+        # criterion 10's cross-check of the trace at t = -0.5; the count before the screen was 397856
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0).split(6), 2**20)
+        (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("hit count")]
+        points, hits, exact = (int(part.split()[0]) for part in msg.split(": ")[1].split(", "))
+        assert (points, hits) == (2**20, 397856)
+        assert exact < 2**20 // 1000
+
+    @pytest.mark.parametrize(
+        "r, w, t",
+        # 1e-9 from the outer circle the rounding of np.abs(z) moves the screen by about 1e-7
+        SCREEN_CASES + [pytest.param(0.77, 1.0 - 1e-9, -0.5, id="r0.77-pole-1e-9-from-the-outer-circle")],
+    )
+    def test_points_on_the_level_take_the_exact_value(self, r, w, t):
+        # traced roots are G = t to about 1e-12, inside every band: value decides them all
+        g = AnnulusGreen(r, w)
+        phis, s = trace_level(g, t, 256)
+        z = g.pole + s * np.exp(1j * phis)
+        hit, band = g.below(z, t)
+        assert band == z.size and np.array_equal(hit, g.value(z) < t)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        r=st.floats(1e-6, 0.95),
+        inner=st.booleans(),
+        where=st.floats(0.0, 1.0),
+        arg=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_lies_within_its_slack(self, r, inner, where, arg, seed):
+        # the bound below() settles points with: the coarse strip's tail plus the rounding
+        # allowance; |w| lies between 1e-12 off one circle and sqrt(r), log-uniformly
+        far = math.sqrt(r) - r if inner else 1.0 - math.sqrt(r)
+        delta = 1e-12 * (far / 1e-12) ** where
+        g = AnnulusGreen(r, (r + delta if inner else 1.0 - delta) * cmath.exp(1j * arg))
+        rng = np.random.default_rng(seed)
+        th = rng.uniform(0.0, 2.0 * math.pi, (4, 256))
+        z = np.concatenate(
+            (
+                np.sqrt(rng.uniform(r * r, 1.0, 256)) * np.exp(1j * th[0]),
+                g.pole + g.gap * 10.0 ** rng.uniform(-6.0, 0.5, 256) * np.exp(1j * th[1]),
+                (1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 256)) * np.exp(1j * th[2]),
+                r * (1.0 + 10.0 ** rng.uniform(-15.0, -1.0, 256)) * np.exp(1j * th[3]),
+            )
+        )
+        z = z[g.in_domain(z)]
+        # next to a pole near a circle a point may round onto the pole, where both are -inf
+        with np.errstate(divide="ignore"):
+            exact, screened = g.value(z), g._sum(z, g._coarse, _plain_moduli)
+        on_pole = np.isneginf(exact)
+        assert np.array_equal(np.isneginf(screened), on_pole) and np.all(np.isfinite(exact[~on_pole]))
+        exact, screened = exact[~on_pole], screened[~on_pole]
+        slack = g._coarse.tail + _SCREEN_ROUNDING * (1.0 + 1.0 / g.gap + np.abs(screened))
+        assert np.all(np.abs(exact - screened) <= slack)
