@@ -172,7 +172,7 @@ def lower_bound_margins():
 
 def convex_bounds():
     vals = [
-        suita._closed_ratio(EllipsoidFamilyParams(m=m, n=n, b=b)).F
+        suita.suita_F(Ellipsoid((0.5,) + (m,) * (n - 1)), (b,) + (0.0,) * (n - 1)).F
         for m in (0.5, 1.0, 2.0)
         for n in (2, 3)
         for b in (0.1, 0.5, 0.9)

@@ -106,15 +106,15 @@ def _square(a):
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _log_moduli(z, r):
-    """log(|z|/r) and -log|z|.  Next to the circle |z| = rho each is log1p(x)/2, x = |z|^2/rho^2 - 1,
-    with |z|^2 - rho^2 summed from exact squares: its error is then relative to the distance from
-    the circle, where the rounding of np.abs(z) is relative to |z| itself."""
+def _log_moduli(z, az, r):
+    """log(|z|/r) and -log|z|, az = np.abs(z).  Next to the circle |z| = rho each is log1p(x)/2,
+    x = |z|^2/rho^2 - 1, with |z|^2 - rho^2 summed from exact squares: its error is then relative to
+    the distance from the circle, where the rounding of az is relative to |z| itself."""
     (px, ex), (py, ey) = _square(z.real), _square(z.imag)
     s = px + py
     v = s - px
     low = (px - (s - v)) + (py - v) + ex + ey  # |z|^2 = s + low (two-sum)
-    lm, out = np.log(np.abs(z)), []
+    lm, out = np.log(az), []
     for rho in (r, 1.0):
         pr, er = _square(rho)
         # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
@@ -123,9 +123,9 @@ def _log_moduli(z, r):
     return out[0], -out[1]
 
 
-def _plain_moduli(z, r):
-    """log(|z|/r) and -log|z| from np.abs(z), whose rounding is relative to |z| (the hit screen's)."""
-    lm = np.log(np.abs(z))
+def _plain_moduli(z, az, r):
+    """log(|z|/r) and -log|z| from az = np.abs(z), whose rounding is relative to |z| (the hit screen's)."""
+    lm = np.log(az)
     return lm - math.log(r), -lm
 
 
@@ -206,9 +206,9 @@ class AnnulusGreen:
         d = z - w
         dw, w2 = d * np.conj(w), abs(w) ** 2
         x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
-        near = np.abs(x) < 0.5
-        xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(np.abs(z) / abs(w)))
-        lz, lzc = moduli(z, self.inner)
+        near, az = np.abs(x) < 0.5, np.abs(z)
+        xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(az / abs(w)))
+        lz, lzc = moduli(z, az, self.inner)
         xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
         return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, lz, lzc
 
@@ -279,7 +279,8 @@ class AnnulusGreen:
         return np.conj(self._strip.c * np.sin(xb - xa) / z * total)
 
     def in_domain(self, z):
-        return self._disk.in_domain(z) & (np.abs(z) > self.inner)
+        az = np.abs(z)
+        return (az < 1.0) & (az > self.inner)
 
     def boundary_distance(self, phi):
         d = np.exp(1j * np.asarray(phi, dtype=float))

@@ -21,42 +21,13 @@ from suitaverify.bergman import (
 from suitaverify.domains import Ellipsoid, EllipsoidFamilyParams, Polydisk, ball, disk
 from suitaverify.numerics import ConvergenceError
 
-
-def _ball_kernel_mp(w):
-    """n! / (pi^n (1 - |w|^2)^(n+1)) at 40 digits."""
-    with mp.workdps(40):
-        n = len(w)
-        x = mp.fsum(mp.mpf(c.real) ** 2 + mp.mpf(c.imag) ** 2 for c in w)
-        return float(mp.factorial(n) / (mp.pi**n * (1 - x) ** (n + 1)))
-
-
-def _polydisk_kernel_mp(w):
-    """prod_j 1 / (pi (1 - |w_j|^2)^2) at 40 digits."""
-    with mp.workdps(40):
-        out = mp.mpf(1)
-        for c in w:
-            out /= mp.pi * (1 - mp.mpf(c.real) ** 2 - mp.mpf(c.imag) ** 2) ** 2
-        return float(out)
-
-
-def _annulus_kernel_mp(r, w0):
-    """(1/(pi |w|^2)) sum_j j |w|^{2j} / (1 - r^{2j}) at 30 digits, the j = 0 term
-    being 1/(-2 log r), summed over j = +-1, +-2, ... until a pair is below 1e-35 of the total."""
-    with mp.workdps(30):
-        r, w0 = mp.mpf(r), mp.mpf(w0)
-        total, j = 1 / (-2 * mp.log(r)), 1
-        while True:
-            pair = sum(k * w0 ** (2 * k) / (1 - r ** (2 * k)) for k in (j, -j))
-            total += pair
-            if pair < mp.mpf(10) ** -35 * total:
-                return float(total / (mp.pi * w0**2))
-            j += 1
+import oracle  # perfbench/oracle.py, the mpmath references the benchmark checks against
 
 
 def _annulus_kernel_q_mp(r, w0):
     """(1/(pi |w|^2)) (1/(-2 log r) + sum_k sum_{a in {x, y}} a q^k / (1 - a q^k)^2) at 40 digits,
     x = |w|^2, y = (r/|w|)^2, q = r^2, summed until q^k/(1 - q), which bounds the tail's share,
-    is below 1e-40; unlike the Laurent sum it reaches points next to the circles."""
+    is below 1e-40; unlike oracle.annulus_kernel's Laurent sum it reaches points next to the circles."""
     with mp.workdps(40):
         r, w0 = mp.mpf(r), mp.mpf(w0)
         q = r * r
@@ -131,19 +102,19 @@ class TestKernelReinhardt:
         assert k.value == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "dom,w,oracle",
+        "dom,w,reference",
         [
-            (ball(2), [0.6, 0.45j], _ball_kernel_mp),
-            (ball(3), [0.8, 0.05, 0.02], _ball_kernel_mp),
-            (ball(3), [0.5 - 0.3j, 0.0, 0.4j], _ball_kernel_mp),
-            (Polydisk(3), [0.5, 0.4, 0.3], _polydisk_kernel_mp),
+            (ball(2), [0.6, 0.45j], oracle.ball_kernel),
+            (ball(3), [0.8, 0.05, 0.02], oracle.ball_kernel),
+            (ball(3), [0.5 - 0.3j, 0.0, 0.4j], oracle.ball_kernel),
+            (Polydisk(3), [0.5, 0.4, 0.3], oracle.polydisk_kernel),
         ],
         ids=["ball2", "ball3", "ball3-zero-coordinate", "polydisk3"],
     )
-    def test_off_axis_to_rounding(self, dom, w, oracle):
+    def test_off_axis_to_rounding(self, dom, w, reference):
         w = np.array(w, dtype=complex)
         k = kernel_reinhardt(dom, w)
-        assert k.value == pytest.approx(oracle(w), rel=1e-14)
+        assert k.value == pytest.approx(reference(w), rel=1e-14)
         # the partial sum of positive terms is a lower bound; the tail is at rounding
         assert k.error_bound < 1e-15 * k.value
 
@@ -211,7 +182,7 @@ class TestKernelReinhardt:
         monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
         w = np.array([0.5, 0.3])
         k = kernel_reinhardt(ball(2), w)
-        expected = _ball_kernel_mp(w)
+        expected = oracle.ball_kernel(w)
         assert 1e-9 * expected < expected - k.value <= k.error_bound
 
     def test_monotone_in_base_point(self):
@@ -291,7 +262,7 @@ class TestKernelAnnulus:
     def test_matches_laurent_oracle(self, r, where):
         w0 = {"near-inner": 1.05 * r, "sqrt": math.sqrt(r), "near-outer": 0.95}[where]
         k = kernel_annulus(r, w0)
-        expected = _annulus_kernel_mp(r, w0)
+        expected = oracle.annulus_kernel(r, w0)
         assert k.value == pytest.approx(expected, rel=1e-13)
         assert k.error_bound <= 1e-16 * k.value
 
@@ -307,8 +278,9 @@ class TestKernelAnnulus:
     @pytest.mark.parametrize("where", ["near-inner", "sqrt", "near-outer"])
     def test_the_two_oracles_agree(self, r, where):
         w0 = {"near-inner": 1.05 * r, "sqrt": math.sqrt(r), "near-outer": 0.95}[where]
-        assert _annulus_kernel_q_mp(r, w0) == pytest.approx(_annulus_kernel_mp(r, w0), rel=1e-15)
-        assert _annulus_kernel_images_mp(r, w0) == pytest.approx(_annulus_kernel_mp(r, w0), rel=1e-15)
+        laurent = oracle.annulus_kernel(r, w0)
+        assert _annulus_kernel_q_mp(r, w0) == pytest.approx(laurent, rel=1e-15)
+        assert _annulus_kernel_images_mp(r, w0) == pytest.approx(laurent, rel=1e-15)
 
     @pytest.mark.parametrize("r", [1e-4, 0.015, 0.2, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("where", ["next-to-inner", "sqrt", "next-to-outer"])
@@ -322,7 +294,7 @@ class TestKernelAnnulus:
         monkeypatch.setattr(bergman, "ROUNDING_SHARE", 1e-6)
         for r, w0 in ((0.015, 0.05), (1e-4, 0.01), (1e-4, 0.5)):
             k = kernel_annulus(r, w0)
-            expected = _annulus_kernel_mp(r, w0)
+            expected = oracle.annulus_kernel(r, w0)
             assert 1e-9 * expected < abs(expected - k.value) <= k.error_bound
 
     @pytest.mark.parametrize("w0", [(1.0 - 1e-6) * (1.0 + 1e-7), 1.0 - 5e-7, 1.0 - 1e-7])

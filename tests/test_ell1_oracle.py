@@ -1,4 +1,4 @@
-"""The ell1-family closed forms against mpmath at 40 digits.
+"""The ell1-family closed forms against the mpmath oracle of perfbench/oracle.py.
 
 The family is { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 } at (b, 0, ..., 0),
 with a = (n-1)/m + 2.  The grid reaches b = 1e-12, where the textbook
@@ -6,8 +6,8 @@ expressions cancel catastrophically, and b = 1 - 1e-6.  The family maximum
 is checked against the oracle's, and F >= 1 as a property over (m, n, b).
 """
 import math
+from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,22 +18,14 @@ from suitaverify.domains import EllipsoidFamilyParams
 from suitaverify.indicatrix import indicatrix_volume_closed
 from suitaverify.suita import maximize_F, product_closed_form
 
+import oracle  # perfbench/oracle.py, the mpmath references the benchmark checks against
+
 B_GRID = [1e-12, 1e-8, 1e-6, *np.logspace(-5.0, math.log10(1.0 - 1e-6), 30).tolist(), 0.1, 1.0 - 1e-6]
 
 
-def _mp_F(m, n, b):
-    with mp.workdps(40):
-        a = (n - 1) / mp.mpf(m) + 2
-        b = mp.mpf(b)
-        prod = ((1 - b) ** (-a) - (1 + b) ** (-a)) * (1 - b) ** a * ((1 - b) ** a + 2 * a * b) / (2 * a * b)
-        return prod ** (mp.mpf(1) / n)
-
-
-def _mp_kernel(p, b):
-    with mp.workdps(40):
-        p = mp.mpf(p)
-        b = mp.mpf(b)
-        return (p + 1) / (4 * mp.pi**2 * b) * ((1 - b) ** (-p - 2) - (1 + b) ** (-p - 2))
+def test_oracle_is_the_benchmark_oracle():
+    # a stray module named oracle earlier on the path must not become the reference
+    assert Path(oracle.__file__).resolve().parent == Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])
@@ -42,7 +34,7 @@ def test_F_matches_oracle_and_is_at_least_one(m, n):
     for b in B_GRID:
         f = product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
         assert f >= 1.0, b
-        assert abs(f / _mp_F(m, n, b) - 1) <= 1e-15, b
+        assert abs(f / oracle.ell1_F(m, n, b) - 1) <= 1e-15, b
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 8.0, 128.0])
@@ -59,26 +51,22 @@ def test_product_matches_factors(m, n):
 def test_kernel_matches_oracle(m):
     for b in B_GRID:
         k = kernel_ellipsoid_closed(1.0 / m, b).value
-        assert abs(k / _mp_kernel(1.0 / m, b) - 1) <= 4e-15, b
+        assert abs(k / oracle.ellipsoid_axis_kernel(1.0 / m, b) - 1) <= 4e-15, b
 
 
 def test_family_maximum_matches_oracle():
-    """maximize_F(1/2, 3) against the maximum of the 40-digit F.
+    """maximize_F(1/2, 3) against the maximum of the oracle's F.
 
     The oracle gives F* = 1.00411786609845 at b* = 0.163501754936633.
     Criterion 2b pins F* = 1.004178, which is this value with two digits
     transposed; that pinned value and its tolerance stay as published.
     """
-    with mp.workdps(40):
-        h = mp.mpf(10) ** -12
-        slope = lambda b: (_mp_F(0.5, 3, b + h) - _mp_F(0.5, 3, b - h)) / (2 * h)
-        b_star = mp.findroot(slope, (mp.mpf("0.15"), mp.mpf("0.18")), solver="anderson")
-        f_star = _mp_F(0.5, 3, b_star)
-    assert abs(float(b_star) - 0.163501754936633) <= 1e-14
-    assert abs(float(f_star) - 1.00411786609845) <= 1e-14
+    b_star, f_star = oracle.ell1_F_max(0.5, 3)
+    assert abs(b_star - 0.163501754936633) <= 1e-14
+    assert abs(f_star - 1.00411786609845) <= 1e-14
     b, f = maximize_F(0.5, 3)
-    assert abs(f - float(f_star)) <= 1e-12
-    assert abs(b - float(b_star)) <= 1e-6
+    assert abs(f - f_star) <= 1e-12
+    assert abs(b - b_star) <= 1e-6
 
 
 # b log-uniform near 0 and near 1

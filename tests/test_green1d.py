@@ -2,7 +2,6 @@ import cmath
 import logging
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +22,8 @@ from suitaverify.green1d import (
 from suitaverify.green1d import _SCREEN_ROUNDING, _plain_moduli
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
+
+import oracle  # perfbench/oracle.py, the mpmath references the benchmark checks against
 
 R = 0.2
 W = math.sqrt(R)
@@ -84,32 +85,6 @@ class SeriesGreen:
         h_th = -np.sum(k * (pk + qk) * np.sin(k * th[..., None]), axis=-1)
         g_pole = (zeta - self.w0) / np.abs(zeta - self.w0) ** 2
         return (g_pole + zeta / rho * (h_rho + 1j * h_th / rho)) * self.phase
-
-
-def _mp_prime(x, q):
-    """P(x) = (1 - x) prod_k (1 - q^k x)(1 - q^k / x), factors down to 1e-42."""
-    p, c = 1 - x, q
-    while c > mp.mpf(10) ** -42:
-        p *= (1 - c * x) * (1 - c / x)
-        c *= q
-    return p
-
-
-def _mp_green(r, w, z):
-    """G from the prime-function product at 40 digits."""
-    with mp.workdps(40):
-        r, w, z = mp.mpf(r), mp.mpc(w), mp.mpc(z)
-        lw = mp.log(abs(w))
-        pw = mp.log(abs(_mp_prime(z / w, r * r))) - mp.log(abs(_mp_prime(z * mp.conj(w), r * r)))
-        return lw + pw - lw / mp.log(r) * mp.log(abs(z))
-
-
-def _mp_robin(r, w0):
-    """lim_{z->w} G(z) - log|z - w| = log(prod_k (1 - q^k)^2 / P(|w|^2)) - log(|w|)^2 / log r at 40 digits."""
-    with mp.workdps(40):
-        r, w0 = mp.mpf(r), mp.mpf(w0)
-        q = r * r
-        return float(2 * mp.log(mp.qp(q, q)) - mp.log(_mp_prime(w0 * w0, q)) - mp.log(w0) ** 2 / mp.log(r))
 
 
 # on-axis pole sqrt(r) and an off-axis pole nearer the inner circle
@@ -188,7 +163,7 @@ class TestAnnulusSolve:
     def test_robin_matches_mpmath_next_to_the_circles(self, r, where):
         # 1 - |w|^2 and 1 - r^2 / |w|^2 cancel next to the circles unless taken as products
         w0 = {"next-to-inner": r * (1.0 + 1e-7), "sqrt": math.sqrt(r), "next-to-outer": 1.0 - 1e-7}[where]
-        assert AnnulusGreen(r, w0).robin == pytest.approx(_mp_robin(r, w0), abs=1e-14)
+        assert AnnulusGreen(r, w0).robin == pytest.approx(oracle.annulus_robin(r, w0), abs=1e-14)
 
     def test_pole_validation(self):
         with pytest.raises(ValueError):
@@ -219,7 +194,7 @@ class TestAnnulusSolve:
         g = AnnulusGreen(r, w)
         d = min(1.0 - abs(w), abs(w) - r)
         z = w + d * np.linspace(0.2, 0.6, 5) * np.exp(1j * np.linspace(0.0, 5.0, 5))
-        ref = np.array([float(_mp_green(r, w, c)) for c in z])
+        ref = np.array([oracle.annulus_green(r, w, c) for c in z])
         assert np.all(np.abs(ref) > 0.1)
         assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
 
@@ -231,7 +206,7 @@ class TestAnnulusSolve:
         gap = (1.0 - r) * np.geomspace(1e-3, 0.1, 12)
         phase = np.angle(w) + np.random.default_rng(3).uniform(-0.3, 0.3, 24)
         z = np.concatenate((r + gap, 1.0 - gap)) * np.exp(1j * phase)
-        ref = np.array([float(_mp_green(r, w, c)) for c in z])
+        ref = np.array([oracle.annulus_green(r, w, c) for c in z])
         assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
 
     def test_no_silent_cap_near_one(self):
