@@ -5,7 +5,9 @@ Closed form on the unit disk, a sum of strip images on the annulus
 and logarithmic capacity, the covering-map upper bound for the capacity,
 traced level curves with flux / co-area density / isoperimetric ratio
 (their area is the sublevel-set volume), and deterministic hit counting as
-the check route for that volume.
+the check route for that volume.  The count settles whole Harnack cells of
+its box from the value of G at each centre, so G is evaluated only at the
+centres and at the points of the cells that straddle the level.
 """
 from __future__ import annotations
 
@@ -45,14 +47,16 @@ _START_SPACINGS = 2.0**20
 # Below half the float spacing at 1, 1 - |w| keeps no digit of |w|, and the strip's
 # x1 = -log1p(|w| - 1) is wrong or infinite: the annulus refuses such a pole.
 _POLE_MIN = 2.0**-53
-# AnnulusGreen.below screens with the images of a strip whose tail is below _SCREEN_SHARE (one pair
-# at r = 0.2, against three for value).  Its moduli come from np.abs(z), off by about eps (1 - log r)
-# absolute; G magnifies that by at most a few times (pi/2) / m (4.2 times, measured), where m, the
-# pole's strip distance to the nearer circle, is at least gap.  So _SCREEN_ROUNDING (1 + |G| + 1/gap)
-# bounds every rounding difference from value with a wide margin; 2^-30 (1 + |G|) alone fell 300x
-# short with the pole 7e-10 from the outer circle.
-_SCREEN_SHARE = 2.0**-10
-_SCREEN_ROUNDING = 2.0**-30
+# Hit counting settles a cell whose Harnack bounds clear the level by _CELL_MARGIN (1 + |t|): 2^-16 is
+# more than 100 times the worst relative error of value against perfbench/oracle.annulus_green (1.1e-7, at
+# r = 1e-16 and w = sqrt(r)), so no point of a settled cell can count otherwise under value(z) < t.
+_CELL_MARGIN = 2.0**-16
+# ... and enlarges each cell's half-diagonal by _CELL_SLACK: the box, the sublevel component padded by a
+# fifth of its extent, lies within 1.4 of 0, where every rounding of a point, of a centre and of their
+# distances is below 1e-15, so a settled cell holds no point that in_domain would refuse.
+_CELL_SLACK = 2.0**-44
+# Points and cell centres go through value and in_domain in chunks of this many (128 KiB per float array).
+_CHUNK = 2**14
 
 
 class CriticalLevelError(RuntimeError):
@@ -78,9 +82,9 @@ class DiskGreen:
         w = self.pole
         return np.log(np.abs(z - w)) - np.log(np.abs(1.0 - np.conj(w) * z))
 
-    def below(self, z, t):
-        """G(z) < t as a boolean array, and how many points took ``value`` (all of them)."""
-        return self.value(z) < t, int(np.size(z))
+    def clearance(self, z):
+        """Distance from each z to the unit circle, negative outside the disk."""
+        return 1.0 - np.abs(z)
 
     def grad(self, z):
         """Gradient gx + i gy; conj(f') for f = log(z - w) - log(1 - conj(w) z)."""
@@ -99,34 +103,54 @@ class DiskGreen:
 
 
 def _square(a):
-    """a^2 as p + e exactly (Dekker's splitting)."""
-    p, t = a * a, 134217729.0 * a
-    hi = t - (t - a)
+    """a^2 as p + e exactly (Dekker's splitting), in place on the temporaries where a is an array."""
+    p, hi = a * a, 134217729.0 * a
+    lo = hi - a
+    hi -= lo
     lo = a - hi
-    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    e = hi * hi
+    e -= p
+    hi *= 2.0
+    hi *= lo
+    e += hi
+    lo *= lo
+    e += lo
+    return p, e
 
 
-def _log_moduli(z, az, r):
-    """log(|z|/r) and -log|z|, az = np.abs(z).  Next to the circle |z| = rho each is log1p(x)/2,
+def _log_moduli(z, lm, r):
+    """log(|z|/r) and -log|z|, lm = log(np.abs(z)).  Next to the circle |z| = rho each is log1p(x)/2,
     x = |z|^2/rho^2 - 1, with |z|^2 - rho^2 summed from exact squares: its error is then relative to
-    the distance from the circle, where the rounding of az is relative to |z| itself."""
-    (px, ex), (py, ey) = _square(z.real), _square(z.imag)
+    the distance from the circle, where the rounding of np.abs(z) is relative to |z| itself."""
+    px, ex = _square(z.real)
+    py, ey = _square(z.imag)
     s = px + py
+    # |z|^2 = s + low (two-sum): low = (px - (s - v)) + (py - v) + ex + ey, v = s - px
     v = s - px
-    low = (px - (s - v)) + (py - v) + ex + ey  # |z|^2 = s + low (two-sum)
-    lm, out = np.log(az), []
+    low = s - v
+    np.subtract(px, low, out=low)
+    py -= v
+    low += py
+    low += ex
+    low += ey
+    del px, ex, py, ey, v
+    out = []
     for rho in (r, 1.0):
         pr, er = _square(rho)
         # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
-        x = ((s - pr) + (low - er)) / pr if pr > 1e-290 else np.full_like(s, -1.0)
-        out.append(np.where(x < -0.5, lm - math.log(rho), 0.5 * np.log1p(np.maximum(x, -0.5))))
-    return out[0], -out[1]
-
-
-def _plain_moduli(z, az, r):
-    """log(|z|/r) and -log|z| from az = np.abs(z), whose rounding is relative to |z| (the hit screen's)."""
-    lm = np.log(az)
-    return lm - math.log(r), -lm
+        if pr > 1e-290:
+            x = s - pr
+            x += low - er
+            x /= pr
+        else:
+            x = np.full_like(s, -1.0)
+        far = x < -0.5
+        np.maximum(x, -0.5, out=x)
+        np.log1p(x, out=x)
+        x *= 0.5
+        np.subtract(lm, math.log(rho), out=x, where=far)
+        out.append(x)
+    return out[0], np.negative(out[1], out=out[1])
 
 
 class _Strip:
@@ -167,11 +191,16 @@ class _Strip:
 def _images(y, st):
     """e^{y_k} and e^{-y_k}, y_k = y + k kappa for the images k = +-1, ..., +-n of strip ``st``, from
     one exp of y: their half difference and half sum are sinh y_k and cosh y_k, where |y_k| >= kappa/2,
-    so no difference of exponentials cancels, and there are images only where kappa is moderate."""
-    e = np.exp(y) if st.n else None
+    so no difference of exponentials cancels, and there are images only where kappa is moderate.
+    The same two arrays come back for every image, overwritten, so a caller may work in them."""
+    if not st.n:
+        return
+    e = np.exp(y)
+    ek, inv = np.empty_like(e), np.empty_like(e)
     for grow in np.exp(np.concatenate((st.shifts, -st.shifts))):
-        ek = e * grow
-        yield ek, 1.0 / ek
+        np.multiply(e, grow, out=ek)
+        np.divide(1.0, ek, out=inv)
+        yield ek, inv
 
 
 class AnnulusGreen:
@@ -189,7 +218,6 @@ class AnnulusGreen:
         self.pole = complex(w)
         # G is of order one near the pole: sum to rounding
         self._strip = st = _Strip(self.inner, abs(self.pole), 2.0**-53)
-        self._coarse = _Strip(self.inner, abs(self.pole), _SCREEN_SHARE)
         self._disk = DiskGreen(self.pole)
         self.gap = min(self._disk.gap, abs(self.pole) - self.inner)
         self.n_modes, self.tail_bound = 2 * st.n + 1, st.tail
@@ -197,73 +225,108 @@ class AnnulusGreen:
         self.robin = math.log(st.c / abs(self.pole)) - math.log(st.s) - st.robin_images
         log.debug("annulus Green function: %d images, tail bound %.3g", self.n_modes, self.tail_bound)
 
-    def _coords(self, z, moduli=_log_moduli):
-        """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; log(|z|/r) and
-        -log|z| (from ``moduli``).  Next to the pole, log|z/w| = log1p(x)/2, x = |z/w|^2 - 1, and the
-        angle of z conj(w) = |w|^2 + (z - w) conj(w) cancel in neither part; xb - pi = -c (-log|z| -
-        log|w|) does not cancel next to the outer circle."""
+    def _coords(self, z):
+        """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; and log of the
+        modulus ratio to the nearer circle, min(log(|z|/r), -log|z|).  Next to the pole, log|z/w| =
+        log1p(x)/2, x = |z/w|^2 - 1, and the angle of z conj(w) = |w|^2 + (z - w) conj(w) cancel in
+        neither part; xb - pi = -c (-log|z| - log|w|) does not cancel next to the outer circle.
+
+        Each array is dropped once dead and the rest is done in place: the most alive at once sets
+        how much memory a hit-count chunk touches (see ``_CHUNK``)."""
         st, w = self._strip, self.pole
+        az = np.abs(z)
+        lz, lzc = _log_moduli(z, np.log(az), self.inner)
+        # xb = c (lz + x0) where lz <= x1, else -c (lzc + x1)
+        xb = np.add(lzc, st.x1)
+        np.negative(xb, out=xb)
+        np.add(lz, st.x0, out=xb, where=lz <= st.x1)
+        xb *= st.c
+        mn = np.minimum(lz, lzc, out=lz)
+        del lzc
+        # x = (|z - w|^2 + 2 Re((z - w) conj w)) / |w|^2 = |z/w|^2 - 1
         d = z - w
+        x = np.square(d.real)
+        tmp = np.square(d.imag)
+        x += tmp
         dw, w2 = d * np.conj(w), abs(w) ** 2
-        x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
-        near, az = np.abs(x) < 0.5, np.abs(z)
-        xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(az / abs(w)))
-        lz, lzc = moduli(z, az, self.inner)
-        xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
-        return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, lz, lzc
+        del d
+        np.multiply(2.0, dw.real, out=tmp)
+        x += tmp
+        x /= w2
+        # y = c arg(|w|^2 + (z - w) conj w)
+        y = np.arctan2(dw.imag, np.add(w2, dw.real, out=tmp))
+        y *= st.c
+        del dw
+        # xa = c log1p(x)/2 next to the pole, c log(|z|/|w|) elsewhere
+        near = np.abs(x) < 0.5
+        x[~near] = 0.0
+        np.log1p(x, out=x)
+        x *= 0.5
+        xa = np.divide(az, abs(w), out=tmp)
+        np.log(xa, out=xa)
+        np.copyto(xa, x, where=near)
+        xa *= st.c
+        return xa, y, xb, mn
 
     def value(self, z):
-        return self._sum(np.asarray(z, dtype=complex), self._strip, _log_moduli)
-
-    def below(self, z, t):
-        """G(z) < t as a boolean array, and how many points took ``value``.
-
-        A screen sums the images of a coarse strip (tail below ``_SCREEN_SHARE``) on moduli from
-        np.abs(z).  It differs from ``value`` by at most that tail plus rounding, which
-        ``_SCREEN_ROUNDING (1 + |G| + 1/gap)`` bounds, so every point whose screened G lies farther
-        than that from t is settled; ``value`` decides the band left.  The result is ``value(z) < t``.
-        """
-        z = np.asarray(z, dtype=complex)
-        g = self._sum(z, self._coarse, _plain_moduli)
-        hit = g < t
-        slack = self._coarse.tail + _SCREEN_ROUNDING * (1.0 + 1.0 / self.gap + np.abs(g))
-        # written so that a NaN, or -inf at the pole, falls into the band
-        band = ~(np.abs(g - t) > slack)
-        n = int(np.count_nonzero(band))
-        if n:
-            hit[band] = self.value(z[band]) < t
-        return hit, n
-
-    def _sum(self, z, st, moduli):
-        """G summed over the images of strip ``st``, with log(|z|/r) and -log|z| from ``moduli``."""
-        xa, y, xb, lz, lzc = self._coords(z, moduli)
-        sb2 = np.sin(xb) ** 2
-        # sin^2 xa - sin^2 xb, the same for every image
-        a = -st.s * np.sin(2.0 * st.c * np.minimum(lz, lzc))
-        # arrays are dropped once dead: the most alive at once sets how much memory each hit-count
-        # chunk touches, and where the heap is trimmed after every chunk, how many pages it faults
-        del xb, lz, lzc
+        xa, y, xb, lm = self._coords(np.asarray(z, dtype=complex))
+        st = self._strip
+        # a = sin^2 xa - sin^2 xb = -s sin(2c min(lz, lzc)), the same for every image
+        a = np.multiply(2.0 * st.c, lm, out=lm)
+        np.sin(a, out=a)
+        a *= -st.s
+        sb2 = np.sin(xb, out=xb)
+        np.square(sb2, out=sb2)
         # k = 0 through 1/(sin^2 xb + sinh^2 y) = 4q / (4q sin^2 xb + expm1(-2|y|)^2), q = e^{-2|y|},
-        # which does not overflow at large |y|, and through both logs next to the pole
-        q, em = np.exp(-2.0 * np.abs(y)), np.expm1(-2.0 * np.abs(y))
-        num, den = 4.0 * q * np.sin(xa) ** 2 + em**2, 4.0 * q * sb2 + em**2
-        del xa
-        # (the log1p is taken only off the pole, where its argument cannot round to -1)
-        near = num < 0.5 * den
-        g = np.where(near, np.log(num) - np.log(den), np.log1p(np.where(near, 0.0, a * (4.0 * q / den))))
-        del q, em, num, den, near
+        # which does not overflow at large |y|, and through both logs next to the pole:
+        # num = 4q sin^2 xa + em^2 and den = 4q sin^2 xb + em^2, q4 = 4q, em = expm1(-2|y|)
+        em = np.abs(y)
+        em *= -2.0
+        q4 = np.exp(em)
+        q4 *= 4.0
+        np.expm1(em, out=em)
+        np.square(em, out=em)
+        num = np.sin(xa, out=xa)
+        np.square(num, out=num)
+        num *= q4
+        num += em
+        den = np.multiply(q4, sb2)
+        den += em
+        # g = log(num) - log(den) next to the pole, log1p(a q4/den) off it, where its argument
+        # cannot round to -1
+        near = num < np.multiply(0.5, den, out=em)
+        del em
+        g = np.divide(q4, den, out=q4)
+        g *= a
+        g[near] = 0.0
+        np.log1p(g, out=g)
+        np.log(num, out=num)
+        np.log(den, out=den)
+        num -= den
+        np.copyto(g, num, where=near)
+        del xa, num, den, near
         # the images in one log1p of prod_k (1 + a / (sin^2 xb + sinh^2 y_k)) - 1, all factors on one side of 1
         e = np.zeros_like(g)
         for ek, inv in _images(y, st):
-            sh = 0.5 * (ek - inv)
-            x = a / (sb2 + sh**2)
-            e += x + e * x
-        return 0.5 * (g + np.log1p(e))
+            # x = a / (sin^2 xb + sinh^2 y_k); e += x + e x
+            ek -= inv
+            ek *= 0.5
+            np.square(ek, out=ek)
+            ek += sb2
+            x = np.divide(a, ek, out=ek)
+            np.multiply(e, x, out=inv)
+            inv += x
+            e += inv
+        # G = (g + log1p(e)) / 2
+        np.log1p(e, out=e)
+        g += e
+        g *= 0.5
+        return g
 
     def grad(self, z):
         """Gradient gx + i gy; conj(f') for f' = (c s / z) sum_k 1/(sin(xa + i y_k) sin(xb + i y_k))."""
         z = np.asarray(z, dtype=complex)
-        xa, y, xb, _, _ = self._coords(z)
+        xa, y, xb, _ = self._coords(z)
         # 1/(sin u sin v) = -4 e^{i(u + v)} / (expm1(2iu) expm1(2iv)), with u and v negated
         # where Im u = Im v < 0: bounded for every y, and exact next to the pole
         sg = np.where(y < 0.0, -1.0, 1.0)
@@ -281,6 +344,11 @@ class AnnulusGreen:
     def in_domain(self, z):
         az = np.abs(z)
         return (az < 1.0) & (az > self.inner)
+
+    def clearance(self, z):
+        """Distance from each z to the nearer circle, negative outside the annulus."""
+        az = np.abs(z)
+        return np.minimum(1.0 - az, az - self.inner)
 
     def boundary_distance(self, phi):
         d = np.exp(1j * np.asarray(phi, dtype=float))
@@ -444,18 +512,53 @@ def _sublevel_box(green, t, n_rays=128):
     return x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
 
+def _cell_states(green, t, x0, dx, y0, dy, side):
+    """Which of the side x side cells of the box [x0, x0 + dx] x [y0, y0 + dy] are settled, and how
+    many centres took ``value``.  Cell ix + side iy is 1 where every point in it is a hit, 0 where
+    none is, and -1 where the points must be counted one by one.
+
+    On a disc of radius R about the centre c that misses the pole and the boundary, -G is positive
+    and harmonic, so by Harnack's inequality (Ransford, Potential Theory in the Complex Plane, 1995,
+    1.3) G(c) (R + rho)/(R - rho) <= G(z) <= G(c) (R - rho)/(R + rho) for |z - c| <= rho < R, rho the
+    cell's half-diagonal.  A cell settles when both bounds clear t by the margin, or when it lies
+    outside the domain altogether.
+    """
+    rho = 0.5 * math.hypot(dx, dy) / side + _CELL_SLACK
+    margin = _CELL_MARGIN * (1.0 + abs(t))
+    state, evaluated = np.full(side * side, -1, dtype=np.int8), 0
+    for lo in range(0, side * side, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, side * side))
+        c = (x0 + dx * ((k % side + 0.5) / side)) + 1j * (y0 + dy * ((k // side + 0.5) / side))
+        clear = green.clearance(c)
+        part = state[lo : lo + k.size]
+        part[clear < -rho] = 0
+        big = np.minimum(np.abs(c - green.pole), clear)
+        harmonic = big > rho
+        if np.any(harmonic):
+            big = big[harmonic]
+            g, q = green.value(c[harmonic]), (big - rho) / (big + rho)
+            part[harmonic] = np.where(g * q < t - margin, 1, np.where(g / q > t + margin, 0, -1))
+            evaluated += big.size
+    return state, evaluated
+
+
 def sublevel_volume(obj, t, stream=None, count=2**20):
     """Volume of { G < t } with its hit-counting standard error.
 
     ``obj`` is either a balanced domain spec (sublevel volume is the exact
     scaling e^{2nt} lambda(domain) of the Minkowski functional) or a Green
     object, in which case points are counted inside a bounding box fitted to
-    the sublevel component around the pole with the Green object's ``below``:
-    on the annulus a coarse image sum settles every point outside a thin band
-    around the level and ``value`` decides the band, so the count is that of
-    ``value(z) < t``.  A DEBUG record gives the points, the hits and how many
-    points took ``value``.  This is the check route for the traced area of
-    ``level_flux_and_isoperimetric``.
+    the sublevel component around the pole.  The box is split into side x side
+    Harnack cells, side = 2^max(0, floor(log2 count)//2 - 2) (256 at 2^20
+    points), so a point's cell is floor(u side) of its Sobol coordinates.
+    ``value`` at a cell's centre bounds G on the whole cell (``_cell_states``);
+    a cell whose bounds clear t by ``_CELL_MARGIN`` (1 + |t|), or that lies
+    outside the domain, is counted whole, and only the points of the other
+    cells take ``in_domain`` and ``value``.  The count is that of
+    ``value(z) < t`` over the points in the domain.  A DEBUG record gives the
+    points, the hits, the cells, the cells settled and how many points took
+    ``value`` (centres included).  This is the check route for the traced
+    area of ``level_flux_and_isoperimetric``.
     """
     if t > 0.0:
         raise ValueError("require t <= 0")
@@ -468,20 +571,33 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     if stream is None:
         stream = SampleStream(dimension=2, seed=0)
     x0, x1, y0, y1 = _sublevel_box(green, t)
-    box_area = (x1 - x0) * (y1 - y0)
+    dx, dy = x1 - x0, y1 - y0
+    side = 1 << max(0, (int(count).bit_length() - 1) // 2 - 2)
+    cells, evaluated = _cell_states(green, t, x0, dx, y0, dy, side)
     u = stream.points(count)
-    hit_count = exact = 0
-    # chunks of 2^14 points bound the per-image temporaries of the screen and of value (128 KiB per float array)
-    for lo in range(0, count, 2**14):
-        uc = u[lo : lo + 2**14]
-        chunk = (x0 + (x1 - x0) * uc[:, 0]) + 1j * (y0 + (y1 - y0) * uc[:, 1])
-        mask = green.in_domain(chunk)
-        if np.any(mask):
-            hit, n_exact = green.below(chunk[mask], t)
-            hit_count += int(np.count_nonzero(hit))
-            exact += n_exact
-    log.debug("hit count at t=%g: %d points, %d hits, %d evaluated exactly", t, count, hit_count, exact)
+    hit_count, todo = 0, []
+    for lo in range(0, count, _CHUNK):
+        uc = u[lo : lo + _CHUNK]
+        # side is a power of two, so u side is exact and its floor is the cell
+        state = cells[(uc[:, 1] * side).astype(np.intp) * side + (uc[:, 0] * side).astype(np.intp)]
+        hit_count += int(np.count_nonzero(state == 1))
+        todo.append(lo + np.flatnonzero(state < 0))
+    # the indices of the open cells' points (8 bytes each, against 16 for u), gathered so that value takes
+    # full chunks: on the few hundred open points of one chunk its cost is mostly per call
+    todo = np.concatenate(todo)
+    for lo in range(0, todo.size, _CHUNK):
+        uc = u[todo[lo : lo + _CHUNK]]
+        chunk = (x0 + dx * uc[:, 0]) + 1j * (y0 + dy * uc[:, 1])
+        chunk = chunk[green.in_domain(chunk)]
+        if chunk.size:
+            hit_count += int(np.count_nonzero(green.value(chunk) < t))
+            evaluated += chunk.size
+    log.debug(
+        "hit count at t=%g: %d points, %d hits, %d cells, %d settled, %d took value",
+        t, count, hit_count, cells.size, np.count_nonzero(cells >= 0), evaluated,
+    )
     p = hit_count / count
+    box_area = dx * dy
     value = box_area * p
     stderr = box_area * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
     return value, stderr

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
@@ -19,7 +19,7 @@ from suitaverify.green1d import (
     sublevel_volume,
     trace_level,
 )
-from suitaverify.green1d import _SCREEN_ROUNDING, _plain_moduli
+from suitaverify.green1d import _CELL_MARGIN, _sublevel_box
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -457,64 +457,68 @@ class TestSublevelVolume:
             sublevel_volume(annulus_green, 0.5)
 
 
-# (r, pole, level) of the screened hit count: from r = 1e-6 to a thin annulus, poles off the
-# axis and next to a circle, a level near the pole and levels next to the boundary
-SCREEN_CASES = [
+# (r, pole, level) of the Harnack-cell hit count: from r = 1e-8 to a thin annulus, poles off the axis
+# and next to a circle (1e-9 from it the pole's cell reaches the circle), a level near the pole and
+# levels next to the boundary
+COUNT_CASES = [
+    pytest.param(1e-8, 1e-4, -0.5, id="r1e-8"),
     pytest.param(1e-6, 1e-3, -0.5, id="r1e-6"),
     pytest.param(0.01, 0.3 * cmath.exp(1j), -1e-3, id="r0.01-off-axis-t-1e-3"),
     pytest.param(0.2, W * cmath.exp(2.5j), -8.0, id="r0.2-off-axis-near-the-pole"),
     pytest.param(0.2, 1.0 - 1e-6, -1.0, id="r0.2-pole-next-to-the-outer-circle"),
+    pytest.param(0.77, 1.0 - 1e-9, -0.5, id="r0.77-pole-1e-9-from-the-outer-circle"),
     pytest.param(0.9, 0.95 * cmath.exp(-1j), -0.5, id="r0.9-off-axis"),
     pytest.param(0.99, math.sqrt(0.99), -1e-3, id="r0.99-t-1e-3"),
 ]
 
 
-def _assert_screen_counts_as_value(monkeypatch, g, t, count):
-    """Hit-count with every chunk's screened hits checked against value(z) < t; the band sizes."""
-    screened, bands = AnnulusGreen.below, []
-
-    def checked(self, z, t):
-        hit, band = screened(self, z, t)
-        assert np.array_equal(hit, self.value(z) < t)
-        bands.append(band)
-        return hit, band
-
-    monkeypatch.setattr(AnnulusGreen, "below", checked)
-    sublevel_volume(g, t, SampleStream(2, seed=4), count)
-    return bands
+def _count_record(caplog):
+    """points, hits, cells, cells settled and points that took value, from the count's DEBUG record."""
+    (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("hit count")]
+    return [int(part.split()[0]) for part in msg.split(": ")[1].split(", ")]
 
 
-class TestHitScreen:
-    @pytest.mark.parametrize("r, w, t", SCREEN_CASES)
-    def test_screen_counts_what_value_counts(self, monkeypatch, r, w, t):
-        bands = _assert_screen_counts_as_value(monkeypatch, AnnulusGreen(r, w), t, 2**16)
-        assert len(bands) == 4 and sum(bands) < 2**16 // 20
+def _assert_count_is_brute_force(caplog, g, t, count):
+    """The cell count of sublevel_volume against value(z) < t on every Sobol point in the domain."""
+    with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+        sublevel_volume(g, t, SampleStream(2, seed=4), count)
+    points, hits, cells, settled, took_value = _count_record(caplog)
+    x0, x1, y0, y1 = _sublevel_box(g, t)
+    u = SampleStream(2, seed=4).points(count)
+    z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
+    z = z[g.in_domain(z)]
+    assert (points, hits) == (count, int(np.count_nonzero(g.value(z) < t)))
+    assert cells == CELLS[count] and settled <= cells and took_value <= cells + count
 
-    def test_screen_counts_what_value_counts_at_the_saddle(self, monkeypatch, annulus_green):
+
+# the counts and their side x side cells, side = 2^max(0, floor(log2 count)//2 - 2)
+CELLS = {1: 1, 3000: 8**2, 2**14: 32**2, 2**16: 64**2}
+COUNTS = list(CELLS)
+
+
+class TestHarnackCells:
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("r, w, t", COUNT_CASES)
+    def test_count_is_brute_force(self, caplog, r, w, t, count):
+        _assert_count_is_brute_force(caplog, AnnulusGreen(r, w), t, count)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_count_is_brute_force_at_the_saddle(self, caplog, annulus_green, count):
         # the level of test_curve_falls_back_to_hit_counting_at_the_saddle, where G is flat
-        _assert_screen_counts_as_value(monkeypatch, annulus_green, _saddle_level(annulus_green), 2**16)
+        _assert_count_is_brute_force(caplog, annulus_green, _saddle_level(annulus_green), count)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_count_is_brute_force_on_the_disk(self, caplog, count):
+        _assert_count_is_brute_force(caplog, DiskGreen(0.6 * cmath.exp(0.7j)), -0.7, count)
 
     def test_criterion_10_count_is_pinned(self, annulus_green, caplog):
-        # criterion 10's cross-check of the trace at t = -0.5; the count before the screen was 397856
+        # criterion 10's cross-check of the trace at t = -0.5, the same count since before the cells
         with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
             sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0).split(6), 2**20)
-        (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("hit count")]
-        points, hits, exact = (int(part.split()[0]) for part in msg.split(": ")[1].split(", "))
-        assert (points, hits) == (2**20, 397856)
-        assert exact < 2**20 // 1000
-
-    @pytest.mark.parametrize(
-        "r, w, t",
-        # 1e-9 from the outer circle the rounding of np.abs(z) moves the screen by about 1e-7
-        SCREEN_CASES + [pytest.param(0.77, 1.0 - 1e-9, -0.5, id="r0.77-pole-1e-9-from-the-outer-circle")],
-    )
-    def test_points_on_the_level_take_the_exact_value(self, r, w, t):
-        # traced roots are G = t to about 1e-12, inside every band: value decides them all
-        g = AnnulusGreen(r, w)
-        phis, s = trace_level(g, t, 256)
-        z = g.pole + s * np.exp(1j * phis)
-        hit, band = g.below(z, t)
-        assert band == z.size and np.array_equal(hit, g.value(z) < t)
+        points, hits, cells, settled, took_value = _count_record(caplog)
+        assert (points, hits, cells) == (2**20, 397856, 256**2)
+        # the centres and the points of the cells left open
+        assert settled > cells * 9 // 10 and took_value < 2**20 // 8
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
@@ -522,30 +526,25 @@ class TestHitScreen:
         inner=st.booleans(),
         where=st.floats(0.0, 1.0),
         arg=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
+        centre=st.floats(0.0, 1.0),
+        turn=st.floats(0.0, 2.0 * math.pi),
+        share=st.floats(0.01, 0.99),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_screen_lies_within_its_slack(self, r, inner, where, arg, seed):
-        # the bound below() settles points with: the coarse strip's tail plus the rounding
-        # allowance; |w| lies between 1e-12 off one circle and sqrt(r), log-uniformly
+    def test_value_lies_within_the_harnack_bounds(self, r, inner, where, arg, centre, turn, share, seed):
+        # the bounds a cell settles by, for a pole between 1e-12 off one circle and sqrt(r), log-uniformly,
+        # a centre anywhere in the annulus and a disc of radius rho < R around it
         far = math.sqrt(r) - r if inner else 1.0 - math.sqrt(r)
         delta = 1e-12 * (far / 1e-12) ** where
         g = AnnulusGreen(r, (r + delta if inner else 1.0 - delta) * cmath.exp(1j * arg))
+        c = (r + (1.0 - r) * centre) * cmath.exp(1j * turn)
+        big = min(abs(c - g.pole), float(g.clearance(c)))
+        assume(big > 0.0)
+        rho = share * big
         rng = np.random.default_rng(seed)
-        th = rng.uniform(0.0, 2.0 * math.pi, (4, 256))
-        z = np.concatenate(
-            (
-                np.sqrt(rng.uniform(r * r, 1.0, 256)) * np.exp(1j * th[0]),
-                g.pole + g.gap * 10.0 ** rng.uniform(-6.0, 0.5, 256) * np.exp(1j * th[1]),
-                (1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 256)) * np.exp(1j * th[2]),
-                r * (1.0 + 10.0 ** rng.uniform(-15.0, -1.0, 256)) * np.exp(1j * th[3]),
-            )
-        )
-        z = z[g.in_domain(z)]
-        # next to a pole near a circle a point may round onto the pole, where both are -inf
-        with np.errstate(divide="ignore"):
-            exact, screened = g.value(z), g._sum(z, g._coarse, _plain_moduli)
-        on_pole = np.isneginf(exact)
-        assert np.array_equal(np.isneginf(screened), on_pole) and np.all(np.isfinite(exact[~on_pole]))
-        exact, screened = exact[~on_pole], screened[~on_pole]
-        slack = g._coarse.tail + _SCREEN_ROUNDING * (1.0 + 1.0 / g.gap + np.abs(screened))
-        assert np.all(np.abs(exact - screened) <= slack)
+        z = c + rho * np.sqrt(rng.uniform(0.0, 1.0, 256)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 256))
+        z[:16] = c + rho * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 16))  # on the disc's rim, where the bounds are met
+        gc, q = float(g.value(np.array([c]))[0]), (big - rho) / (big + rho)
+        v = g.value(z)
+        margin = _CELL_MARGIN * (1.0 + np.abs(v))
+        assert np.all(gc / q - margin <= v) and np.all(v <= gc * q + margin)
