@@ -47,9 +47,10 @@ _START_SPACINGS = 2.0**20
 # Below half the float spacing at 1, 1 - |w| keeps no digit of |w|, and the strip's
 # x1 = -log1p(|w| - 1) is wrong or infinite: the annulus refuses such a pole.
 _POLE_MIN = 2.0**-53
-# Hit counting settles a cell whose Harnack bounds clear the level by _CELL_MARGIN (1 + |t|): 2^-16 is
-# more than 100 times the worst relative error of value against perfbench/oracle.annulus_green (1.1e-7, at
-# r = 1e-16 and w = sqrt(r)), so no point of a settled cell can count otherwise under value(z) < t.
+# Hit counting settles a cell whose Harnack bounds clear the level by _CELL_MARGIN (1 + |t|), plus what
+# covers the centre's value (see _cell_bounds): 2^-16 is more than 100 times the worst relative error of
+# value against perfbench/oracle.annulus_green (1.1e-7, at r = 1e-16 and w = sqrt(r)), so no point of a
+# settled cell can count otherwise under value(z) < t.
 _CELL_MARGIN = 2.0**-16
 # ... and enlarges each cell's half-diagonal by _CELL_SLACK: the box, the sublevel component padded by a
 # fifth of its extent, lies within 1.4 of 0, where every rounding of a point, of a centre and of their
@@ -103,54 +104,28 @@ class DiskGreen:
 
 
 def _square(a):
-    """a^2 as p + e exactly (Dekker's splitting), in place on the temporaries where a is an array."""
-    p, hi = a * a, 134217729.0 * a
-    lo = hi - a
-    hi -= lo
+    """a^2 as p + e exactly (Dekker's splitting)."""
+    p, t = a * a, 134217729.0 * a
+    hi = t - (t - a)
     lo = a - hi
-    e = hi * hi
-    e -= p
-    hi *= 2.0
-    hi *= lo
-    e += hi
-    lo *= lo
-    e += lo
-    return p, e
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
-def _log_moduli(z, lm, r):
-    """log(|z|/r) and -log|z|, lm = log(np.abs(z)).  Next to the circle |z| = rho each is log1p(x)/2,
+def _log_moduli(z, az, r):
+    """log(|z|/r) and -log|z|, az = np.abs(z).  Next to the circle |z| = rho each is log1p(x)/2,
     x = |z|^2/rho^2 - 1, with |z|^2 - rho^2 summed from exact squares: its error is then relative to
-    the distance from the circle, where the rounding of np.abs(z) is relative to |z| itself."""
-    px, ex = _square(z.real)
-    py, ey = _square(z.imag)
+    the distance from the circle, where the rounding of az is relative to |z| itself."""
+    (px, ex), (py, ey) = _square(z.real), _square(z.imag)
     s = px + py
-    # |z|^2 = s + low (two-sum): low = (px - (s - v)) + (py - v) + ex + ey, v = s - px
     v = s - px
-    low = s - v
-    np.subtract(px, low, out=low)
-    py -= v
-    low += py
-    low += ex
-    low += ey
-    del px, ex, py, ey, v
-    out = []
+    low = (px - (s - v)) + (py - v) + ex + ey  # |z|^2 = s + low (two-sum)
+    lm, out = np.log(az), []
     for rho in (r, 1.0):
         pr, er = _square(rho)
         # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
-        if pr > 1e-290:
-            x = s - pr
-            x += low - er
-            x /= pr
-        else:
-            x = np.full_like(s, -1.0)
-        far = x < -0.5
-        np.maximum(x, -0.5, out=x)
-        np.log1p(x, out=x)
-        x *= 0.5
-        np.subtract(lm, math.log(rho), out=x, where=far)
-        out.append(x)
-    return out[0], np.negative(out[1], out=out[1])
+        x = ((s - pr) + (low - er)) / pr if pr > 1e-290 else np.full_like(s, -1.0)
+        out.append(np.where(x < -0.5, lm - math.log(rho), 0.5 * np.log1p(np.maximum(x, -0.5))))
+    return out[0], -out[1]
 
 
 class _Strip:
@@ -191,16 +166,11 @@ class _Strip:
 def _images(y, st):
     """e^{y_k} and e^{-y_k}, y_k = y + k kappa for the images k = +-1, ..., +-n of strip ``st``, from
     one exp of y: their half difference and half sum are sinh y_k and cosh y_k, where |y_k| >= kappa/2,
-    so no difference of exponentials cancels, and there are images only where kappa is moderate.
-    The same two arrays come back for every image, overwritten, so a caller may work in them."""
-    if not st.n:
-        return
-    e = np.exp(y)
-    ek, inv = np.empty_like(e), np.empty_like(e)
+    so no difference of exponentials cancels, and there are images only where kappa is moderate."""
+    e = np.exp(y) if st.n else None
     for grow in np.exp(np.concatenate((st.shifts, -st.shifts))):
-        np.multiply(e, grow, out=ek)
-        np.divide(1.0, ek, out=inv)
-        yield ek, inv
+        ek = e * grow
+        yield ek, 1.0 / ek
 
 
 class AnnulusGreen:
@@ -226,51 +196,25 @@ class AnnulusGreen:
         log.debug("annulus Green function: %d images, tail bound %.3g", self.n_modes, self.tail_bound)
 
     def _coords(self, z):
-        """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; and log of the
+        """xa + i y = c log(z/w); xb = c log(|z| |w| / r^2), or xb - pi past pi/2; and the log of the
         modulus ratio to the nearer circle, min(log(|z|/r), -log|z|).  Next to the pole, log|z/w| =
         log1p(x)/2, x = |z/w|^2 - 1, and the angle of z conj(w) = |w|^2 + (z - w) conj(w) cancel in
-        neither part; xb - pi = -c (-log|z| - log|w|) does not cancel next to the outer circle.
-
-        Each array is dropped once dead and the rest is done in place: the most alive at once sets
-        how much memory a hit-count chunk touches (see ``_CHUNK``)."""
+        neither part; xb - pi = -c (-log|z| - log|w|) does not cancel next to the outer circle."""
         st, w = self._strip, self.pole
-        az = np.abs(z)
-        lz, lzc = _log_moduli(z, np.log(az), self.inner)
-        # xb = c (lz + x0) where lz <= x1, else -c (lzc + x1)
-        xb = np.add(lzc, st.x1)
-        np.negative(xb, out=xb)
-        np.add(lz, st.x0, out=xb, where=lz <= st.x1)
-        xb *= st.c
-        mn = np.minimum(lz, lzc, out=lz)
-        del lzc
-        # x = (|z - w|^2 + 2 Re((z - w) conj w)) / |w|^2 = |z/w|^2 - 1
         d = z - w
-        x = np.square(d.real)
-        tmp = np.square(d.imag)
-        x += tmp
         dw, w2 = d * np.conj(w), abs(w) ** 2
-        del d
-        np.multiply(2.0, dw.real, out=tmp)
-        x += tmp
-        x /= w2
-        # y = c arg(|w|^2 + (z - w) conj w)
-        y = np.arctan2(dw.imag, np.add(w2, dw.real, out=tmp))
-        y *= st.c
-        del dw
-        # xa = c log1p(x)/2 next to the pole, c log(|z|/|w|) elsewhere
-        near = np.abs(x) < 0.5
-        x[~near] = 0.0
-        np.log1p(x, out=x)
-        x *= 0.5
-        xa = np.divide(az, abs(w), out=tmp)
-        np.log(xa, out=xa)
-        np.copyto(xa, x, where=near)
-        xa *= st.c
-        return xa, y, xb, mn
+        x = (d.real**2 + d.imag**2 + 2.0 * dw.real) / w2
+        near, az = np.abs(x) < 0.5, np.abs(z)
+        xa = st.c * np.where(near, 0.5 * np.log1p(np.where(near, x, 0.0)), np.log(az / abs(w)))
+        lz, lzc = _log_moduli(z, az, self.inner)
+        xb = st.c * np.where(lz <= st.x1, lz + st.x0, -(lzc + st.x1))
+        return xa, st.c * np.arctan2(dw.imag, w2 + dw.real), xb, np.minimum(lz, lzc)
 
     def value(self, z):
         xa, y, xb, lm = self._coords(np.asarray(z, dtype=complex))
         st = self._strip
+        # every step works in place, in the arrays of _coords and in each image's fresh e^{y_k} and
+        # e^{-y_k}: value is the inner loop of level tracing and hit counting
         # a = sin^2 xa - sin^2 xb = -s sin(2c min(lz, lzc)), the same for every image
         a = np.multiply(2.0 * st.c, lm, out=lm)
         np.sin(a, out=a)
@@ -512,19 +456,39 @@ def _sublevel_box(green, t, n_rays=128):
     return x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
 
+def _cell_bounds(green, c, rho):
+    """Lower and upper bounds on G over each disc |z - c| <= rho, for centres c whose distances to
+    the pole and to the boundary exceed rho, and the part of a cell's margin that covers them.
+
+    Both domains lie in the unit disk, so G is at least the disk's Green function with the same
+    pole, G_D = log|z - w| - log|1 - conj(w) z|, and H = G - G_D is harmonic (the poles cancel) and
+    non-negative (zero on the disk itself).  On a disc of radius R about c inside the domain,
+    Harnack's inequality (Ransford, Potential Theory in the Complex Plane, 1995, 1.3) gives
+    q H(c) <= H(z) <= H(c)/q for |z - c| <= rho < R, q = (R - rho)/(R + rho); G_D is bounded by the
+    ranges |c - w| -+ rho and |1 - conj(w) c| +- |w| rho of its two moduli.  H is of order one
+    where G is large, next to the pole, so the bounds stay about as narrow as G's own change across
+    the disc.  The margin part, _CELL_MARGIN |G(c)|/q, covers the error of value at c, which 1/q
+    magnifies in the bounds.
+    """
+    w = green.pole
+    d, e, big = np.abs(c - w), np.abs(1.0 - np.conj(w) * c), green.clearance(c)
+    g, q = green.value(c), (big - rho) / (big + rho)
+    h = g - (np.log(d) - np.log(e))
+    # e >= 1 - |c| >= big > rho > |w| rho, so every log is finite
+    low = q * h + (np.log(d - rho) - np.log(e + abs(w) * rho))
+    high = h / q + (np.log(d + rho) - np.log(e - abs(w) * rho))
+    return low, high, _CELL_MARGIN * np.abs(g) / q
+
+
 def _cell_states(green, t, x0, dx, y0, dy, side):
     """Which of the side x side cells of the box [x0, x0 + dx] x [y0, y0 + dy] are settled, and how
     many centres took ``value``.  Cell ix + side iy is 1 where every point in it is a hit, 0 where
-    none is, and -1 where the points must be counted one by one.
-
-    On a disc of radius R about the centre c that misses the pole and the boundary, -G is positive
-    and harmonic, so by Harnack's inequality (Ransford, Potential Theory in the Complex Plane, 1995,
-    1.3) G(c) (R + rho)/(R - rho) <= G(z) <= G(c) (R - rho)/(R + rho) for |z - c| <= rho < R, rho the
-    cell's half-diagonal.  A cell settles when both bounds clear t by the margin, or when it lies
-    outside the domain altogether.
+    none is, and -1 where the points must be counted one by one.  A cell settles when both bounds
+    of ``_cell_bounds`` over the disc of its half-diagonal rho clear t by the margin, or when it
+    lies outside the domain altogether; the pole's own cell and the cells the boundary crosses stay
+    open.
     """
     rho = 0.5 * math.hypot(dx, dy) / side + _CELL_SLACK
-    margin = _CELL_MARGIN * (1.0 + abs(t))
     state, evaluated = np.full(side * side, -1, dtype=np.int8), 0
     for lo in range(0, side * side, _CHUNK):
         k = np.arange(lo, min(lo + _CHUNK, side * side))
@@ -532,13 +496,12 @@ def _cell_states(green, t, x0, dx, y0, dy, side):
         clear = green.clearance(c)
         part = state[lo : lo + k.size]
         part[clear < -rho] = 0
-        big = np.minimum(np.abs(c - green.pole), clear)
-        harmonic = big > rho
-        if np.any(harmonic):
-            big = big[harmonic]
-            g, q = green.value(c[harmonic]), (big - rho) / (big + rho)
-            part[harmonic] = np.where(g * q < t - margin, 1, np.where(g / q > t + margin, 0, -1))
-            evaluated += big.size
+        inner = (clear > rho) & (np.abs(c - green.pole) > rho)
+        if np.any(inner):
+            low, high, slack = _cell_bounds(green, c[inner], rho)
+            margin = _CELL_MARGIN * (1.0 + abs(t)) + slack
+            part[inner] = np.where(high < t - margin, 1, np.where(low > t + margin, 0, -1))
+            evaluated += low.size
     return state, evaluated
 
 
@@ -551,10 +514,11 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     the sublevel component around the pole.  The box is split into side x side
     Harnack cells, side = 2^max(0, floor(log2 count)//2 - 2) (256 at 2^20
     points), so a point's cell is floor(u side) of its Sobol coordinates.
-    ``value`` at a cell's centre bounds G on the whole cell (``_cell_states``);
-    a cell whose bounds clear t by ``_CELL_MARGIN`` (1 + |t|), or that lies
-    outside the domain, is counted whole, and only the points of the other
-    cells take ``in_domain`` and ``value``.  The count is that of
+    ``value`` at a cell's centre bounds G on the whole cell, by Harnack's
+    inequality for G less the disk's Green function (``_cell_bounds``); a cell
+    whose bounds clear t by the margin, or that lies outside the domain, is
+    counted whole, and only the points of the other cells take ``in_domain``
+    and ``value``.  The count is that of
     ``value(z) < t`` over the points in the domain.  A DEBUG record gives the
     points, the hits, the cells, the cells settled and how many points took
     ``value`` (centres included).  This is the check route for the traced

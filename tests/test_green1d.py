@@ -19,7 +19,7 @@ from suitaverify.green1d import (
     sublevel_volume,
     trace_level,
 )
-from suitaverify.green1d import _CELL_MARGIN, _sublevel_box
+from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _sublevel_box
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -532,8 +532,8 @@ class TestHarnackCells:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_value_lies_within_the_harnack_bounds(self, r, inner, where, arg, centre, turn, share, seed):
-        # the bounds a cell settles by, for a pole between 1e-12 off one circle and sqrt(r), log-uniformly,
-        # a centre anywhere in the annulus and a disc of radius rho < R around it
+        # _cell_bounds for a pole between 1e-12 off one circle and sqrt(r), log-uniformly, a centre
+        # anywhere in the annulus and a disc of radius rho below its distances to the pole and the boundary
         far = math.sqrt(r) - r if inner else 1.0 - math.sqrt(r)
         delta = 1e-12 * (far / 1e-12) ** where
         g = AnnulusGreen(r, (r + delta if inner else 1.0 - delta) * cmath.exp(1j * arg))
@@ -544,7 +544,23 @@ class TestHarnackCells:
         rng = np.random.default_rng(seed)
         z = c + rho * np.sqrt(rng.uniform(0.0, 1.0, 256)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 256))
         z[:16] = c + rho * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 16))  # on the disc's rim, where the bounds are met
-        gc, q = float(g.value(np.array([c]))[0]), (big - rho) / (big + rho)
+        low, high, slack = (float(b[0]) for b in _cell_bounds(g, np.array([c]), rho))
         v = g.value(z)
-        margin = _CELL_MARGIN * (1.0 + np.abs(v))
-        assert np.all(gc / q - margin <= v) and np.all(v <= gc * q + margin)
+        margin = _CELL_MARGIN * (1.0 + np.abs(v)) + slack
+        assert np.all(low - margin <= v) and np.all(v <= high + margin)
+
+    @pytest.mark.parametrize(
+        "r, w, t",
+        [
+            pytest.param(0.2, W * cmath.exp(2.5j), -8.0, id="t-8"),
+            pytest.param(0.0147, 0.1083 * cmath.exp(2j), -3.8, id="r0.0147-t-3.8"),
+            pytest.param(0.9, math.sqrt(0.9), -4.5, id="r0.9-t-4.5"),
+        ],
+    )
+    def test_deep_levels_settle_most_cells(self, caplog, r, w, t):
+        # levels like the benchmark's, where G is large across the box: bounds on G itself left
+        # 77-97% of these cells open, and the cells along the level curve are about a tenth
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            sublevel_volume(AnnulusGreen(r, w), t, SampleStream(2, seed=4), 2**14)
+        points, hits, cells, settled, took_value = _count_record(caplog)
+        assert settled > cells * 4 // 5 and took_value < 2**14 // 4
