@@ -6,6 +6,7 @@ from .bergman import (
     KernelValue,
     kernel_annulus,
     kernel_deflated,
+    kernel_ellipsoid_axis,
     kernel_ellipsoid_closed,
     kernel_g2_center,
     kernel_reinhardt,

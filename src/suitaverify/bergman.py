@@ -2,8 +2,9 @@
 
 Monomial orthogonal series for Reinhardt domains, the annulus kernel as a
 sum of strip images whose count depends on r alone, closed forms for the axis
-points of complex ellipsoids, the deflation identity linking them, and the
-symmetrized bidisk center value.
+points of complex ellipsoids with first exponent 1/2 or second exponent 1,
+the deflation identity linking dimensions, and the symmetrized bidisk center
+value.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "kernel_reinhardt",
     "kernel_annulus",
     "kernel_ellipsoid_closed",
+    "kernel_ellipsoid_axis",
     "kernel_deflated",
     "kernel_deflated_via_identity",
     "kernel_g2_center",
@@ -235,6 +237,21 @@ def kernel_ellipsoid_closed(p, b):
         raise ValueError("b must lie in (0, 1)")
     val = (p + 1.0) / (4.0 * math.pi**2 * b) * _power_difference(p + 2.0, b)
     return KernelValue(val, "closed-form")
+
+
+def kernel_ellipsoid_axis(m, b):
+    """Closed form for { |z1|^{2m} + |z2|^2 < 1 } at (b, 0).
+
+    ||z1^j||^2 = pi^2 m / ((j+1)(j+1+m)) sums to K = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3), x = b^2
+    (Boas, Fu & Straube, Proc. AMS 1999), with 1 - x taken as (1-b)(1+b), which keeps its digits
+    as b -> 1.  The monomial series is its check route.
+    """
+    if m <= 0:
+        raise ValueError("m must be positive")
+    if not 0.0 <= b < 1.0:
+        raise ValueError("b must lie in [0, 1)")
+    x, omx = b * b, (1.0 - b) * (1.0 + b)
+    return KernelValue(((1.0 + x) + m * omx) / (math.pi**2 * m * omx**3), "closed-form")
 
 
 def _power_difference(q, b):

@@ -7,7 +7,8 @@ traced level curves with flux / co-area density / isoperimetric ratio
 (their area is the sublevel-set volume), and deterministic hit counting as
 the check route for that volume.  The count settles whole Harnack cells of
 its box from the value of G at each centre, so G is evaluated only at the
-centres and at the points of the cells that straddle the level.
+centres and at the points of the cells that straddle the level; it takes
+its points a block at a time, in memory that does not grow with their count.
 """
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ _CELL_MARGIN = 2.0**-16
 # fifth of its extent, lies within 1.4 of 0, where every rounding of a point, of a centre and of their
 # distances is below 1e-15, so a settled cell holds no point that in_domain would refuse.
 _CELL_SLACK = 2.0**-44
-# Points and cell centres go through value and in_domain in chunks of this many (128 KiB per float array).
+# The count takes its Sobol points in blocks of this many, and cell centres and the open cells' points go
+# through value and in_domain in chunks of this many (128 KiB per float array): its memory is O(_CHUNK).
 _CHUNK = 2**14
 
 
@@ -104,28 +106,56 @@ class DiskGreen:
 
 
 def _square(a):
-    """a^2 as p + e exactly (Dekker's splitting)."""
-    p, t = a * a, 134217729.0 * a
-    hi = t - (t - a)
+    """a^2 as p + e exactly (Dekker's splitting), in place on its temporaries where a is an array."""
+    p, hi = a * a, 134217729.0 * a
+    hi -= hi - a
     lo = a - hi
-    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    # e = ((hi hi - p) + 2 hi lo) + lo lo
+    e = hi * hi
+    e -= p
+    hi *= 2.0
+    hi *= lo
+    e += hi
+    lo *= lo
+    e += lo
+    return p, e
 
 
 def _log_moduli(z, az, r):
     """log(|z|/r) and -log|z|, az = np.abs(z).  Next to the circle |z| = rho each is log1p(x)/2,
     x = |z|^2/rho^2 - 1, with |z|^2 - rho^2 summed from exact squares: its error is then relative to
-    the distance from the circle, where the rounding of az is relative to |z| itself."""
-    (px, ex), (py, ey) = _square(z.real), _square(z.imag)
+    the distance from the circle, where the rounding of az is relative to |z| itself.  The steps
+    work in place, as value's do, which takes this on every point it evaluates."""
+    px, ex = _square(z.real)
+    py, ey = _square(z.imag)
     s = px + py
+    # |z|^2 = s + low (two-sum): low = (px - (s - v)) + (py - v) + ex + ey, v = s - px
     v = s - px
-    low = (px - (s - v)) + (py - v) + ex + ey  # |z|^2 = s + low (two-sum)
+    low = s - v
+    np.subtract(px, low, out=low)
+    del px
+    py -= v
+    low += py
+    low += ex
+    low += ey
+    del ex, py, ey, v
     lm, out = np.log(az), []
     for rho in (r, 1.0):
         pr, er = _square(rho)
         # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
-        x = ((s - pr) + (low - er)) / pr if pr > 1e-290 else np.full_like(s, -1.0)
-        out.append(np.where(x < -0.5, lm - math.log(rho), 0.5 * np.log1p(np.maximum(x, -0.5))))
-    return out[0], -out[1]
+        if pr > 1e-290:
+            x = s - pr
+            x += low - er
+            x /= pr
+        else:
+            x = np.full_like(s, -1.0)
+        far = x < -0.5
+        np.maximum(x, -0.5, out=x)
+        np.log1p(x, out=x)
+        x *= 0.5
+        np.subtract(lm, math.log(rho), out=x, where=far)
+        out.append(x)
+    return out[0], np.negative(out[1], out=out[1])
 
 
 class _Strip:
@@ -505,6 +535,14 @@ def _cell_states(green, t, x0, dx, y0, dy, side):
     return state, evaluated
 
 
+def _open_hits(green, t, box, u):
+    """Hits among the points u of the box (x0, dx, y0, dy) that lie in the domain, and their number."""
+    x0, dx, y0, dy = box
+    z = (x0 + dx * u[:, 0]) + 1j * (y0 + dy * u[:, 1])
+    z = z[green.in_domain(z)]
+    return (int(np.count_nonzero(green.value(z) < t)) if z.size else 0), z.size
+
+
 def sublevel_volume(obj, t, stream=None, count=2**20):
     """Volume of { G < t } with its hit-counting standard error.
 
@@ -518,11 +556,15 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     inequality for G less the disk's Green function (``_cell_bounds``); a cell
     whose bounds clear t by the margin, or that lies outside the domain, is
     counted whole, and only the points of the other cells take ``in_domain``
-    and ``value``.  The count is that of
-    ``value(z) < t`` over the points in the domain.  A DEBUG record gives the
-    points, the hits, the cells, the cells settled and how many points took
-    ``value`` (centres included).  This is the check route for the traced
-    area of ``level_flux_and_isoperimetric``.
+    and ``value``.  The count is that of ``value(z) < t`` over the points in
+    the domain.  The points come from ``stream.chunks`` in aligned blocks of
+    ``_CHUNK``, and the open cells' points take ``value`` whenever a full
+    ``_CHUNK`` of them has gathered, so memory does not grow with ``count``,
+    and the count is that over ``stream.points(count)`` (``value`` works
+    point by point).  A DEBUG record gives the points, the hits, the cells,
+    the cells settled and how many points took ``value`` (centres included).
+    This is the check route for the traced area of
+    ``level_flux_and_isoperimetric``.
     """
     if t > 0.0:
         raise ValueError("require t <= 0")
@@ -538,24 +580,25 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     dx, dy = x1 - x0, y1 - y0
     side = 1 << max(0, (int(count).bit_length() - 1) // 2 - 2)
     cells, evaluated = _cell_states(green, t, x0, dx, y0, dy, side)
-    u = stream.points(count)
-    hit_count, todo = 0, []
-    for lo in range(0, count, _CHUNK):
-        uc = u[lo : lo + _CHUNK]
+    box = x0, dx, y0, dy
+    # the open cells' points gather in held and take value a full chunk at a time: on the few hundred
+    # open points of one block its cost is mostly per call
+    hit_count, held, n_held = 0, np.empty((_CHUNK, 2)), 0
+    for u in stream.chunks(count, _CHUNK):
         # side is a power of two, so u side is exact and its floor is the cell
-        state = cells[(uc[:, 1] * side).astype(np.intp) * side + (uc[:, 0] * side).astype(np.intp)]
+        state = cells[(u[:, 1] * side).astype(np.intp) * side + (u[:, 0] * side).astype(np.intp)]
         hit_count += int(np.count_nonzero(state == 1))
-        todo.append(lo + np.flatnonzero(state < 0))
-    # the indices of the open cells' points (8 bytes each, against 16 for u), gathered so that value takes
-    # full chunks: on the few hundred open points of one chunk its cost is mostly per call
-    todo = np.concatenate(todo)
-    for lo in range(0, todo.size, _CHUNK):
-        uc = u[todo[lo : lo + _CHUNK]]
-        chunk = (x0 + dx * uc[:, 0]) + 1j * (y0 + dy * uc[:, 1])
-        chunk = chunk[green.in_domain(chunk)]
-        if chunk.size:
-            hit_count += int(np.count_nonzero(green.value(chunk) < t))
-            evaluated += chunk.size
+        rest = u[state < 0]
+        take = min(_CHUNK - n_held, len(rest))
+        held[n_held : n_held + take] = rest[:take]
+        n_held += take
+        if n_held == _CHUNK:
+            hits, took = _open_hits(green, t, box, held)
+            hit_count, evaluated = hit_count + hits, evaluated + took
+            n_held = len(rest) - take
+            held[:n_held] = rest[take:]
+    hits, took = _open_hits(green, t, box, held[:n_held])
+    hit_count, evaluated = hit_count + hits, evaluated + took
     log.debug(
         "hit count at t=%g: %d points, %d hits, %d cells, %d settled, %d took value",
         t, count, hit_count, cells.size, np.count_nonzero(cells >= 0), evaluated,

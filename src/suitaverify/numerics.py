@@ -181,6 +181,8 @@ def integrate_1d(f, a, b):
 _SOBOL_BITS = 30
 _SOBOL_POLYS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
 _SOBOL_MAX_DIM = len(_SOBOL_POLYS) + 1
+# points makes its points in blocks of this many (512 KiB of words in four dimensions)
+_SOBOL_BLOCK = 2**15
 
 
 def _sobol_directions(dimension):
@@ -210,6 +212,10 @@ class SampleStream:
     them, so ``points(n)`` is byte-identical to
     ``scipy.stats.qmc.Sobol(dimension, scramble=True, seed=seed).random(n)``, in numpy only.
     The same (dimension, seed) always reproduces the identical sequence.
+
+    In that order every aligned block of 2^s points is the first block xor-ed with one word per
+    dimension, so ``chunks`` makes the points a block at a time, in memory that does not grow
+    with their count; ``points`` fills one array from the same blocks.
     """
 
     dimension: int
@@ -220,8 +226,32 @@ class SampleStream:
             raise ValueError(f"dimension must lie in 1..{_SOBOL_MAX_DIM}")
 
     def points(self, count):
+        """The first ``count`` points, an array of shape (count, dimension)."""
+        blocks = self.chunks(count, _SOBOL_BLOCK)
+        sample, lo = np.empty((count, self.dimension)), 0
+        for block in blocks:
+            sample[lo : lo + len(block)] = block
+            lo += len(block)
+        return sample
+
+    def chunks(self, count, size):
+        """The first ``count`` points in consecutive blocks of ``size`` = 2^s points, the last one
+        possibly shorter; joined, the blocks are ``points(count)`` byte for byte.
+
+        Point i is the shift xor the v_k of the bits k of gray(i) = i ^ (i >> 1).  For i = c 2^s + j,
+        j < 2^s, the low s bits of gray(i) are gray(j) with bit s - 1 flipped where c is odd, and the
+        others are gray(c), so block c is the first block without the shift, B, xor-ed with
+        shift ^ (v_{s-1} if c is odd) ^ the v_{s+k} of the bits k of gray(c).  B and the scramble are
+        made once per call, and a block takes 16 bytes per point and coordinate, whatever the count.
+        Raises ValueError at once for a count outside 1..2^30 or a size that is not a power of two.
+        """
         if not 1 <= count <= 2**_SOBOL_BITS:
             raise ValueError(f"count must lie in 1..2^{_SOBOL_BITS}")
+        if size < 1 or size & (size - 1):
+            raise ValueError(f"block size {size} is not a power of two")
+        return self._blocks(count, size)
+
+    def _blocks(self, count, size):
         d, bits = self.dimension, _SOBOL_BITS
         rng = np.random.default_rng(self.seed)
         up = np.arange(bits, dtype=np.uint32)
@@ -234,19 +264,30 @@ class SampleStream:
         # the scramble multiplies the bit columns of v, top bit first, by ltm over GF(2)
         v_bits = (_sobol_directions(d)[:, None, :] >> down[:, None]) & 1
         v = ((ltm @ v_bits) & 1).transpose(0, 2, 1) @ (np.uint32(1) << down)
-        # point i is the shift xor the v_k of the bits k of i's Gray code: each bit doubles the
-        # points so far, xor-ing v_k into them in reverse order
-        sample, a = np.empty((count, d)), np.empty(count, dtype=np.uint32)
-        for j in range(d):
-            a[0], h = shift[j], 1
-            for vk in v[j]:
-                if h >= count:
+        # B: each bit doubles the points so far, xor-ing v_k into them in reverse order
+        n, s = min(size, count), size.bit_length() - 1
+        base = np.zeros((d, n), dtype=np.uint32)
+        for a, vj in zip(base, v):
+            h = 1
+            for vk in vj:
+                if h >= n:
                     break
-                m = min(h, count - h)
+                m = min(h, n - h)
                 np.bitwise_xor(a[h - 1 :: -1][:m], vk, out=a[h : h + m])
                 h *= 2
-            np.multiply(a, 2.0**-bits, out=sample[:, j])
-        return sample
+        word, key = np.empty(n, dtype=np.uint32), shift
+        for c, lo in enumerate(range(0, count, size)):
+            if c:
+                # gray(c) and gray(c - 1) differ in bit ctz(c), and c and c - 1 in parity
+                key = key ^ v[:, s + (c & -c).bit_length() - 1]
+                if s:
+                    key = key ^ v[:, s - 1]
+            m = min(size, count - lo)
+            block = np.empty((m, d))
+            for j in range(d):
+                np.bitwise_xor(base[j, :m], key[j], out=word[:m])
+                np.multiply(word[:m], 2.0**-bits, out=block[:, j])
+            yield block
 
     def split(self, index):
         """Derived stream for parallel cell ``index`` of a grid."""

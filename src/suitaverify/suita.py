@@ -93,9 +93,14 @@ def _closed_ratio(params: EllipsoidFamilyParams):
 
 
 def _numeric_ratio(domain: Ellipsoid, b):
-    """F at (b, 0) on a two-dimensional ellipsoid: the monomial series summed
-    to rounding times the extremal-disc envelope volume."""
-    k = bergman.kernel_reinhardt(domain, np.array([b, 0.0], dtype=complex))
+    """F at (b, 0) on a two-dimensional ellipsoid: the kernel, in closed form where the
+    second exponent is 1 and else the monomial series summed to rounding, times the
+    extremal-disc envelope volume."""
+    p1, p2 = domain.exponents
+    if p2 == 1.0:
+        k = bergman.kernel_ellipsoid_axis(p1, b)
+    else:
+        k = bergman.kernel_reinhardt(domain, np.array([b, 0.0], dtype=complex))
     vol = indicatrix.indicatrix_volume_numeric(domain.exponents, b)
     return SuitaRatio(k, vol, 2, math.sqrt(k.value * vol), "convex")
 

@@ -14,6 +14,7 @@ from suitaverify.bergman import (
     kernel_annulus,
     kernel_deflated,
     kernel_deflated_via_identity,
+    kernel_ellipsoid_axis,
     kernel_ellipsoid_closed,
     kernel_g2_center,
     kernel_reinhardt,
@@ -95,11 +96,27 @@ class TestKernelReinhardt:
     def test_axis_kernel_closed_form(self, m, b):
         # on {|z1|^{2m} + |z2|^2 < 1}, ||z1^j||^2 = pi^2 m / ((j+1)(j+1+m)), so
         # K((b,0)) = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3) with x = b^2
-        # (Boas, Fu & Straube, Proc. AMS 1999)
+        # (Boas, Fu & Straube, Proc. AMS 1999): the series is the closed kernel's check route
         x, omx = b * b, (1.0 - b) * (1.0 + b)
         expected = ((1.0 + x) + m * omx) / (math.pi**2 * m * omx**3)
         k = kernel_reinhardt(Ellipsoid((m, 1.0)), np.array([b, 0.0], dtype=complex))
         assert k.value == pytest.approx(expected, rel=1e-13)
+        closed = kernel_ellipsoid_axis(m, b)
+        assert closed.method == "closed-form"
+        assert closed.value == pytest.approx(k.value, rel=1e-13)
+
+    @pytest.mark.parametrize("b", [1e-8, 0.5, 0.99, 0.999, 1.0 - 1e-6])
+    def test_axis_kernel_closed_form_to_rounding(self, b):
+        # at m = 1/2 the domain is {|z1| + |z2|^2 < 1}, the ell1 family's p = 1; the series is
+        # 9.2e-13 off at b = 0.999, where its log-gamma terms carry ulps of size 1e4
+        k = kernel_ellipsoid_axis(0.5, b)
+        assert k.value == pytest.approx(oracle.ellipsoid_axis_kernel(1.0, b), rel=1e-14)
+
+    def test_axis_kernel_closed_form_validation(self):
+        assert kernel_ellipsoid_axis(2.0, 0.0).value == pytest.approx(3.0 / (2.0 * math.pi**2), rel=1e-15)
+        for m, b in ((0.0, 0.5), (-1.0, 0.5), (2.0, 1.0), (2.0, -0.1)):
+            with pytest.raises(ValueError):
+                kernel_ellipsoid_axis(m, b)
 
     @pytest.mark.parametrize(
         "dom,w,reference",

@@ -1,6 +1,7 @@
 import cmath
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +520,20 @@ class TestHarnackCells:
         assert (points, hits, cells) == (2**20, 397856, 256**2)
         # the centres and the points of the cells left open
         assert settled > cells * 9 // 10 and took_value < 2**20 // 8
+
+    def test_count_memory_does_not_grow_with_the_count(self, annulus_green):
+        # the points come a block at a time, so criterion 10's count holds the same few MiB at any
+        # count (tracemalloc's peak, in MiB: 7.1 at 2^18 and 40.1 at 2^21 with all points at once)
+        def peak(count):
+            tracemalloc.start()
+            try:
+                sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0).split(6), count)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**18), peak(2**21)
+        assert large < 8.0 and large - small < 1.5
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(

@@ -212,6 +212,25 @@ class TestSampleStream:
         expected = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
         assert SampleStream(d, seed).points(n).tobytes() == expected.tobytes()
 
+    # every pair but 2^20 one-point blocks, which take about 20 s; the other sizes cover 2^20 points
+    @pytest.mark.parametrize(
+        "count,size",
+        [(n, k) for n in (1, 3000, 2**14 + 77, 2**20) for k in (2**0, 2**4, 2**10, 2**14) if (n, k) != (2**20, 1)],
+    )
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_chunks_join_to_the_points(self, d, count, size):
+        stream = SampleStream(d, seed=9)
+        blocks = list(stream.chunks(count, size))
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= size
+        assert np.concatenate(blocks).tobytes() == stream.points(count).tobytes()
+
+    @pytest.mark.parametrize("size", [0, 3, 2**14 + 1, -4])
+    def test_chunk_size_not_a_power_of_two_is_refused(self, size):
+        # refused at the call, before the first block is asked for
+        with pytest.raises(ValueError, match="power of two"):
+            SampleStream(2).chunks(100, size)
+
     def test_dimension_above_four_is_refused(self):
         with pytest.raises(ValueError, match="dimension"):
             SampleStream(5)
@@ -220,6 +239,8 @@ class TestSampleStream:
         # raised before any allocation: 2^30 + 1 points would take 16 GiB
         with pytest.raises(ValueError, match="count"):
             SampleStream(2).points(2**30 + 1)
+        with pytest.raises(ValueError, match="count"):
+            SampleStream(2).chunks(2**30 + 1, 2**14)
 
     def test_seeds_differ(self):
         a = SampleStream(2, seed=0).points(100)

@@ -95,12 +95,17 @@ class TestSuitaF:
         assert numeric.F == pytest.approx(closed.F, rel=1e-4)
 
     def test_numeric_kernel_is_summed_to_rounding(self):
-        # on {|z1|^{2m} + |z2|^2 < 1}: K((b,0)) = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3), x = b^2
+        # on {|z1|^{2m} + |z2|^2 < 1}: K((b,0)) = ((1+x) + m(1-x)) / (pi^2 m (1-x)^3), x = b^2,
+        # which the numeric route takes in closed form; another second exponent takes the series
         m, b = 2.0, 0.9
         x, omx = b * b, (1.0 - b) * (1.0 + b)
         expected = ((1.0 + x) + m * omx) / (math.pi**2 * m * omx**3)
         res = suita_F(Ellipsoid((m, 1.0)), [b, 0.0])
         assert res.kernel.value == pytest.approx(expected, rel=1e-13)
+        assert res.kernel.method == "closed-form"
+        series = suita_F(Ellipsoid((m, 2.0)), [b, 0.0]).kernel
+        assert series.method == "monomial-series"
+        assert series.value == bergman.kernel_reinhardt(Ellipsoid((m, 2.0)), np.array([b, 0.0], dtype=complex)).value
 
     def test_off_axis_rejected(self):
         # off the axis, off the symmetrized-bidisk origin, or of the wrong dimension
