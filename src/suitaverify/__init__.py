@@ -33,12 +33,10 @@ from .green1d import (
     sublevel_volume,
 )
 from .indicatrix import (
-    IndicatrixProfile,
-    azukawa_g2_center,
     extremal_disc_arcs,
     indicatrix_volume_closed,
     indicatrix_volume_numeric,
-    kobayashi_profile_p1half,
+    indicatrix_volume_quadrature,
 )
 from .numerics import SampleStream, find_root_monotone, integrate_1d
 from .suita import (

@@ -84,12 +84,12 @@ def _build_parser():
     p.add_argument("--levels", default="", help="comma-separated negative levels to trace")
     p.add_argument("--out", type=_json_path, help="JSON output file path")
 
-    p = sub.add_parser("indicatrix", help="indicatrix profile and volume")
+    p = sub.add_parser("indicatrix", help="indicatrix volume and boundary")
     p.add_argument("--family", choices=tuple(_INDICATRIX_OPTIONS), default="ell1")
     p.add_argument("--m", type=float, help="exponent m (ell1 and p; default 0.5)")
     p.add_argument("--n", type=int, help="dimension (ell1; default 2)")
     p.add_argument("--b", type=float, help="axis coordinate (ell1 and p; default 0.5)")
-    p.add_argument("--out", help="output file path; a .csv path writes the radial profile (ell1, g2)")
+    p.add_argument("--out", help="output file path; a .csv path writes the boundary as (rho, S) rows")
 
     p = sub.add_parser("suita-f", help="the invariant F at a point of a domain")
     _add_domain_options(p)
@@ -198,33 +198,48 @@ def _cmd_green(args):
     return 0
 
 
+# the CSV boundary takes this many nodes on each extremal-disc arc
+_ARC_NODES = 256
+
+
+def _indicatrix_boundary(args):
+    """(rho, S) = (|X_1|, |X_2|^{2 p_2}) along the indicatrix boundary, sorted by rho."""
+    if args.family == "g2":
+        rho = np.linspace(0.0, 2.0, 2 * _ARC_NODES)
+        return rho, ((2.0 - rho) / 2.0) ** 2  # |X1| + 2 |X2| = 2
+    if args.family == "ell1":
+        EllipsoidFamilyParams(m=args.m, n=args.n, b=args.b)  # refuses what the volumes refuse
+    # the ell1 boundary is the arcs' at p1 = 1/2, whatever m and n; the p family's has p1 = m
+    b, p1 = args.b, 0.5 if args.family == "ell1" else args.m
+    # next to b = 1 the last nodes round up to 1; the arc is open there
+    u_in = np.minimum(b + (1.0 - b) * np.arange(_ARC_NODES) / _ARC_NODES, np.nextafter(1.0, 0.0))
+    arcs = indicatrix.extremal_disc_arcs(p1, b, u_in, np.linspace(0.0, 1.0, _ARC_NODES))
+    rho, s = np.concatenate(arcs, axis=1)
+    order = np.argsort(rho)
+    return rho[order], s[order]
+
+
 def _cmd_indicatrix(args):
     _family_options(args, _INDICATRIX_OPTIONS)
-    csv_out = (args.out or "").endswith(".csv")
-    if args.family == "p" and csv_out:
-        raise _ArgumentError("the p family has no radial profile to write as CSV")
+    if (args.out or "").endswith(".csv"):
+        _write_csv(args.out, ["rho", "S"], zip(*_indicatrix_boundary(args)))
+        print(f"wrote {args.out}")
+        return 0
     if args.family == "g2":
-        profile = indicatrix.azukawa_g2_center()
-        payload = {"family": "g2", "volume": profile.volume()}
+        payload = {"family": "g2", "volume": suita.suita_F(SymmetrizedBidisk()).indicatrix_volume}
     elif args.family == "ell1":
         params = EllipsoidFamilyParams(m=args.m, n=args.n, b=args.b)
-        profile = indicatrix.kobayashi_profile_p1half(args.m, args.n, args.b)
         payload = {
             "family": "ell1",
             "m": args.m,
             "n": args.n,
             "b": args.b,
             "volume_closed": indicatrix.indicatrix_volume_closed(params),
-            "volume_quadrature": profile.volume(),
+            "volume_quadrature": indicatrix.indicatrix_volume_quadrature(params),
         }
     else:
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
         payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
-    if csv_out:
-        rs = np.linspace(0.0, profile.r_max, 512)
-        _write_csv(args.out, ["r", "gamma"], zip(rs, profile.gamma(rs)))
-        print(f"wrote {args.out}")
-        return 0
     _emit(args, payload)
     return 0
 

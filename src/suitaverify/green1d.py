@@ -28,7 +28,6 @@ __all__ = [
     "LevelStats",
     "robin_capacity",
     "covering_capacity_bound",
-    "trace_level",
     "level_flux_and_isoperimetric",
     "sublevel_volume",
 ]
@@ -405,18 +404,6 @@ class LevelStats:
     iso_ratio: float
 
 
-def trace_level(green, t, n_nodes=2048):
-    """Polar trace s(phi) of the level curve around the pole.
-
-    Returns (phi, s) arrays; phi is a uniform grid so periodic trapezoid
-    sums over the curve converge spectrally.
-    """
-    if t >= 0.0:
-        raise ValueError("levels must be negative")
-    phis = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-    return phis, _crossings(green, t, phis)
-
-
 def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     """Flux, co-area density and isoperimetric ratio of a regular level.
 
@@ -429,15 +416,19 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     area    = (1/2) integral of s(phi)^2 d phi             (the sublevel volume).
 
     Raises CriticalLevelError for a level that is not a radial graph around
-    the pole.
+    the pole.  The curve is traced in polar form s(phi) about the pole on a
+    uniform phi grid, so the periodic trapezoid sums converge spectrally.
     """
-    phis, s = trace_level(green, t, n_nodes)
+    if t >= 0.0:
+        raise ValueError("levels must be negative")
+    dphi = 2.0 * math.pi / n_nodes
+    phis = np.arange(n_nodes) * dphi
+    s = _crossings(green, t, phis)
     # a level through (or shadowed past) a critical point is not a radial
     # graph around the pole: the first-crossing radius then jumps between
     # level components, which shows up as a discontinuity in s(phi)
     ds = np.abs(np.diff(np.append(s, s[0])))
-    dphi_step = 2.0 * math.pi / n_nodes
-    jump_scale = 10.0 * (float(np.median(ds)) + float(s.max()) * dphi_step)
+    jump_scale = 10.0 * (float(np.median(ds)) + float(s.max()) * dphi)
     if float(ds.max()) > jump_scale:
         raise CriticalLevelError(
             f"level t={t} is not a radial graph around the pole "
@@ -455,7 +446,6 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     g_phi = np.real(np.conj(g) * (1j * s * d))
     s_prime = -g_phi / g_s  # implicit differentiation of G(s(phi)) = t
     speed = np.abs(s_prime + 1j * s)  # |z'(phi)|
-    dphi = 2.0 * math.pi / len(phis)
     flux = float(np.sum(absg * speed) * dphi)
     length = float(np.sum(speed) * dphi)
     density = float(np.sum(speed / absg) * dphi)

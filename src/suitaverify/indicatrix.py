@@ -1,19 +1,18 @@
 """Azukawa and Kobayashi indicatrices of the model domains.
 
-Balanced domains are their own indicatrix at the center, so no profile is
-needed there (``domains.volume``); the symmetrized bidisk center has an
-explicit balanced indicatrix; convex complex ellipsoids with first
-exponent 1/2 have a closed radial profile, whose volume is a tanh-sinh
-quadrature of its pieces, each written in the distance from the end where
-it kinks or vanishes, next to the closed volume; and for general
-two-dimensional ellipsoids the boundary is swept by the extremal disc
-parametrization, whose upper envelope gives the volume numerically.
+Balanced domains are their own indicatrix at the center (``domains.volume``),
+and the symmetrized bidisk's at its center is { |X1| + 2 |X2| < 2 }.  On
+convex complex ellipsoids, Lempert's extremal discs through the axis point
+sweep out the boundary: its two arcs are the one boundary representation,
+and in two dimensions their upper envelope gives the volume numerically.
+At first exponent 1/2 the volume is closed, and its check route is a
+tanh-sinh quadrature of the boundary's two pieces, each written in the
+distance from the end where it kinks or vanishes.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +23,9 @@ from .numerics import integrate_1d
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "IndicatrixProfile",
     "EnvelopeGapError",
-    "azukawa_g2_center",
-    "kobayashi_profile_p1half",
     "indicatrix_volume_closed",
+    "indicatrix_volume_quadrature",
     "extremal_disc_arcs",
     "indicatrix_volume_numeric",
 ]
@@ -38,71 +35,30 @@ class EnvelopeGapError(RuntimeError):
     """The sampled boundary arcs fail to cover the radial range."""
 
 
-@dataclass(frozen=True)
-class IndicatrixProfile:
-    """Rotation-invariant indicatrix as a radial profile.
-
-    gamma describes { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) } on [0, r_max].
-    ``pieces`` lists (length, g) for consecutive intervals of |X_1| from 0 to r_max; on each,
-    g(x) is gamma at the distance x below the interval's upper end, where the profile kinks
-    or vanishes, so that neither g nor the quadrature cancels there.
-    """
-
-    dimension: int
-    pieces: tuple
-    slice_exponent: float = 1.0
-
-    @property
-    def r_max(self):
-        return sum(length for length, _ in self.pieces)
-
-    def gamma(self, r):
-        r = np.asarray(r, dtype=float)
-        out, end = np.zeros(r.shape), 0.0
-        for length, g in self.pieces:
-            start, end = end, end + length
-            inside = (start <= r) & (r <= end)
-            out[inside] = g(end - r[inside])
-        return out
-
-    def volume(self):
-        k = self.dimension - 1
-        m = self.slice_exponent
-        omega = domains.volume(domains.Ellipsoid((m,) * k))  # of { sum_{j<=k} |X_j|^{2m} < 1 }
-        total, end = 0.0, 0.0
-        for length, g in self.pieces:
-            end += length
-            total += integrate_1d(lambda x, end=end, g=g: (end - x) * g(x) ** (k / m), 0.0, length)
-        return 2.0 * math.pi * omega * total
-
-
-def azukawa_g2_center():
-    """Indicatrix of the symmetrized bidisk at 0: { |X1| + 2 |X2| < 2 }, gamma(r) = ((2 - r)/2)^2."""
-    return IndicatrixProfile(dimension=2, pieces=((2.0, lambda x: (x / 2.0) ** 2),), slice_exponent=1.0)
-
-
-def kobayashi_profile_p1half(m, n, b):
-    """Radial profile for { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 } at (b, 0, ..., 0).
-
-    gamma(r) = 1 - b - r^2/(4b(1-b)) up to the kink at r = 2b(1-b), then
-    1 - b^2 - r down to the support endpoint 1 - b^2.  As pieces in the distance x below
-    each end: (1-b)^2 + x (1 - x/(2 knot)) on [0, knot], and x on [0, (1-b)^2], which
-    cancel neither as b -> 1 nor next to the kink.
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0, 1)")
-    if m < 0.5 or n < 2:
-        raise ValueError("need m >= 1/2 and n >= 2")
-    knot = 2.0 * b * (1.0 - b)
-    inner = lambda x: (1.0 - b) ** 2 + x * (1.0 - x / (2.0 * knot))
-    pieces = ((knot, inner), ((1.0 - b) ** 2, lambda x: x))
-    return IndicatrixProfile(dimension=n, pieces=pieces, slice_exponent=float(m))
-
-
 def indicatrix_volume_closed(params: EllipsoidFamilyParams):
     """Closed volume 2 pi omega (1-b)^a ((1-b)^a + 2ab) / (a (a-1))."""
     a, b = params.a, params.b
     return 2.0 * math.pi * params.omega * (1.0 - b) ** a * ((1.0 - b) ** a + 2.0 * a * b) / (a * (a - 1.0))
+
+
+def indicatrix_volume_quadrature(params: EllipsoidFamilyParams):
+    """The closed volume's check route: a quadrature of the boundary at first exponent 1/2.
+
+    The indicatrix is { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) }, where gamma(r) is
+    1 - b - r^2/(4b(1-b)) up to the kink at r = 2b(1-b), then 1 - b^2 - r down to 1 - b^2, and
+    its volume is 2 pi omega times the integral of r gamma(r)^{(n-1)/m}.  Each piece is written
+    in the distance x below its end, where gamma kinks or vanishes: (1-b)^2 + x (1 - x/(2 knot))
+    on [0, knot], and x on [0, (1-b)^2], which cancel neither as b -> 1 nor next to the kink.
+    """
+    m, k, b = float(params.m), params.n - 1, params.b
+    knot = 2.0 * b * (1.0 - b)
+    pieces = ((knot, lambda x: (1.0 - b) ** 2 + x * (1.0 - x / (2.0 * knot))), ((1.0 - b) ** 2, lambda x: x))
+    omega = domains.volume(domains.Ellipsoid((m,) * k))  # of { sum_{j<=k} |X_j|^{2m} < 1 }
+    total, end = 0.0, 0.0
+    for length, g in pieces:
+        end += length
+        total += integrate_1d(lambda x, end=end, g=g: (end - x) * g(x) ** (k / m), 0.0, length)
+    return 2.0 * math.pi * omega * total
 
 
 def extremal_disc_arcs(p1, b, u_in, u_out):
@@ -119,6 +75,8 @@ def extremal_disc_arcs(p1, b, u_in, u_out):
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
+    if p1 < 0.5:
+        raise ValueError("extremal-disc parametrization needs convex exponents >= 1/2")
     u_in, u_out = np.asarray(u_in, dtype=float), np.asarray(u_out, dtype=float)
     if np.any(u_in < b) or np.any(u_in >= 1.0):
         raise ValueError("u outside [b, 1) on branch 1-in-A")

@@ -146,17 +146,37 @@ class TestIndicatrixCommand:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        # b = 0.3: gamma(0) = 1 - b, and 512 radii from 0 to r_max
-        assert lines[:2] == ["r,gamma", "0,0.7"]
+        # b = 0.3: the arcs run from (0, 1 - b) to (1 - b^2, 0), 256 nodes on each
+        assert lines[:2] == ["rho,S", "0,0.7"]
+        assert lines[-1] == "0.91,0"
         assert len(lines) == 513
+        rho = [float(line.split(",")[0]) for line in lines[1:]]
+        assert rho == sorted(rho)
+
+    def test_profile_csv_next_to_the_boundary(self, tmp_path, capsys):
+        # 1 - b is 1e-15: the last nodes of the 1-in-A arc round up to 1, where it is open
+        out = tmp_path / "profile.csv"
+        assert run(["indicatrix", "--family", "ell1", "--b", str(1.0 - 1e-15), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 513
+
+    def test_g2_csv(self, tmp_path, capsys):
+        out = tmp_path / "g2.csv"
+        assert run(["indicatrix", "--family", "g2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["rho,S", "0,1"]
+        assert lines[-1] == "2,0"
 
     def test_invalid_b(self, capsys):
         assert run(["indicatrix", "--family", "ell1", "--b", "1.5"]) == 1
 
-    def test_p_family_csv_is_refused_and_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        assert run(["indicatrix", "--family", "p", "--out", str(out)]) == 1
-        assert not out.exists()
+    def test_p_family_csv_writes_its_arcs(self, tmp_path, capsys):
+        # at m = 1/2 the p family's first exponent is the ell1 family's
+        p_out, ell1_out = tmp_path / "p.csv", tmp_path / "ell1.csv"
+        assert run(["indicatrix", "--family", "p", "--m", "0.5", "--b", "0.4", "--out", str(p_out)]) == 0
+        assert run(["indicatrix", "--family", "ell1", "--b", "0.4", "--out", str(ell1_out)]) == 0
+        assert p_out.read_text() == ell1_out.read_text()
+        assert run(["indicatrix", "--family", "p", "--m", "2", "--b", "0.4", "--out", str(p_out)]) == 0
+        assert p_out.read_text() != ell1_out.read_text()
 
 
 class TestSuitaFCommand:

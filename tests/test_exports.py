@@ -82,10 +82,14 @@ def _fresh_python(*args):
     return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_import_and_commands_load_no_scipy():
-    proc = _fresh_python(_PROBE, json.dumps(COMMANDS))
+def test_import_and_commands_load_no_scipy(tmp_path):
+    # the boundary CSVs go to a temporary directory
+    csvs = [tmp_path / "p.csv", tmp_path / "g2.csv"]
+    commands = COMMANDS + [["indicatrix", "--family", path.stem, "--out", str(path)] for path in csvs]
+    proc = _fresh_python(_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (len(COMMANDS) + 1)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (len(commands) + 1)
+    assert all(path.read_text().startswith("rho,S\n") for path in csvs)
 
 
 def test_verify_all_without_scipy_prints_the_same_table(capsys):

@@ -18,9 +18,8 @@ from suitaverify.green1d import (
     level_flux_and_isoperimetric,
     robin_capacity,
     sublevel_volume,
-    trace_level,
 )
-from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _sublevel_box
+from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _crossings, _sublevel_box
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -407,7 +406,8 @@ def _assert_trace_matches_walk(g, t, n_rays):
         s_hi = min(s_lo * 1.2, s_max)
         return s_lo, s_hi, brentq(f, s_lo, s_hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
-    phis, s = trace_level(g, t, n_rays)
+    phis = np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    s = _crossings(g, t, phis)
     lo, hi, root = np.array([walk(p) for p in phis]).T
     assert np.all((lo <= s) & (s <= hi))
     assert np.all(np.abs(s - root) <= 1e-12 + 1e-10 * s)

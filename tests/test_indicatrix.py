@@ -1,65 +1,47 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
-from suitaverify.domains import EllipsoidFamilyParams
+from suitaverify.domains import EllipsoidFamilyParams, SymmetrizedBidisk
 from suitaverify.indicatrix import (
-    azukawa_g2_center,
     extremal_disc_arcs,
     indicatrix_volume_closed,
     indicatrix_volume_numeric,
-    kobayashi_profile_p1half,
+    indicatrix_volume_quadrature,
 )
+from suitaverify.numerics import integrate_1d
+from suitaverify.suita import suita_F
 
 
 class TestG2Indicatrix:
     def test_volume(self):
-        # 2 pi^2 int_0^2 r ((2-r)/2)^2 dr = 2 pi^2 / 3
-        prof = azukawa_g2_center()
-        assert prof.volume() == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-14)
-
-    def test_profile_endpoints(self):
-        prof = azukawa_g2_center()
-        assert prof.gamma(0.0) == pytest.approx(1.0)
-        assert prof.gamma(2.0) == pytest.approx(0.0)
+        # the indicatrix at 0 is { |X1| + 2 |X2| < 2 }: 2 pi^2 int_0^2 r ((2-r)/2)^2 dr = 2 pi^2 / 3
+        quadrature = 2.0 * math.pi**2 * integrate_1d(lambda r: r * ((2.0 - r) / 2.0) ** 2, 0.0, 2.0)
+        assert suita_F(SymmetrizedBidisk()).indicatrix_volume == pytest.approx(quadrature, rel=1e-14)
 
 
-class TestRadialProfile:
-    def test_values_and_kink(self):
-        b = 0.3
-        prof = kobayashi_profile_p1half(1.0, 2, b)
-        knot = 2.0 * b * (1.0 - b)
-        assert prof.gamma(0.0) == pytest.approx(1.0 - b)
-        # both branches give (1-b)^2 at the kink, with matching slope -1
-        assert prof.gamma(knot) == pytest.approx((1.0 - b) ** 2, rel=1e-12)
-        h = 1e-7
-        left = (prof.gamma(knot) - prof.gamma(knot - h)) / h
-        right = (prof.gamma(knot + h) - prof.gamma(knot)) / h
-        assert left == pytest.approx(-1.0, abs=1e-6)
-        assert right == pytest.approx(-1.0, abs=1e-6)
-        assert prof.gamma(prof.r_max) == pytest.approx(0.0, abs=1e-12)
-
+class TestVolumeQuadrature:
     @pytest.mark.parametrize("m,n", [(0.5, 2), (1.0, 2), (1.0, 3), (2.0, 4)])
-    def test_profile_volume_matches_closed(self, m, n):
-        b = 0.35
-        prof = kobayashi_profile_p1half(m, n, b)
-        closed = indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=n, b=b))
-        assert prof.volume() == pytest.approx(closed, rel=1e-9)
+    def test_matches_closed(self, m, n):
+        params = EllipsoidFamilyParams(m=m, n=n, b=0.35)
+        assert indicatrix_volume_quadrature(params) == pytest.approx(indicatrix_volume_closed(params), rel=1e-9)
 
     @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.35, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6])
-    def test_profile_volume_to_rounding(self, b):
+    def test_to_rounding(self, b):
         # next to b = 1, 1 - b^2 and 1 - b - r^2/(4b(1-b)) cancel; the pieces in their end distances do not
         for m in (0.5, 1.0, 2.0, 8.0, 128.0):
             for n in (2, 3, 5):
-                closed = indicatrix_volume_closed(EllipsoidFamilyParams(m=m, n=n, b=b))
-                assert kobayashi_profile_p1half(m, n, b).volume() == pytest.approx(closed, rel=1e-13, abs=0.0), (m, n)
+                params = EllipsoidFamilyParams(m=m, n=n, b=b)
+                closed = indicatrix_volume_closed(params)
+                assert indicatrix_volume_quadrature(params) == pytest.approx(closed, rel=1e-13, abs=0.0), (m, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            kobayashi_profile_p1half(1.0, 2, 1.5)
+            indicatrix_volume_quadrature(EllipsoidFamilyParams(m=1.0, n=2, b=1.5))
         with pytest.raises(ValueError):
-            kobayashi_profile_p1half(0.2, 2, 0.5)
+            indicatrix_volume_quadrature(EllipsoidFamilyParams(m=0.2, n=2, b=0.5))
 
 
 class TestClosedVolume:
@@ -99,6 +81,17 @@ class TestGeodesicArcs:
         assert rho[0] == pytest.approx(2.0 * b * (1.0 - b), rel=1e-12)
         assert s[0] == pytest.approx((1.0 - b) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [0.2, 0.4, 0.8])
+    def test_half_exponent_arcs_are_the_ell1_boundary(self, b):
+        # the CSV of the ell1 family rests on this: at p1 = 1/2, '1-not-in-A' is
+        # rho = 2b(1-b)u, S = (1-b)(1 - b u^2), and '1-in-A' is the line S = 1 - b^2 - rho
+        u_in, u_out = b + (1.0 - b) * np.arange(256) / 256, np.linspace(0.0, 1.0, 256)
+        (rho_in, s_in), (rho_out, s_out) = extremal_disc_arcs(0.5, b, u_in, u_out)
+        tol = 1e-13 * max(s_in.max(), s_out.max())
+        assert np.abs(rho_out - 2.0 * b * (1.0 - b) * u_out).max() <= tol
+        assert np.abs(s_out - (1.0 - b) * (1.0 - b * u_out**2)).max() <= tol
+        assert np.abs(s_in - (1.0 - b**2 - rho_in)).max() <= tol
+
     def test_u_range_validation(self):
         with pytest.raises(ValueError):
             extremal_disc_arcs(1.0, 0.3, [0.1], [])
@@ -111,6 +104,8 @@ class TestGeodesicArcs:
         for b in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 extremal_disc_arcs(1.0, b, [0.5], [0.5])
+        with pytest.raises(ValueError):
+            extremal_disc_arcs(0.3, 0.5, [0.5], [0.5])
 
 
 class TestNumericVolume:
