@@ -198,8 +198,24 @@ def _cmd_green(args):
     return 0
 
 
-# the CSV boundary takes this many nodes on each extremal-disc arc
-_ARC_NODES = 256
+# the CSV boundary takes _ARC_NODES nodes on each extremal-disc arc, and measures arc length
+# on _ARC_TRIALS steps in u and as many in (b/u)^{2 p1}
+_ARC_NODES, _ARC_TRIALS = 256, 4096
+
+
+def _arc_nodes(p1, b):
+    """u on the 1-in-A arc at equal steps of (rho, S) arc length, from u = b up towards 1.
+
+    Equal steps in u miss a corner: S climbs from 0 as (b/u)^{2 p1} falls, within a sliver of
+    u next to b when p1 is large or b small.
+    """
+    steps = np.arange(_ARC_TRIALS + 1) / _ARC_TRIALS
+    trial = np.concatenate((b + (1.0 - b) * steps, b * steps[1:] ** (-0.5 / p1)))
+    # next to b = 1 the last nodes round up to 1; the arc is open there
+    trial = np.unique(np.minimum(trial, np.nextafter(1.0, 0.0)))
+    rho, s = indicatrix.extremal_disc_arcs(p1, b, trial, [])[0]
+    length = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(rho), np.diff(s)))))
+    return np.interp(length[-1] * np.arange(_ARC_NODES) / _ARC_NODES, length, trial)
 
 
 def _indicatrix_boundary(args):
@@ -211,9 +227,7 @@ def _indicatrix_boundary(args):
         EllipsoidFamilyParams(m=args.m, n=args.n, b=args.b)  # refuses what the volumes refuse
     # the ell1 boundary is the arcs' at p1 = 1/2, whatever m and n; the p family's has p1 = m
     b, p1 = args.b, 0.5 if args.family == "ell1" else args.m
-    # next to b = 1 the last nodes round up to 1; the arc is open there
-    u_in = np.minimum(b + (1.0 - b) * np.arange(_ARC_NODES) / _ARC_NODES, np.nextafter(1.0, 0.0))
-    arcs = indicatrix.extremal_disc_arcs(p1, b, u_in, np.linspace(0.0, 1.0, _ARC_NODES))
+    arcs = indicatrix.extremal_disc_arcs(p1, b, _arc_nodes(p1, b), np.linspace(0.0, 1.0, _ARC_NODES))
     rho, s = np.concatenate(arcs, axis=1)
     order = np.argsort(rho)
     return rho[order], s[order]

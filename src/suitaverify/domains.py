@@ -392,12 +392,7 @@ class EllipsoidFamilyParams:
 
     @property
     def omega(self):
-        k = self.n - 1
-        return math.exp(
-            k * math.log(math.pi)
-            + k * log_gamma(1.0 + 1.0 / self.m)
-            - log_gamma(1.0 + k / self.m)
-        )
+        return volume(Ellipsoid((self.m,) * (self.n - 1)))
 
     def domain_volume(self):
         a = self.a

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from . import domains
 from .domains import EllipsoidFamilyParams
 from .numerics import integrate_1d
 
@@ -53,12 +52,11 @@ def indicatrix_volume_quadrature(params: EllipsoidFamilyParams):
     m, k, b = float(params.m), params.n - 1, params.b
     knot = 2.0 * b * (1.0 - b)
     pieces = ((knot, lambda x: (1.0 - b) ** 2 + x * (1.0 - x / (2.0 * knot))), ((1.0 - b) ** 2, lambda x: x))
-    omega = domains.volume(domains.Ellipsoid((m,) * k))  # of { sum_{j<=k} |X_j|^{2m} < 1 }
     total, end = 0.0, 0.0
     for length, g in pieces:
         end += length
         total += integrate_1d(lambda x, end=end, g=g: (end - x) * g(x) ** (k / m), 0.0, length)
-    return 2.0 * math.pi * omega * total
+    return 2.0 * math.pi * params.omega * total
 
 
 def extremal_disc_arcs(p1, b, u_in, u_out):

@@ -84,14 +84,6 @@ def product_closed_form(params: EllipsoidFamilyParams):
     return 1.0 + (1.0 - b) ** a * _correction(a, b) / (1.0 + b) ** a
 
 
-def _closed_ratio(params: EllipsoidFamilyParams):
-    """F at (b, 0, ..., 0) on { |z1| + sum |z_j|^{2m} < 1 }, all in closed form."""
-    k = bergman.kernel_deflated(params)
-    vol = indicatrix.indicatrix_volume_closed(params)
-    f = product_closed_form(params) ** (1.0 / params.n)
-    return SuitaRatio(k, vol, params.n, f, "convex")
-
-
 def _numeric_ratio(domain: Ellipsoid, b):
     """F at (b, 0) on a two-dimensional ellipsoid: the kernel, in closed form where the
     second exponent is 1 and else the monomial series summed to rounding, times the
@@ -156,7 +148,9 @@ def suita_F(domain, w=None):
         if any(r != 1.0 for r in domain.radii):
             raise ValueError("axis-point evaluation expects unit radii")
         if p[0] == 0.5 and n >= 2 and len(set(p[1:])) == 1:
-            return _closed_ratio(EllipsoidFamilyParams(m=p[1], n=n, b=b))
+            params = EllipsoidFamilyParams(m=p[1], n=n, b=b)
+            k, vol = bergman.kernel_deflated(params), indicatrix.indicatrix_volume_closed(params)
+            return SuitaRatio(k, vol, n, product_closed_form(params) ** (1.0 / n), "convex")
         if n == 2:
             return _numeric_ratio(domain, b)
         raise ValueError("unsupported exponent pattern for an axis point with n > 2")
@@ -166,14 +160,16 @@ def suita_F(domain, w=None):
 def maximize_F(m, n=2, tol=1e-6, family="ell1"):
     """Maximum of b -> F(b, 0, ..., 0) over (0, 1).
 
-    family 'ell1' uses the closed form for { |z1| + sum |z_j|^{2m} < 1 };
-    family 'p' runs the numeric pipeline for { |z1|^{2m} + |z2|^2 < 1 }, so
-    n must be 2 there.  Returns (b_star, F_star).
+    family 'ell1' uses the closed form for { |z1| + sum |z_j|^{2m} < 1 } and
+    searches b in [1e-4, 1 - 1e-4]; family 'p' runs the numeric pipeline for
+    { |z1|^{2m} + |z2|^2 < 1 }, so n must be 2 there, searches b in
+    [1e-3, 1 - 1e-3] and raises ``tol`` to at least 1e-5, the pipeline's own
+    accuracy.  Returns (b_star, F_star).
     """
     if family == "ell1":
 
         def objective(b):
-            return _closed_ratio(EllipsoidFamilyParams(m=m, n=n, b=b)).F
+            return product_closed_form(EllipsoidFamilyParams(m=m, n=n, b=b)) ** (1.0 / n)
 
         return golden_section_max(objective, 1e-4, 1.0 - 1e-4, tol=tol)
     if family == "p":
@@ -342,7 +338,7 @@ def figure_scan(family, b_grid, m=0.5, n_list=(2, 3, 4, 5, 6), m_list=(0.5, 2.0,
     if family == "ell1":
         for n in n_list:
             for b in b_grid:
-                f = _closed_ratio(EllipsoidFamilyParams(m=m, n=int(n), b=b)).F
+                f = product_closed_form(EllipsoidFamilyParams(m=m, n=int(n), b=b)) ** (1.0 / int(n))
                 samples.append({"curve": f"ell1 m={m} n={n}", "b": b, "F": f})
         grid = {"family": "ell1", "m": m, "n_list": list(n_list), "b_grid": b_grid}
     elif family == "p":

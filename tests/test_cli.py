@@ -159,6 +159,16 @@ class TestIndicatrixCommand:
         assert run(["indicatrix", "--family", "ell1", "--b", str(1.0 - 1e-15), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 513
 
+    @pytest.mark.parametrize("m, b", [("128", "0.02"), ("32", "0.3")])
+    def test_p_family_csv_steps_are_short(self, tmp_path, capsys, m, b):
+        # S climbs from 0 within a sliver of u next to b: equal steps in u left a jump there
+        out = tmp_path / "p.csv"
+        assert run(["indicatrix", "--family", "p", "--m", m, "--b", b, "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        steps = [math.dist(p, q) for p, q in zip(rows, rows[1:])]
+        assert len(rows) == 512
+        assert max(steps) <= 0.02
+
     def test_g2_csv(self, tmp_path, capsys):
         out = tmp_path / "g2.csv"
         assert run(["indicatrix", "--family", "g2", "--out", str(out)]) == 0

@@ -105,6 +105,11 @@ class TestVolume:
         assert params.domain_volume() == pytest.approx(math.pi**2 / 3.0, rel=1e-12)
         assert volume(Ellipsoid((0.5, 1.0))) == pytest.approx(math.pi**2 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 8.0])
+    def test_family_slice_volume_is_the_disk_area(self, m):
+        # at n = 2 the slice { |z_2|^{2m} < 1 } is the unit disk, whatever m
+        assert EllipsoidFamilyParams(m=m, n=2, b=0.5).omega == math.pi
+
     def test_annulus(self):
         assert volume(Annulus(0.3)) == pytest.approx(math.pi * 0.91, rel=1e-12)
 
