@@ -211,8 +211,7 @@ def _arc_nodes(p1, b):
     """
     steps = np.arange(_ARC_TRIALS + 1) / _ARC_TRIALS
     trial = np.concatenate((b + (1.0 - b) * steps, b * steps[1:] ** (-0.5 / p1)))
-    # next to b = 1 the last nodes round up to 1; the arc is open there
-    trial = np.unique(np.minimum(trial, np.nextafter(1.0, 0.0)))
+    trial = np.unique(np.minimum(trial, 1.0))
     rho, s = indicatrix.extremal_disc_arcs(p1, b, trial, [])[0]
     length = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(rho), np.diff(s)))))
     return np.interp(length[-1] * np.arange(_ARC_NODES) / _ARC_NODES, length, trial)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -371,7 +372,7 @@ class EllipsoidFamilyParams:
     """The one-parameter family { |z1| + |z2|^{2m} + ... + |z_n|^{2m} < 1 }.
 
     Carries the derived exponent a = (n-1)/m + 2 and the volume omega of the
-    (n-1)-dimensional slice ellipsoid { sum |z_j|^{2m} < 1 }.
+    (n-1)-dimensional slice ellipsoid { sum |z_j|^{2m} < 1 }, computed once per object.
     """
 
     m: float
@@ -390,7 +391,7 @@ class EllipsoidFamilyParams:
     def a(self):
         return (self.n - 1) / self.m + 2.0
 
-    @property
+    @cached_property
     def omega(self):
         return volume(Ellipsoid((self.m,) * (self.n - 1)))
 

@@ -124,31 +124,34 @@ def _log_moduli(z, az, r):
     """log(|z|/r) and -log|z|, az = np.abs(z).  Next to the circle |z| = rho each is log1p(x)/2,
     x = |z|^2/rho^2 - 1, with |z|^2 - rho^2 summed from exact squares: its error is then relative to
     the distance from the circle, where the rounding of az is relative to |z| itself.  The steps
-    work in place, as value's do, which takes this on every point it evaluates."""
-    px, ex = _square(z.real)
-    py, ey = _square(z.imag)
-    s = px + py
-    # |z|^2 = s + low (two-sum): low = (px - (s - v)) + (py - v) + ex + ey, v = s - px
-    v = s - px
-    low = s - v
-    np.subtract(px, low, out=low)
-    del px
-    py -= v
-    low += py
-    low += ex
-    low += ey
-    del ex, py, ey, v
-    lm, out = np.log(az), []
+    work in place, as value's do, which takes this on every point it evaluates.  Where rho^2 would
+    underflow, z and rho are scaled by 2^-e, rho = f 2^e, which is exact, and z capped at 1e100."""
+    lm, out, scale = np.log(az), [], None
     for rho in (r, 1.0):
-        pr, er = _square(rho)
-        # s - pr is exact for x >= -1/2 (Sterbenz); below that, and for an r^2 that underflows, log|z|
-        if pr > 1e-290:
-            x = s - pr
-            x += low - er
-            x /= pr
-        else:
-            x = np.full_like(s, -1.0)
-        far = x < -0.5
+        k = 1.0 if rho > 1e-145 else 2.0 ** -math.frexp(rho)[1]
+        if k != scale:
+            scale, re, im = k, z.real, z.imag
+            if k != 1.0:
+                re, im = np.clip(re * k, -1e100, 1e100), np.clip(im * k, -1e100, 1e100)
+            px, ex = _square(re)
+            py, ey = _square(im)
+            s = px + py
+            # |z|^2 = s + low (two-sum): low = (px - (s - v)) + (py - v) + ex + ey, v = s - px
+            v = s - px
+            low = s - v
+            np.subtract(px, low, out=low)
+            del px
+            py -= v
+            low += py
+            low += ex
+            low += ey
+            del ex, py, ey, v
+        pr, er = _square(rho * k)
+        # s - pr is exact for x >= -1/2 (Sterbenz); below that, and past 1e190, where z may be capped, log|z|
+        x = s - pr
+        x += low - er
+        x /= pr
+        far = (x < -0.5) | (x > 1e190)
         np.maximum(x, -0.5, out=x)
         np.log1p(x, out=x)
         x *= 0.5

@@ -62,42 +62,39 @@ def indicatrix_volume_quadrature(params: EllipsoidFamilyParams):
 def extremal_disc_arcs(p1, b, u_in, u_out):
     """Boundary data (rho, S) = (|X_1|, |X_2|^{2 p_2}) along both extremal-disc arcs.
 
-    The arcs belong to a two-dimensional ellipsoid with first exponent p1 at
-    the axis point (b, 0).  ``u`` is the modulus of the first zero parameter
-    alpha_1.  On branch '1-in-A' the first component of the disc vanishes
-    somewhere, and ``u_in`` must lie in [b, 1); on '1-not-in-A' it does not,
-    and ``u_out`` must lie in [0, 1].  The second branch uses the
-    general-exponent factor (1 - b^{2 p_1})/p_1 derived from the disc
-    derivative at the origin.  Returns ((rho, S) on '1-in-A', (rho, S) on
-    '1-not-in-A'), with S clipped at 0.
+    The arcs belong to a two-dimensional ellipsoid with first exponent p1 at the axis point (b, 0).
+    ``u`` is the modulus of the first zero parameter alpha_1.  On branch '1-in-A' the first
+    component of the disc vanishes somewhere, and ``u_in`` must lie in [b, 1]; on '1-not-in-A' it
+    does not, and ``u_out`` must lie in [0, 1].  The second branch uses the general-exponent factor
+    (1 - B)/p_1, B = b^{2 p_1}, derived from the disc derivative at the origin.  The branches meet
+    at u = 1, in (b (1-B)/p_1, (1-B)^2).  Every factor is a sum or product of non-negative terms,
+    so nothing cancels and S >= 0 needs no clipping.  Returns ((rho, S) on '1-in-A', (rho, S) on
+    '1-not-in-A').
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     if p1 < 0.5:
         raise ValueError("extremal-disc parametrization needs convex exponents >= 1/2")
     u_in, u_out = np.asarray(u_in, dtype=float), np.asarray(u_out, dtype=float)
-    if np.any(u_in < b) or np.any(u_in >= 1.0):
-        raise ValueError("u outside [b, 1) on branch 1-in-A")
+    if np.any(u_in < b) or np.any(u_in > 1.0):
+        raise ValueError("u outside [b, 1] on branch 1-in-A")
     if np.any(u_out < 0.0) or np.any(u_out > 1.0):
         raise ValueError("u outside [0, 1] on branch 1-not-in-A")
+    # 1-in-A: v = (b/u)^{2 p1}, rho = (b/u)((1-u)(1+u) + (u^2/p1)(1-v)), S = (1-v)(1 - u^2 v),
+    # with log v and log(u^2 v) <= 0 in log space, so the factors neither overflow nor cancel
+    lv = -2.0 * p1 * np.log1p((u_in - b) / b)
+    one_v = -np.expm1(lv)
+    rho_in = (b / u_in) * ((1.0 - u_in) * (1.0 + u_in) + (u_in**2 / p1) * one_v)
+    s_in = one_v * -np.expm1(lv + 2.0 * np.log(u_in))
     lb = 2.0 * p1 * math.log(b)
-    # combine b^{2 p1} u^{...} in log space: the factors overflow separately
-    # for large exponents
-    lu = np.log(u_in)
-    t_mid = np.exp(lb + (2.0 - 2.0 * p1) * lu)
-    t_low = np.exp(lb - 2.0 * p1 * lu)
-    rho_in = (b / u_in) * np.abs(1.0 + (1.0 / p1 - 1.0) * u_in**2 - t_mid / p1)
-    s_in = (1.0 - t_low) * (1.0 - t_mid)
-    b2p = math.exp(lb)
-    rho_out = u_out * b * (1.0 - b2p) / p1
-    s_out = (1.0 - b2p) * (1.0 - b2p * u_out**2)
-    return (rho_in, np.clip(s_in, 0.0, None)), (rho_out, np.clip(s_out, 0.0, None))
+    one_b = -math.expm1(lb)
+    rho_out = u_out * b * one_b / p1
+    s_out = one_b * (one_b + math.exp(lb) * (1.0 - u_out) * (1.0 + u_out))
+    return (rho_in, s_in), (rho_out, s_out)
 
 
 def _envelope_volume(p, b, n_grid, n_samples):
-    u = np.linspace(b, 1.0, n_samples)
-    u[-1] = 1.0 - 1e-13  # open endpoint of the 1-in-A branch
-    arcs = extremal_disc_arcs(p[0], b, u, np.linspace(0.0, 1.0, n_samples))
+    arcs = extremal_disc_arcs(p[0], b, np.linspace(b, 1.0, n_samples), np.linspace(0.0, 1.0, n_samples))
     rho_max = max(float(r.max()) for r, _ in arcs)
     grid = np.linspace(0.0, rho_max, n_grid)
     height = np.full(n_grid, -np.inf)

@@ -154,7 +154,7 @@ class TestIndicatrixCommand:
         assert rho == sorted(rho)
 
     def test_profile_csv_next_to_the_boundary(self, tmp_path, capsys):
-        # 1 - b is 1e-15: the last nodes of the 1-in-A arc round up to 1, where it is open
+        # 1 - b is 1e-15: the last nodes of the 1-in-A arc round up to 1, where it meets the other arc
         out = tmp_path / "profile.csv"
         assert run(["indicatrix", "--family", "ell1", "--b", str(1.0 - 1e-15), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 513

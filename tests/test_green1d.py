@@ -209,6 +209,15 @@ class TestAnnulusSolve:
         ref = np.array([oracle.annulus_green(r, w, c) for c in z])
         assert np.abs(g.value(z) / ref - 1.0).max() <= 1e-14
 
+    @pytest.mark.parametrize("r", [1e-160, 1e-200])
+    def test_value_where_r_squared_underflows(self, r):
+        # |z|^2 - r^2 is then summed from z and r scaled by a power of two; log|z| - log r would be
+        # 3.4e-12 off at |z| = 1.001 r
+        z = np.array([-0.9, 0.3j, 0.75 + 0.1j, 1e-3 - 2e-3j, math.sqrt(r) * 1j, 1.001 * r])
+        z = np.append(z, 2.0 * r * cmath.exp(1j))
+        ref = np.array([oracle.annulus_green(r, 0.5, c) for c in z])
+        assert np.abs(AnnulusGreen(r, 0.5).value(z) / ref - 1.0).max() <= 1e-14
+
     def test_no_silent_cap_near_one(self):
         # the mode series stopped at 4000 modes here, with a tail bound of 9.2e-11
         r = 0.99

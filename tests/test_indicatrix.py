@@ -1,6 +1,7 @@
 import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -68,12 +69,50 @@ class TestGeodesicArcs:
             assert rho[0] == pytest.approx(1.0 - 0.3**2, rel=1e-12)
             assert s[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_branches_agree_at_junction(self):
-        # u -> 1 on both branches lands on the same boundary point
-        for p1 in (0.5, 1.0, 2.0):
-            (r1, s1), (r2, s2) = extremal_disc_arcs(p1, 0.4, [1.0 - 1e-10], [1.0])
-            assert r1[0] == pytest.approx(r2[0], rel=1e-8)
-            assert s1[0] == pytest.approx(s2[0], rel=1e-8)
+    @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.4, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
+    def test_branches_agree_at_junction(self, b):
+        # u = 1 on both branches is the one point (b (1-B)/p1, (1-B)^2), B = b^{2 p1}
+        for p1 in (0.5, 1.0, 2.0, 128.0):
+            (r1, s1), (r2, s2) = extremal_disc_arcs(p1, b, [1.0], [1.0])
+            assert abs(r1[0] - r2[0]) <= 8 * np.spacing(r2[0]), p1
+            assert abs(s1[0] - s2[0]) <= 8 * np.spacing(s2[0]), p1
+
+    def test_s_is_non_negative_next_to_b_1(self):
+        b = 1.0 - 2.0**-50
+        for p1 in (0.5, 1.0, 2.0, 128.0):
+            u = b + (1.0 - b) * np.arange(5) / 4
+            (_, s_in), (_, s_out) = extremal_disc_arcs(p1, b, u, np.linspace(0.0, 1.0, 5))
+            assert np.all(s_in >= 0.0) and np.all(s_out >= 0.0), p1
+
+    @staticmethod
+    def _arcs_mp(p1, b, u_in, u_out):
+        """Both arcs at 50 digits, as written: with v = (b/u)^{2 p1} and B = b^{2 p1}, '1-in-A' is
+        rho = (b/u)(1 - u^2 + (u^2/p1)(1 - v)), S = (1 - v)(1 - u^2 v), and '1-not-in-A' is
+        rho = u b (1 - B)/p1, S = (1 - B)(1 - B u^2)."""
+        with mp.workdps(50):
+            p1, b = mp.mpf(p1), mp.mpf(b)
+            big_b = b ** (2 * p1)
+            arc_in, arc_out = [], []
+            for u in map(mp.mpf, u_in):
+                v = (b / u) ** (2 * p1)
+                arc_in.append(((b / u) * (1 - u * u + u * u / p1 * (1 - v)), (1 - v) * (1 - u * u * v)))
+            for u in map(mp.mpf, u_out):
+                arc_out.append((u * b * (1 - big_b) / p1, (1 - big_b) * (1 - big_b * u * u)))
+            return arc_in, arc_out
+
+    @pytest.mark.parametrize("p1", [0.5, 1.0, 2.0, 8.0, 128.0])
+    def test_to_rounding_against_50_digits(self, p1):
+        # written as 1 + a u^2 - (B/p1) u^e and (1 - B u^{-2 p1})(1 - B u^e), the 1-in-A arc cancels:
+        # 1.5e-10 off in rho and 4.2e-9 in S at b = 0.999999; nodes b s^{-1/(2 p1)} reach the corner
+        # next to u = b, where S climbs from 0
+        s = np.arange(1, 33) / 32
+        for b in (1e-3, 0.01, 0.2, 0.8, 0.99, 0.999, 0.999999):
+            u_in = np.concatenate((b + (1.0 - b) * np.arange(32) / 32, b * s ** (-0.5 / p1)))
+            u_in, u_out = u_in[u_in <= 1.0], np.linspace(0.0, 1.0, 33)
+            for arc, ref in zip(extremal_disc_arcs(p1, b, u_in, u_out), self._arcs_mp(p1, b, u_in, u_out)):
+                for got, want in zip(np.transpose(arc), ref):
+                    for x, y in zip(got, want):
+                        assert abs(x - y) <= 2e-15 * abs(y), (b, float(x), float(y))
 
     def test_half_exponent_junction_values(self):
         b = 0.25
@@ -96,7 +135,7 @@ class TestGeodesicArcs:
         with pytest.raises(ValueError):
             extremal_disc_arcs(1.0, 0.3, [0.1], [])
         with pytest.raises(ValueError):
-            extremal_disc_arcs(1.0, 0.3, [0.5, 1.0], [])
+            extremal_disc_arcs(1.0, 0.3, [0.5, 1.0 + 2.0**-52], [])
         with pytest.raises(ValueError):
             extremal_disc_arcs(1.0, 0.3, [], [1.5])
 
