@@ -6,9 +6,11 @@ and logarithmic capacity, the covering-map upper bound for the capacity,
 traced level curves with flux / co-area density / isoperimetric ratio
 (their area is the sublevel-set volume), and deterministic hit counting as
 the check route for that volume.  The count settles whole Harnack cells of
-its box from the value of G at each centre, so G is evaluated only at the
-centres and at the points of the cells that straddle the level; it takes
-its points a block at a time, in memory that does not grow with their count.
+its box from the value of G at each centre, coarse to fine, so G is
+evaluated only at the centres of the cells that a coarser level left open
+and at the points of the cells that straddle the level; it takes its points
+a block at a time as Sobol words, finds their cells by xor on the words, and
+holds no more than the cell table and a few blocks, whatever their count.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains
-from .numerics import SampleStream, find_root_monotone
+from .numerics import SOBOL_BITS, SampleStream, find_root_monotone
 
 __all__ = [
     "DiskGreen",
@@ -57,8 +59,11 @@ _CELL_MARGIN = 2.0**-16
 # distances is below 1e-15, so a settled cell holds no point that in_domain would refuse.
 _CELL_SLACK = 2.0**-44
 # The count takes its Sobol points in blocks of this many, and cell centres and the open cells' points go
-# through value and in_domain in chunks of this many (128 KiB per float array): its memory is O(_CHUNK).
+# through value and in_domain in chunks of this many (128 KiB per float array): its memory is O(_CHUNK),
+# besides the table of cell states.
 _CHUNK = 2**14
+# Cells are settled first on a grid of this side, and an open cell is split into four down to the final side.
+_COARSE_SIDE = 16
 
 
 class CriticalLevelError(RuntimeError):
@@ -509,29 +514,42 @@ def _cell_states(green, t, x0, dx, y0, dy, side):
     none is, and -1 where the points must be counted one by one.  A cell settles when both bounds
     of ``_cell_bounds`` over the disc of its half-diagonal rho clear t by the margin, or when it
     lies outside the domain altogether; the pole's own cell and the cells the boundary crosses stay
-    open.
+    open.  The cells are settled coarse to fine: first on a grid of side ``_COARSE_SIDE`` (or
+    ``side``, if smaller), then each open cell is split into four, down to ``side``.  A settled cell
+    settles its sub-cells, whose points lie in its own disc, so only the open cells' sub-cells take
+    ``value`` at their centres.
     """
-    rho = 0.5 * math.hypot(dx, dy) / side + _CELL_SLACK
-    state, evaluated = np.full(side * side, -1, dtype=np.int8), 0
-    for lo in range(0, side * side, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, side * side))
-        c = (x0 + dx * ((k % side + 0.5) / side)) + 1j * (y0 + dy * ((k // side + 0.5) / side))
-        clear = green.clearance(c)
-        part = state[lo : lo + k.size]
-        part[clear < -rho] = 0
-        inner = (clear > rho) & (np.abs(c - green.pole) > rho)
-        if np.any(inner):
-            low, high, slack = _cell_bounds(green, c[inner], rho)
-            margin = _CELL_MARGIN * (1.0 + abs(t)) + slack
-            part[inner] = np.where(high < t - margin, 1, np.where(low > t + margin, 0, -1))
-            evaluated += low.size
-    return state, evaluated
+    n = min(_COARSE_SIDE, side)
+    state, centres = np.full((n, n), -1, dtype=np.int8), 0
+    while True:
+        rho = 0.5 * math.hypot(dx, dy) / n + _CELL_SLACK
+        todo = np.flatnonzero(state < 0)
+        for lo in range(0, todo.size, _CHUNK):
+            k = todo[lo : lo + _CHUNK]
+            c = (x0 + dx * ((k % n + 0.5) / n)) + 1j * (y0 + dy * ((k // n + 0.5) / n))
+            clear = green.clearance(c)
+            part = np.full(k.size, -1, dtype=np.int8)
+            part[clear < -rho] = 0
+            inner = (clear > rho) & (np.abs(c - green.pole) > rho)
+            if np.any(inner):
+                low, high, slack = _cell_bounds(green, c[inner], rho)
+                margin = _CELL_MARGIN * (1.0 + abs(t)) + slack
+                part[inner] = np.where(high < t - margin, 1, np.where(low > t + margin, 0, -1))
+                centres += low.size
+            state.flat[k] = part
+        if n == side:
+            return state.ravel(), centres
+        # each cell's four sub-cells take its state
+        fine = np.empty((2 * n, 2 * n), dtype=np.int8)
+        fine.reshape(n, 2, n, 2)[...] = state[:, None, :, None]
+        state, n = fine, 2 * n
 
 
-def _open_hits(green, t, box, u):
-    """Hits among the points u of the box (x0, dx, y0, dy) that lie in the domain, and their number."""
-    x0, dx, y0, dy = box
-    z = (x0 + dx * u[:, 0]) + 1j * (y0 + dy * u[:, 1])
+def _open_hits(green, t, box, words):
+    """Hits among the points of the box (x0, dx, y0, dy) at the Sobol words (x, y) that lie in the domain,
+    and their number."""
+    (x0, dx, y0, dy), (x, y), scale = box, words, 2.0**-SOBOL_BITS
+    z = (x0 + dx * (x * scale)) + 1j * (y0 + dy * (y * scale))
     z = z[green.in_domain(z)]
     return (int(np.count_nonzero(green.value(z) < t)) if z.size else 0), z.size
 
@@ -543,21 +561,25 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     scaling e^{2nt} lambda(domain) of the Minkowski functional) or a Green
     object, in which case points are counted inside a bounding box fitted to
     the sublevel component around the pole.  The box is split into side x side
-    Harnack cells, side = 2^max(0, floor(log2 count)//2 - 2) (256 at 2^20
-    points), so a point's cell is floor(u side) of its Sobol coordinates.
-    ``value`` at a cell's centre bounds G on the whole cell, by Harnack's
-    inequality for G less the disk's Green function (``_cell_bounds``); a cell
-    whose bounds clear t by the margin, or that lies outside the domain, is
-    counted whole, and only the points of the other cells take ``in_domain``
-    and ``value``.  The count is that of ``value(z) < t`` over the points in
-    the domain.  The points come from ``stream.chunks`` in aligned blocks of
-    ``_CHUNK``, and the open cells' points take ``value`` whenever a full
-    ``_CHUNK`` of them has gathered, so memory does not grow with ``count``,
-    and the count is that over ``stream.points(count)`` (``value`` works
-    point by point).  A DEBUG record gives the points, the hits, the cells,
-    the cells settled and how many points took ``value`` (centres included).
-    This is the check route for the traced area of
-    ``level_flux_and_isoperimetric``.
+    Harnack cells, side = 2^k = 2^max(0, floor(log2 count)//2 - 2) (256 at
+    2^20 points), so a point's cell is floor(u side) of its Sobol coordinates:
+    the top k bits of their words.  ``value`` at a cell's centre bounds G on
+    the whole cell, by Harnack's inequality for G less the disk's Green
+    function (``_cell_bounds``); a cell whose bounds clear t by the margin, or
+    that lies outside the domain, is counted whole, and only the points of the
+    other cells take ``in_domain`` and ``value``.  The cells are settled
+    coarse to fine (``_cell_states``).  The count is that of ``value(z) < t``
+    over the points in the domain.  The points come from ``stream.words`` in
+    aligned blocks of ``_CHUNK``, each the first block B xor-ed with a key;
+    the cell index commutes with that xor, so B's cells are found once and a
+    block's by one xor with the key's cell and one gather from the cell
+    table.  Only the open cells' points become floats, and they take
+    ``value`` whenever a full ``_CHUNK`` of them has gathered, so memory does
+    not grow with ``count`` beyond the table of side^2 <= count/16 bytes, and
+    the count is that over ``stream.points(count)`` (``value`` works point by
+    point).  A DEBUG record gives the points, the hits, the cells, the cells
+    settled, the centres and the points that took ``value``.  This is the
+    check route for the traced area of ``level_flux_and_isoperimetric``.
     """
     if t > 0.0:
         raise ValueError("require t <= 0")
@@ -571,30 +593,41 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
         stream = SampleStream(dimension=2, seed=0)
     x0, x1, y0, y1 = _sublevel_box(green, t)
     dx, dy = x1 - x0, y1 - y0
-    side = 1 << max(0, (int(count).bit_length() - 1) // 2 - 2)
-    cells, evaluated = _cell_states(green, t, x0, dx, y0, dy, side)
+    k = max(0, (int(count).bit_length() - 1) // 2 - 2)
+    side = 1 << k
+    cells, centres = _cell_states(green, t, x0, dx, y0, dy, side)
     box = x0, dx, y0, dy
-    # the open cells' points gather in held and take value a full chunk at a time: on the few hundred
+    # cell (iy << k) | ix of the words x, y, ix and iy their top k bits: shifts and the or of disjoint
+    # bits commute with xor, so the cell of B ^ key is the cell of B xor the cell of key
+    drop = SOBOL_BITS - k
+
+    def cell(x, y):
+        return ((y >> drop) << k) | (x >> drop)
+
+    # the open cells' words gather in held and take value a full chunk at a time: on the few hundred
     # open points of one block its cost is mostly per call
-    hit_count, held, n_held = 0, np.empty((_CHUNK, 2)), 0
-    for u in stream.chunks(count, _CHUNK):
-        # side is a power of two, so u side is exact and its floor is the cell
-        state = cells[(u[:, 1] * side).astype(np.intp) * side + (u[:, 0] * side).astype(np.intp)]
+    hit_count, evaluated, base_cells = 0, 0, None
+    held, n_held = np.empty((2, _CHUNK), dtype=np.uint32), 0
+    for base, key in stream.words(count, _CHUNK):
+        if base_cells is None:
+            base_cells = cell(base[0], base[1]).astype(np.intp)
+        state = cells[base_cells[: base.shape[1]] ^ int(cell(key[0], key[1]))]
         hit_count += int(np.count_nonzero(state == 1))
-        rest = u[state < 0]
-        take = min(_CHUNK - n_held, len(rest))
-        held[n_held : n_held + take] = rest[:take]
+        rest = base[:2].take(np.flatnonzero(state < 0), axis=1)
+        rest ^= key[:2, None]
+        take = min(_CHUNK - n_held, rest.shape[1])
+        held[:, n_held : n_held + take] = rest[:, :take]
         n_held += take
         if n_held == _CHUNK:
             hits, took = _open_hits(green, t, box, held)
             hit_count, evaluated = hit_count + hits, evaluated + took
-            n_held = len(rest) - take
-            held[:n_held] = rest[take:]
-    hits, took = _open_hits(green, t, box, held[:n_held])
+            n_held = rest.shape[1] - take
+            held[:, :n_held] = rest[:, take:]
+    hits, took = _open_hits(green, t, box, held[:, :n_held])
     hit_count, evaluated = hit_count + hits, evaluated + took
     log.debug(
-        "hit count at t=%g: %d points, %d hits, %d cells, %d settled, %d took value",
-        t, count, hit_count, cells.size, np.count_nonzero(cells >= 0), evaluated,
+        "hit count at t=%g: %d points, %d hits, %d cells, %d settled, %d centres took value, %d points took value",
+        t, count, hit_count, cells.size, np.count_nonzero(cells >= 0), centres, evaluated,
     )
     p = hit_count / count
     box_area = dx * dy

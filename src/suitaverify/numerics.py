@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "BracketError",
     "ConvergenceError",
+    "SOBOL_BITS",
     "SampleStream",
     "find_root_monotone",
     "integrate_1d",
@@ -175,10 +176,10 @@ def integrate_1d(f, a, b):
     return estimate
 
 
-# Sobol direction numbers of 30 bits, so at most 2^30 points; dimension 1 is van der Corput, and
-# dimensions 2-4 take Joe & Kuo's primitive polynomial (degree s, coefficient bits a) and initial
-# numbers m_1..m_s
-_SOBOL_BITS = 30
+# Sobol direction numbers of SOBOL_BITS bits, so at most 2^30 points, each coordinate a word times
+# 2^-SOBOL_BITS; dimension 1 is van der Corput, and dimensions 2-4 take Joe & Kuo's primitive
+# polynomial (degree s, coefficient bits a) and initial numbers m_1..m_s
+SOBOL_BITS = 30
 _SOBOL_POLYS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
 _SOBOL_MAX_DIM = len(_SOBOL_POLYS) + 1
 # points makes its points in blocks of this many (512 KiB of words in four dimensions)
@@ -187,11 +188,11 @@ _SOBOL_BLOCK = 2**15
 
 def _sobol_directions(dimension):
     """Direction numbers v[j, k], bit k of dimension j at the top of a 30-bit word."""
-    v = np.empty((dimension, _SOBOL_BITS), dtype=np.uint32)
-    v[0] = [1 << (_SOBOL_BITS - 1 - k) for k in range(_SOBOL_BITS)]
+    v = np.empty((dimension, SOBOL_BITS), dtype=np.uint32)
+    v[0] = [1 << (SOBOL_BITS - 1 - k) for k in range(SOBOL_BITS)]
     for j, (s, a, m) in enumerate(_SOBOL_POLYS[: dimension - 1], start=1):
-        row = [mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
-        for k in range(s, _SOBOL_BITS):
+        row = [mk << (SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
+        for k in range(s, SOBOL_BITS):
             x = row[k - s] ^ (row[k - s] >> s)
             for i in range(1, s):
                 if (a >> (s - 1 - i)) & 1:
@@ -214,8 +215,8 @@ class SampleStream:
     The same (dimension, seed) always reproduces the identical sequence.
 
     In that order every aligned block of 2^s points is the first block xor-ed with one word per
-    dimension, so ``chunks`` makes the points a block at a time, in memory that does not grow
-    with their count; ``points`` fills one array from the same blocks.
+    dimension, so ``words`` gives the points a block at a time as that first block and a key, in
+    memory that does not grow with their count; ``points`` fills one array from the same blocks.
     """
 
     dimension: int
@@ -227,32 +228,37 @@ class SampleStream:
 
     def points(self, count):
         """The first ``count`` points, an array of shape (count, dimension)."""
-        blocks = self.chunks(count, _SOBOL_BLOCK)
+        blocks = self.words(count, _SOBOL_BLOCK)
         sample, lo = np.empty((count, self.dimension)), 0
-        for block in blocks:
-            sample[lo : lo + len(block)] = block
-            lo += len(block)
+        for base, key in blocks:
+            hi = lo + base.shape[1]
+            np.multiply(base.T ^ key, 2.0**-SOBOL_BITS, out=sample[lo:hi])
+            lo = hi
         return sample
 
-    def chunks(self, count, size):
+    def words(self, count, size):
         """The first ``count`` points in consecutive blocks of ``size`` = 2^s points, the last one
-        possibly shorter; joined, the blocks are ``points(count)`` byte for byte.
+        possibly shorter, each as the pair (B, key): block c is the words ``B ^ key[:, None]``, and
+        point i of it has coordinates ``(B[:, i] ^ key) * 2^-SOBOL_BITS``.  ``B`` is the read-only
+        (dimension, min(size, count)) array of uint32 words of the first block without the digital
+        shift, the same array in every pair (cut to the last block's length), and ``key`` holds one
+        word per dimension.  Joined, the blocks are ``points(count)`` byte for byte.
 
         Point i is the shift xor the v_k of the bits k of gray(i) = i ^ (i >> 1).  For i = c 2^s + j,
         j < 2^s, the low s bits of gray(i) are gray(j) with bit s - 1 flipped where c is odd, and the
-        others are gray(c), so block c is the first block without the shift, B, xor-ed with
-        shift ^ (v_{s-1} if c is odd) ^ the v_{s+k} of the bits k of gray(c).  B and the scramble are
-        made once per call, and a block takes 16 bytes per point and coordinate, whatever the count.
-        Raises ValueError at once for a count outside 1..2^30 or a size that is not a power of two.
+        others are gray(c), so block c is B xor-ed with shift ^ (v_{s-1} if c is odd) ^ the v_{s+k}
+        of the bits k of gray(c).  B and the scramble are made once per call, and B takes 4 bytes per
+        point and coordinate, whatever the count.  Raises ValueError at once for a count outside
+        1..2^30 or a size that is not a power of two.
         """
-        if not 1 <= count <= 2**_SOBOL_BITS:
-            raise ValueError(f"count must lie in 1..2^{_SOBOL_BITS}")
+        if not 1 <= count <= 2**SOBOL_BITS:
+            raise ValueError(f"count must lie in 1..2^{SOBOL_BITS}")
         if size < 1 or size & (size - 1):
             raise ValueError(f"block size {size} is not a power of two")
-        return self._blocks(count, size)
+        return self._words(count, size)
 
-    def _blocks(self, count, size):
-        d, bits = self.dimension, _SOBOL_BITS
+    def _words(self, count, size):
+        d, bits = self.dimension, SOBOL_BITS
         rng = np.random.default_rng(self.seed)
         up = np.arange(bits, dtype=np.uint32)
         # scipy's draws in its order: the bits of the digital shift, lowest first, then the matrices,
@@ -275,19 +281,15 @@ class SampleStream:
                 m = min(h, n - h)
                 np.bitwise_xor(a[h - 1 :: -1][:m], vk, out=a[h : h + m])
                 h *= 2
-        word, key = np.empty(n, dtype=np.uint32), shift
+        base.flags.writeable = False
+        key = shift
         for c, lo in enumerate(range(0, count, size)):
             if c:
                 # gray(c) and gray(c - 1) differ in bit ctz(c), and c and c - 1 in parity
                 key = key ^ v[:, s + (c & -c).bit_length() - 1]
                 if s:
                     key = key ^ v[:, s - 1]
-            m = min(size, count - lo)
-            block = np.empty((m, d))
-            for j in range(d):
-                np.bitwise_xor(base[j, :m], key[j], out=word[:m])
-                np.multiply(word[:m], 2.0**-bits, out=block[:, j])
-            yield block
+            yield base[:, : min(size, count - lo)], key
 
     def split(self, index):
         """Derived stream for parallel cell ``index`` of a grid."""

@@ -126,7 +126,7 @@ def suita_F(domain, w=None):
         wc = complex(domains._as_point(domain, w)[0])
         k = bergman.kernel_annulus(domain.inner, wc)
         g = green1d.AnnulusGreen(domain.inner, wc)
-        vol = math.pi / green1d.robin_capacity(g) ** 2
+        vol =math.pi / green1d.robin_capacity(g) ** 2
         # pi K = (c / (|w| s))^2 (1 + s^2 T) and c(w)^-2 = (|w| s / c)^2 prod_k (1 + s^2 / sinh^2(k kappa))^2
         # in the strip images: their first factors cancel exactly, and F - 1 is summed apart from the 1
         st = green1d._Strip(domain.inner, abs(wc), bergman.ROUNDING_SHARE)
@@ -188,9 +188,10 @@ def check_lower_bound_est1(domain, w, t):
     """Margin K(w) - 1/(e^{-2nt} lambda({G < t})) of the sublevel lower bound.
 
     Returns (margin, sigma).  Balanced domains at the center are exact
-    (sigma 0, margin 0 by scaling); the annulus propagates the error bound of
-    the traced sublevel area, and raises CriticalLevelError at a level that
-    is not a radial graph around the pole.
+    (sigma 0, margin 0 by scaling), and so is the annulus at t = 0, where the
+    sublevel set is the whole annulus; below 0 the annulus propagates the
+    error bound of the traced sublevel area, and raises CriticalLevelError at
+    a level that is not a radial graph around the pole.
     """
     if t > 0:
         raise ValueError("require t <= 0")
@@ -202,6 +203,8 @@ def check_lower_bound_est1(domain, w, t):
     if isinstance(domain, Annulus):
         wc = complex(domains._as_point(domain, w)[0])
         k = bergman.kernel_annulus(domain.inner, wc)
+        if t == 0.0:
+            return k.value - 1.0 / domains.volume(domain), 0.0
         g = green1d.AnnulusGreen(domain.inner, wc)
         st = green1d.level_flux_and_isoperimetric(g, t)
         norm = math.exp(-2.0 * t) * st.area

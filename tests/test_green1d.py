@@ -19,7 +19,7 @@ from suitaverify.green1d import (
     robin_capacity,
     sublevel_volume,
 )
-from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _crossings, _sublevel_box
+from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _cell_states, _crossings, _sublevel_box
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -483,22 +483,40 @@ COUNT_CASES = [
 
 
 def _count_record(caplog):
-    """points, hits, cells, cells settled and points that took value, from the count's DEBUG record."""
+    """points, hits, cells, cells settled, centres and points that took value, from the count's DEBUG record."""
     (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("hit count")]
     return [int(part.split()[0]) for part in msg.split(": ")[1].split(", ")]
+
+
+def _assert_cells_agree(g, t, stream, record):
+    """The count's DEBUG record against value(z) < t on every Sobol point in the domain, cell by cell: each
+    point of a settled cell must be a hit where its cell's state is 1 and none where it is 0, so that no
+    error in one cell can hide behind a compensating error in another."""
+    count, hits, cells, settled = record[:4]
+    x0, x1, y0, y1 = _sublevel_box(g, t)
+    side = math.isqrt(cells)
+    states, _ = _cell_states(g, t, x0, x1 - x0, y0, y1 - y0, side)
+    u = stream.points(count)
+    state = states[(u[:, 1] * side).astype(np.intp) * side + (u[:, 0] * side).astype(np.intp)]
+    z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
+    hit = np.zeros(count, dtype=bool)
+    for lo in range(0, count, 2**16):
+        part = z[lo : lo + 2**16]
+        inside = g.in_domain(part)
+        hit[lo : lo + 2**16][inside] = g.value(part[inside]) < t
+    assert np.all(hit[state == 1]) and not np.any(hit[state == 0])
+    assert settled == int(np.count_nonzero(states >= 0))
+    assert hits == int(np.count_nonzero(hit))
 
 
 def _assert_count_is_brute_force(caplog, g, t, count):
     """The cell count of sublevel_volume against value(z) < t on every Sobol point in the domain."""
     with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
         sublevel_volume(g, t, SampleStream(2, seed=4), count)
-    points, hits, cells, settled, took_value = _count_record(caplog)
-    x0, x1, y0, y1 = _sublevel_box(g, t)
-    u = SampleStream(2, seed=4).points(count)
-    z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
-    z = z[g.in_domain(z)]
-    assert (points, hits) == (count, int(np.count_nonzero(g.value(z) < t)))
-    assert cells == CELLS[count] and settled <= cells and took_value <= cells + count
+    points, hits, cells, settled, centres, took_value = record = _count_record(caplog)
+    assert points == count
+    _assert_cells_agree(g, t, SampleStream(2, seed=4), record)
+    assert cells == CELLS[count] and settled <= cells and centres + took_value <= cells + count
 
 
 # the counts and their side x side cells, side = 2^max(0, floor(log2 count)//2 - 2)
@@ -525,10 +543,13 @@ class TestHarnackCells:
         # criterion 10's cross-check of the trace at t = -0.5, the same count since before the cells
         with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
             sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0).split(6), 2**20)
-        points, hits, cells, settled, took_value = _count_record(caplog)
+        points, hits, cells, settled, centres, took_value = record = _count_record(caplog)
         assert (points, hits, cells) == (2**20, 397856, 256**2)
         # the centres and the points of the cells left open
-        assert settled > cells * 9 // 10 and took_value < 2**20 // 8
+        assert settled > cells * 9 // 10 and centres + took_value < 2**20 // 8
+        # coarse to fine from 16 x 16 cells: 10,386 centres, against 63,462 on the final grid alone
+        assert centres <= 12_000
+        _assert_cells_agree(annulus_green, -0.5, SampleStream(2, seed=0).split(6), record)
 
     def test_count_memory_does_not_grow_with_the_count(self, annulus_green):
         # the points come a block at a time, so criterion 10's count holds the same few MiB at any
@@ -586,5 +607,5 @@ class TestHarnackCells:
         # 77-97% of these cells open, and the cells along the level curve are about a tenth
         with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
             sublevel_volume(AnnulusGreen(r, w), t, SampleStream(2, seed=4), 2**14)
-        points, hits, cells, settled, took_value = _count_record(caplog)
-        assert settled > cells * 4 // 5 and took_value < 2**14 // 4
+        points, hits, cells, settled, centres, took_value = _count_record(caplog)
+        assert settled > cells * 4 // 5 and centres + took_value < 2**14 // 4

@@ -218,18 +218,25 @@ class TestSampleStream:
         [(n, k) for n in (1, 3000, 2**14 + 77, 2**20) for k in (2**0, 2**4, 2**10, 2**14) if (n, k) != (2**20, 1)],
     )
     @pytest.mark.parametrize("d", [2, 4])
-    def test_chunks_join_to_the_points(self, d, count, size):
+    def test_words_join_to_the_points(self, d, count, size):
         stream = SampleStream(d, seed=9)
-        blocks = list(stream.chunks(count, size))
-        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= size
-        assert np.concatenate(blocks).tobytes() == stream.points(count).tobytes()
+        blocks = list(stream.words(count, size))
+        lengths = [base.shape[1] for base, _ in blocks]
+        assert lengths[:-1] == [size] * (len(blocks) - 1) and 1 <= lengths[-1] <= size
+        # one first block B, shared by every pair, and one key word per dimension
+        first = blocks[0][0]
+        for base, key in blocks:
+            assert base.dtype == key.dtype == np.uint32 and key.shape == (d,)
+            assert base.base is first.base and not base.flags.writeable
+            assert base.tobytes() == first[:, : base.shape[1]].tobytes()
+        joined = np.concatenate([(base ^ key[:, None]).T * 2.0**-numerics.SOBOL_BITS for base, key in blocks])
+        assert joined.tobytes() == stream.points(count).tobytes()
 
     @pytest.mark.parametrize("size", [0, 3, 2**14 + 1, -4])
-    def test_chunk_size_not_a_power_of_two_is_refused(self, size):
+    def test_block_size_not_a_power_of_two_is_refused(self, size):
         # refused at the call, before the first block is asked for
         with pytest.raises(ValueError, match="power of two"):
-            SampleStream(2).chunks(100, size)
+            SampleStream(2).words(100, size)
 
     def test_dimension_above_four_is_refused(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -240,7 +247,7 @@ class TestSampleStream:
         with pytest.raises(ValueError, match="count"):
             SampleStream(2).points(2**30 + 1)
         with pytest.raises(ValueError, match="count"):
-            SampleStream(2).chunks(2**30 + 1, 2**14)
+            SampleStream(2).words(2**30 + 1, 2**14)
 
     def test_seeds_differ(self):
         a = SampleStream(2, seed=0).points(100)

@@ -168,6 +168,12 @@ class TestLowerBound:
         assert margin > 3.0 * sigma
         assert sigma > 0.0
 
+    def test_annulus_at_level_zero_is_exact(self):
+        # the sublevel set at t = 0 is the whole annulus, of volume pi (1 - r^2); tracing would refuse it
+        margin, sigma = check_lower_bound_est1(Annulus(0.2), 0.45, 0.0)
+        assert (margin, sigma) == (bergman.kernel_annulus(0.2, 0.45).value - 1.0 / (math.pi * (1.0 - 0.2**2)), 0.0)
+        assert margin > 0.0
+
     def test_positive_t_rejected(self):
         with pytest.raises(ValueError):
             check_lower_bound_est1(ball(2), np.zeros(2), 1.0)
