@@ -252,7 +252,8 @@ def _cmd_indicatrix(args):
         }
     else:
         vol = indicatrix.indicatrix_volume_numeric((args.m, 1.0), args.b)
-        payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol}
+        check = math.pi**2 * indicatrix._arc_volume(args.m, args.b, 1.0)
+        payload = {"family": "p", "m": args.m, "b": args.b, "volume_numeric": vol, "volume_quadrature": check}
     _emit(args, payload)
     return 0
 

@@ -137,13 +137,11 @@ def contains(domain, z):
 
 
 # Cephes lgam (S. L. Moshier, Cephes Mathematical Library), the algorithm of
-# scipy.special.gammaln.  From 13 up: Stirling's series plus a correction
-# polynomial in 1/x^2 over x, shorter from 1000 up and none above 1e8.  Below 13:
-# a shift into [2, 3) and the rational function t _NUM(t) / _DEN(t) of t = x - 2
-# there.  Coefficients highest power first.
+# scipy.special.gammaln.  From 13 up: Stirling's series plus a correction polynomial in
+# 1/x^2 over x (Cephes' shorter one from 1000 up and none above 1e8 round alike).  Below 13:
+# a shift into [2, 3) and t _NUM(t) / _DEN(t) of t = x - 2 there.  Coefficients highest power first.
 _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
              -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
 _NUM = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
         -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
 _DEN = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
@@ -180,31 +178,21 @@ def _log_gamma_float(x):
             return math.log(z)
         t = x + (shift - 2.0)
         return math.log(z) + t * _horner(_NUM, t) / _horner(_DEN, t)
-    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
-    if x > 1e8:
-        return q
-    p = 1.0 / (x * x)
-    return q + _horner(_STIRLING if x < 1000.0 else _STIRLING_SHORT, p) / x
+    return (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + _horner(_STIRLING, 1.0 / (x * x)) / x
 
 
 def _log_gamma_stirling(x):
-    # x >= 13
+    # x >= 13; above 1.3e154 x * x overflows to inf, and 1/(12 x) is far below the rounding of q
     q = x - 0.5
     q *= np.log(x)
     q -= x
     q += _LOG_SQRT_2PI
-    mid = x < 1000.0
-    if np.count_nonzero(mid) == x.size:
+    with np.errstate(over="ignore"):
         p = x * x
-        np.divide(1.0, p, out=p)
-        p = _horner(_STIRLING, p)
-        p /= x
-        q += p
-        return q
-    # Cephes' upper branches: a shorter correction from 1000 up, none above 1e8
-    for coefs, part in ((_STIRLING, mid), (_STIRLING_SHORT, ~mid & (x <= 1e8))):
-        xp = x[part]
-        q[part] += _horner(coefs, 1.0 / (xp * xp)) / xp
+    np.divide(1.0, p, out=p)
+    p = _horner(_STIRLING, p)
+    p /= x
+    q += p
     return q
 
 
@@ -228,9 +216,9 @@ def log_gamma(x):
     """log Gamma(x) for x > 0: a float for a float or 0-d input, else an array of x's shape.
 
     A port of Cephes ``lgam`` (S. L. Moshier), the algorithm of ``scipy.special.gammaln``,
-    with its order of operations: it differs from scipy only where ``np.log`` and the C
-    library's ``log`` round differently, within 4e-15 absolute below 13 and 4e-16
-    relative above.  Arguments are not checked; x <= 0 gives no meaningful value.
+    with one Stirling correction from 13 up where Cephes has three that round alike: it differs
+    from scipy only where ``np.log`` and the C library's ``log`` round differently, within
+    4e-15 absolute below 13 and 4e-16 relative above.  x <= 0 is not checked and gives nonsense.
     """
     if np.ndim(x) == 0:
         return _log_gamma_float(float(x))

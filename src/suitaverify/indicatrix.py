@@ -6,8 +6,7 @@ convex complex ellipsoids, Lempert's extremal discs through the axis point
 sweep out the boundary: its two arcs are the one boundary representation,
 and in two dimensions their upper envelope gives the volume numerically.
 At first exponent 1/2 the volume is closed, and its check route is a
-tanh-sinh quadrature of the boundary's two pieces, each written in the
-distance from the end where it kinks or vanishes.
+tanh-sinh quadrature of pi omega S^q d(rho^2) along the two arcs.
 """
 from __future__ import annotations
 
@@ -41,22 +40,8 @@ def indicatrix_volume_closed(params: EllipsoidFamilyParams):
 
 
 def indicatrix_volume_quadrature(params: EllipsoidFamilyParams):
-    """The closed volume's check route: a quadrature of the boundary at first exponent 1/2.
-
-    The indicatrix is { |X_2|^{2m} + ... + |X_n|^{2m} <= gamma(|X_1|) }, where gamma(r) is
-    1 - b - r^2/(4b(1-b)) up to the kink at r = 2b(1-b), then 1 - b^2 - r down to 1 - b^2, and
-    its volume is 2 pi omega times the integral of r gamma(r)^{(n-1)/m}.  Each piece is written
-    in the distance x below its end, where gamma kinks or vanishes: (1-b)^2 + x (1 - x/(2 knot))
-    on [0, knot], and x on [0, (1-b)^2], which cancel neither as b -> 1 nor next to the kink.
-    """
-    m, k, b = float(params.m), params.n - 1, params.b
-    knot = 2.0 * b * (1.0 - b)
-    pieces = ((knot, lambda x: (1.0 - b) ** 2 + x * (1.0 - x / (2.0 * knot))), ((1.0 - b) ** 2, lambda x: x))
-    total, end = 0.0, 0.0
-    for length, g in pieces:
-        end += length
-        total += integrate_1d(lambda x, end=end, g=g: (end - x) * g(x) ** (k / m), 0.0, length)
-    return 2.0 * math.pi * params.omega * total
+    """The closed volume's check route: pi omega times the arc integral at first exponent 1/2."""
+    return math.pi * params.omega * _arc_volume(0.5, params.b, (params.n - 1) / float(params.m))
 
 
 def extremal_disc_arcs(p1, b, u_in, u_out):
@@ -93,25 +78,48 @@ def extremal_disc_arcs(p1, b, u_in, u_out):
     return (rho_in, s_in), (rho_out, s_out)
 
 
+def _in_arc(p1, b, y):
+    """(P, Q, S) on '1-in-A' at u = b e^y, where rho = e^{-y} P and -d(rho^2)/dy = 2 e^{-2y} P Q.
+
+    log u^2 is 2 (log b + y), never the log of a rounded u.  P and S are extremal_disc_arcs' factors
+    and Q = (1-u)(1+u) + (2 - 1/p1) u^2 (1-v): all non-negative for p1 >= 1/2, so rho falls.
+    """
+    log_u2 = 2.0 * (math.log(b) + y)
+    one_v, one_u2, u2 = -np.expm1(-2.0 * p1 * y), -np.expm1(log_u2), np.exp(log_u2)
+    s = one_v * -np.expm1(log_u2 - 2.0 * p1 * y)
+    return one_u2 + (u2 / p1) * one_v, one_u2 + (2.0 - 1.0 / p1) * u2 * one_v, s
+
+
+def _arc_volume(p1, b, q):
+    """Integral of S^q d(rho^2) over both extremal-disc arcs; the volume is pi omega times it.
+
+    '1-not-in-A', rho = c u with c = b (1-B)/p1, is integrated in u on [0, 1], and '1-in-A' in
+    y = log(u/b) on [0, -log b], with the root singularity of S^q at the end y = 0.
+    """
+    lb = 2.0 * p1 * math.log(b)
+    one_b = -math.expm1(lb)
+    out = integrate_1d(lambda u: 2.0 * u * (one_b * (one_b + math.exp(lb) * (1.0 - u) * (1.0 + u))) ** q, 0.0, 1.0)
+
+    def inner(y):
+        big_p, big_q, s = _in_arc(p1, b, y)
+        return 2.0 * np.exp(-2.0 * y) * big_p * big_q * s**q
+
+    return (b * one_b / p1) ** 2 * out + integrate_1d(inner, 0.0, -math.log(b))
+
+
 def _envelope_volume(p, b, n_grid, n_samples):
     arcs = extremal_disc_arcs(p[0], b, np.linspace(b, 1.0, n_samples), np.linspace(0.0, 1.0, n_samples))
     rho_max = max(float(r.max()) for r, _ in arcs)
     grid = np.linspace(0.0, rho_max, n_grid)
     height = np.full(n_grid, -np.inf)
+    # rho rises along '1-not-in-A' and falls along '1-in-A' (see _in_arc); the arcs meet at a
+    # junction rho computed two ways, which may differ by an ulp, hence the maximum
     for r, s in arcs:
         y = s ** (1.0 / (2.0 * p[1]))
-        # split into monotone pieces of r so interpolation is well defined
-        splits = np.flatnonzero(np.diff(np.sign(np.diff(r))) != 0) + 1
-        bounds = [0, *splits.tolist(), len(r) - 1]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rs = r[lo : hi + 1]
-            ys = y[lo : hi + 1]
-            if len(rs) < 2:
-                continue
-            if rs[0] > rs[-1]:
-                rs, ys = rs[::-1], ys[::-1]
-            mask = (grid >= rs[0]) & (grid <= rs[-1])
-            height[mask] = np.maximum(height[mask], np.interp(grid[mask], rs, ys))
+        if r[0] > r[-1]:
+            r, y = r[::-1], y[::-1]
+        mask = (grid >= r[0]) & (grid <= r[-1])
+        height[mask] = np.maximum(height[mask], np.interp(grid[mask], r, y))
     uncovered = ~np.isfinite(height)
     if np.any(uncovered):
         raise EnvelopeGapError(

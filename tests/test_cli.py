@@ -135,9 +135,9 @@ class TestIndicatrixCommand:
     def test_p_family_numeric(self, capsys):
         assert run(["indicatrix", "--family", "p", "--m", "1", "--b", "0.4"]) == 0
         payload = _json_out(capsys)
-        assert payload["volume_numeric"] == pytest.approx(
-            math.pi**2 / 2 * (1 - 0.16) ** 3, rel=1e-4
-        )
+        ball = math.pi**2 / 2 * (1 - 0.16) ** 3
+        assert payload["volume_numeric"] == pytest.approx(ball, rel=1e-4)
+        assert payload["volume_quadrature"] == pytest.approx(ball, rel=1e-13, abs=0.0)
 
     def test_profile_csv(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"

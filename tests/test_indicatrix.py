@@ -7,6 +7,8 @@ import pytest
 
 from suitaverify.domains import EllipsoidFamilyParams, SymmetrizedBidisk
 from suitaverify.indicatrix import (
+    _arc_volume,
+    _in_arc,
     extremal_disc_arcs,
     indicatrix_volume_closed,
     indicatrix_volume_numeric,
@@ -31,7 +33,7 @@ class TestVolumeQuadrature:
 
     @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.35, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6])
     def test_to_rounding(self, b):
-        # next to b = 1, 1 - b^2 and 1 - b - r^2/(4b(1-b)) cancel; the pieces in their end distances do not
+        # next to b = 1 the '1-in-A' arc shrinks to y in [0, -log b]; its factors, written from y, do not cancel
         for m in (0.5, 1.0, 2.0, 8.0, 128.0):
             for n in (2, 3, 5):
                 params = EllipsoidFamilyParams(m=m, n=n, b=b)
@@ -43,6 +45,62 @@ class TestVolumeQuadrature:
             indicatrix_volume_quadrature(EllipsoidFamilyParams(m=1.0, n=2, b=1.5))
         with pytest.raises(ValueError):
             indicatrix_volume_quadrature(EllipsoidFamilyParams(m=0.2, n=2, b=0.5))
+
+
+class TestArcVolume:
+    @pytest.mark.parametrize("b", [1e-3, 0.2, 0.4, 0.9, 0.999])
+    def test_ball(self, b):
+        # p1 = q = 1 is the 2-ball, whose indicatrix volume is pi^2/2 (1-b^2)^3 = pi^2 times this
+        assert _arc_volume(1.0, b, 1.0) == pytest.approx(((1.0 - b) * (1.0 + b)) ** 3 / 2.0, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def _arc_volume_mp(p1, b, q):
+        """Both integrals at 40 digits in u, with v = (b/u)^{2 p1}, a = 1/p1 - 1, e = 2 - 2 p1:
+        c^2 int_0^1 2u S^q du with S = (1-B)(1 - B u^2), and int_b^1 2 b^2 u^{-3} P Q S^q du with
+        P = 1 + a u^2 - (u^2/p1) v, Q = 1 - a u^2 + (e-1)(u^2/p1) v and S = (1-v)(1 - u^2 v)."""
+        with mp.workdps(40):
+            p1, b, q = mp.mpf(p1), mp.mpf(b), mp.mpf(q)
+            big_b, a, e = b ** (2 * p1), 1 / p1 - 1, 2 - 2 * p1
+            c = b * (1 - big_b) / p1
+            out = c * c * mp.quad(lambda u: 2 * u * ((1 - big_b) * (1 - big_b * u * u)) ** q, [0, 1])
+
+            def inner(u):
+                v = (b / u) ** (2 * p1)
+                big_p = 1 + a * u * u - u * u / p1 * v
+                big_q = 1 - a * u * u + (e - 1) * u * u / p1 * v
+                return 2 * b * b / u**3 * big_p * big_q * ((1 - v) * (1 - u * u * v)) ** q
+
+            # S climbs from 0 within log(u/b) of order 1/p1
+            knots = sorted({u for u in (b * mp.exp(y) for y in (0, 1 / (2 * p1), 4 / p1)) if u < 1} | {1})
+            return out + mp.quad(inner, knots)
+
+    @pytest.mark.parametrize("p1,b", [(128.0, 0.001), (8.0, 0.5), (2.0, 0.999)])
+    @pytest.mark.parametrize("q", [1.0, 0.25])
+    def test_against_40_digits(self, p1, b, q):
+        ref = self._arc_volume_mp(p1, b, q)
+        assert abs(_arc_volume(p1, b, q) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("p1", [0.5, 0.7, 1.0, 2.0, 8.0, 128.0])
+    def test_factors_are_the_arc(self, p1):
+        # P = rho u/b and S of extremal_disc_arcs at u = b e^y; the arcs take the rounded u, which
+        # moves y by an ulp of 1 and S by up to 2 p1 times that
+        for b in (1e-3, 0.1, 0.5, 0.9, 0.99):
+            y = -math.log(b) * np.arange(257) / 256
+            y = np.concatenate((y, np.arange(1, 33) / (32 * p1)))
+            y = y[y <= -math.log(b)]
+            u = np.minimum(b * np.exp(y), 1.0)
+            big_p, big_q, s = _in_arc(p1, b, y)
+            (rho, s_arc), _ = extremal_disc_arcs(p1, b, u, [])
+            assert np.abs(big_p - rho * u / b).max() <= 2e-15, b
+            assert np.abs(s - s_arc).max() <= 2e-15 * p1, b
+            assert np.all(big_q >= 0.0), b
+
+    @pytest.mark.parametrize("p1", [0.5, 0.7, 1.0, 2.0, 8.0, 128.0])
+    def test_rho_falls_along_1_in_a(self, p1):
+        # the grid envelope interpolates '1-in-A' as one piece; these are its first samples
+        for b in (1e-3, 0.1, 0.5, 0.9, 0.999):
+            (rho, _), _ = extremal_disc_arcs(p1, b, np.linspace(b, 1.0, 4097), [])
+            assert np.all(np.diff(rho) < 0.0), b
 
 
 class TestClosedVolume:
