@@ -400,7 +400,7 @@ class LevelStats:
 
     ``area`` is the volume of the sublevel component around the pole and
     ``area_err`` bounds its error: the change from the n/2-node sum plus what
-    the roots' stopping tolerance can move it.
+    the roots' stopping tolerance can move it.  ``nodes``: the final grid's n.
     """
 
     t: float
@@ -410,6 +410,18 @@ class LevelStats:
     area: float
     area_err: float
     iso_ratio: float
+    nodes: int
+
+
+def _level_sums(s, g, phis):
+    """Trapezoid sums of flux, length, density and area over radii s and gradients g at uniform angles phis."""
+    absg, d = np.abs(g), np.exp(1j * phis)
+    g_s = np.real(np.conj(g) * d)  # radial derivative along the ray
+    g_phi = np.real(np.conj(g) * (1j * s * d))
+    s_prime = -g_phi / g_s  # implicit differentiation of G(s(phi)) = t
+    speed = np.abs(s_prime + 1j * s)  # |z'(phi)|
+    sums = np.array([np.sum(absg * speed), np.sum(speed), np.sum(speed / absg), 0.5 * np.sum(s**2)])
+    return sums * (2.0 * math.pi / s.size)
 
 
 def level_flux_and_isoperimetric(green, t, n_nodes=2048):
@@ -426,12 +438,40 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     Raises CriticalLevelError for a level that is not a radial graph around
     the pole.  The curve is traced in polar form s(phi) about the pole on a
     uniform phi grid, so the periodic trapezoid sums converge spectrally.
+    The grid starts at ``n_nodes`` halved while it stays even and at least
+    256, and doubles, up to ``n_nodes``, until each of the four sums is
+    within 4 ulp of its sum on the even n/2 nodes.  A doubling traces only
+    the new odd nodes, so every root equals that of a one-shot trace of the
+    grid.  A DEBUG record gives the nodes, the largest relative change from
+    n/2 nodes, and whether ``n_nodes`` stopped the trace; ``n_nodes`` must
+    be even and at least 8.
     """
     if t >= 0.0:
         raise ValueError("levels must be negative")
-    dphi = 2.0 * math.pi / n_nodes
-    phis = np.arange(n_nodes) * dphi
+    if n_nodes < 8 or n_nodes % 2:
+        raise ValueError(f"n_nodes must be even and at least 8, not {n_nodes}")
+    n = n_nodes
+    while n % 4 == 0 and n >= 512:
+        n //= 2
+    phis = np.arange(n) * (2.0 * math.pi / n)
     s = _crossings(green, t, phis)
+    g = green.grad(green.pole + s * np.exp(1j * phis))
+    half, sums = _level_sums(s[::2], g[::2], phis[::2]), _level_sums(s, g, phis)
+    while True:
+        change = float(np.max(np.abs(sums - half) / np.abs(sums)))
+        moving = not change <= 4 * 2.0**-52  # a NaN sum is moving
+        if not moving or n == n_nodes:
+            break
+        # the odd nodes as a one-shot trace of 2n nodes forms them (not phis + dphi/2), interleaved
+        new = np.arange(1, 2 * n, 2) * (2.0 * math.pi / (2 * n))
+        s_new = _crossings(green, t, new)
+        g_new = green.grad(green.pole + s_new * np.exp(1j * new))
+        phis, s, g = (np.column_stack(pair).ravel() for pair in ((phis, new), (s, s_new), (g, g_new)))
+        n *= 2
+        # the n/2-node sums of the doubled grid are the sums just taken
+        half, sums = sums, _level_sums(s, g, phis)
+    dphi = 2.0 * math.pi / n
+    log.debug("level t=%g: %d nodes, largest relative change %.3g from n/2, ceiling reached: %s", t, n, change, moving)
     # a level through (or shadowed past) a critical point is not a radial
     # graph around the pole: the first-crossing radius then jumps between
     # level components, which shows up as a discontinuity in s(phi)
@@ -442,25 +482,13 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
             f"level t={t} is not a radial graph around the pole "
             f"(trace jump {ds.max():.3g} vs scale {jump_scale:.3g})"
         )
-    z = green.pole + s * np.exp(1j * phis)
-    g = green.grad(z)
     absg = np.abs(g)
     if float(absg.min()) < GRAD_FLOOR:
         raise CriticalLevelError(
             f"level t={t} passes near a critical point (min |grad G| = {absg.min():.3g})"
         )
-    d = np.exp(1j * phis)
-    g_s = np.real(np.conj(g) * d)  # radial derivative along the ray
-    g_phi = np.real(np.conj(g) * (1j * s * d))
-    s_prime = -g_phi / g_s  # implicit differentiation of G(s(phi)) = t
-    speed = np.abs(s_prime + 1j * s)  # |z'(phi)|
-    flux = float(np.sum(absg * speed) * dphi)
-    length = float(np.sum(speed) * dphi)
-    density = float(np.sum(speed / absg) * dphi)
-    area = 0.5 * float(np.sum(s**2) * dphi)
-    # the even nodes are the n/2-node grid; each root is good to the bracket
-    # width at which find_root_monotone stops, rel_tol * s
-    trapezoid_err = abs(area - float(np.sum(s[::2] ** 2) * dphi))
+    flux, length, density, area = (float(x) for x in sums)
+    # each root is good to the bracket width at which find_root_monotone stops, rel_tol * s
     root_err = float(np.sum(s * (_TRACE_REL_TOL * s)) * dphi)
     iso = length**2 / (4.0 * math.pi * area)
     return LevelStats(
@@ -469,8 +497,9 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
         density=density,
         length=length,
         area=area,
-        area_err=trapezoid_err + root_err,
+        area_err=abs(area - float(half[3])) + root_err,
         iso_ratio=iso,
+        nodes=n,
     )
 
 

@@ -96,6 +96,8 @@ class TestGreenCommand:
             assert row["flux"] == pytest.approx(2 * math.pi, abs=1e-6)
             assert row["iso_ratio"] >= 1.0 - 1e-9
             assert 0.0 < row["area_err"] < 1e-6 * row["area"]
+            # both levels settle on the first grid of the default 2048-node ceiling
+            assert row["nodes"] == 256
 
     def test_near_critical_level_is_numerical_failure(self, capsys):
         # the saddle of the r=0.2 annulus sits near t = -0.0087

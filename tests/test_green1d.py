@@ -94,6 +94,15 @@ SERIES_CASES = [
     for where, w in (("axis", math.sqrt(r)), ("off-axis", r**0.6 * cmath.exp(2.3j)))
 ]
 
+# regular levels whose trapezoid sums settle at or below 2048 nodes: seven at the fixture's pole,
+# three at each of three more poles, up to t = -0.1; at (0.05, 0.6), whose saddle lies at t = -0.076,
+# the level t = -0.1 still moves by 1e-3 at 2048 nodes, so its highest level is -0.2
+REGULAR_LEVELS = [(R, W, t) for t in (-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, -0.5)] + [
+    (r, w, t)
+    for r, w, ts in ((0.2, 0.5, (-1.0, -0.5, -0.1)), (0.05, 0.6, (-1.0, -0.5, -0.2)), (0.5, 0.7, (-1.0, -0.5, -0.1)))
+    for t in ts
+]
+
 
 class TestDiskGreen:
     def test_closed_form_values(self):
@@ -322,6 +331,61 @@ class TestLevelCurves:
         with pytest.raises(ValueError):
             level_flux_and_isoperimetric(annulus_green, 0.5)
 
+    @pytest.mark.parametrize("r,w,t", REGULAR_LEVELS)
+    def test_regular_level_on_few_nodes(self, r, w, t):
+        g = AnnulusGreen(r, w)
+        st = level_flux_and_isoperimetric(g, t)
+        ref = _one_shot_area(g, t, 2048)
+        assert abs(st.area - ref) <= 4e-15 * ref
+        assert abs(st.flux - 2 * math.pi) <= 5e-15
+        if (r, w) == (R, W):
+            # at t = -6 the density sum moves by 7.5 ulp from 128 to 256 nodes, rounding of its small s
+            assert st.nodes == (512 if t == -6.0 else 256)
+        if (r, w, t) == (0.05, 0.6, -0.2):
+            # 128 nodes are 1.9e-11 off here
+            assert st.nodes == 512
+
+    def test_doubled_grid_is_a_one_shot_grid(self, caplog):
+        # the sums at r = 0.9 carry rounding noise of some 1e-15, so this level reaches the ceiling
+        g = AnnulusGreen(0.9, math.sqrt(0.9))
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            st = level_flux_and_isoperimetric(g, -4.5, 1024)
+        assert st.nodes == 1024
+        assert st.area == _one_shot_area(g, -4.5, 1024)
+        (rec,) = [r for r in caplog.records if r.getMessage().startswith("level t=")]
+        t, nodes, change, ceiling = rec.args
+        assert (t, nodes, ceiling) == (-4.5, 1024, True)
+        assert 4 * 2.0**-52 < change < 1e-14
+        assert st.area_err < 1e-11 * st.area
+
+    def test_logs_its_nodes(self, annulus_green, caplog):
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            st = level_flux_and_isoperimetric(annulus_green, -2.0)
+        (rec,) = [r for r in caplog.records if r.name == "suitaverify.green1d"]
+        assert rec.levelno == logging.DEBUG
+        t, nodes, change, ceiling = rec.args
+        assert (t, nodes, ceiling) == (-2.0, st.nodes, False) and st.nodes == 256
+        assert change <= 4 * 2.0**-52
+
+    def test_levels_near_the_saddle_refused_or_as_on_2048_nodes(self, annulus_green):
+        t0, accepted = _saddle_level(annulus_green), 0
+        for t in [t0 - 10.0**-k for k in range(1, 9)] + [t0 + 10.0**-k for k in range(3, 9)]:
+            try:
+                st = level_flux_and_isoperimetric(annulus_green, t)
+            except CriticalLevelError:
+                continue
+            accepted += 1
+            assert abs(st.area - _one_shot_area(annulus_green, t, 2048)) <= 1e-12
+        assert accepted
+
+    def test_odd_or_few_nodes_refused(self, annulus_green):
+        # s[::2] of an odd grid is no uniform half grid: at 101 nodes area_err was 1.1e-2 of the area
+        for n_nodes in (101, 2047, 6, 0, -2):
+            with pytest.raises(ValueError, match="n_nodes"):
+                level_flux_and_isoperimetric(annulus_green, -2.0, n_nodes)
+        st = level_flux_and_isoperimetric(annulus_green, -2.0, 100)
+        assert st.nodes == 100 and st.area_err < 1e-11 * st.area
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
         r=st.floats(1e-4, 0.999),
@@ -394,6 +458,13 @@ def _saddle_level(g):
         method="bounded",
     )
     return float(g.value(np.array([res.x + 0j]))[0])
+
+
+def _one_shot_area(g, t, n_nodes):
+    """The area 0.5 sum s^2 dphi of one trace of all n_nodes rays."""
+    dphi = 2.0 * math.pi / n_nodes
+    s = _crossings(g, t, np.arange(n_nodes) * dphi)
+    return 0.5 * float(np.sum(s**2) * dphi)
 
 
 def _assert_trace_matches_walk(g, t, n_rays):
