@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains
-from .numerics import SOBOL_BITS, SampleStream, find_root_monotone
+from .numerics import SOBOL_BITS, find_root_monotone
 
 __all__ = [
     "DiskGreen",
@@ -38,6 +37,9 @@ log = logging.getLogger(__name__)
 
 # A level whose gradient drops below this passes too near a critical point to trace.
 GRAD_FLOOR = 1e-4
+# A level whose sums still move by more than this (relative, from n/2 nodes) at the node ceiling is refused:
+# rounding moves them by at most 2.4e-14, and r = 0.05, w = 0.6 at t = -0.1 by 1.25e-3 (flux 1.4e-4 off 2 pi).
+_CEILING_CHANGE = 1e-8
 # Level crossings relative to s alone: the flux integrand moves to first order with the root,
 # and an absolute floor such as 1e-12, up to 5e-10 of a small s, moves it by up to
 # 1e-13.  Below 1e-12 the roots reach the rounding of G, which moves the flux more, not less.
@@ -64,10 +66,13 @@ _CELL_SLACK = 2.0**-44
 _CHUNK = 2**14
 # Cells are settled first on a grid of this side, and an open cell is split into four down to the final side.
 _COARSE_SIDE = 16
+# The count's box is fitted to the crossings of this many rays.
+_BOX_RAYS = 128
 
 
 class CriticalLevelError(RuntimeError):
-    """The requested level passes too close to a critical point of G."""
+    """The requested level cannot be traced: it passes too near a critical point, the pole or the boundary,
+    or the trace's nodes do not resolve it."""
 
 
 class DiskGreen:
@@ -436,8 +441,9 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     area    = (1/2) integral of s(phi)^2 d phi             (the sublevel volume).
 
     Raises CriticalLevelError for a level that is not a radial graph around
-    the pole.  The curve is traced in polar form s(phi) about the pole on a
-    uniform phi grid, so the periodic trapezoid sums converge spectrally.
+    the pole, or whose sums still move by more than ``_CEILING_CHANGE`` at
+    ``n_nodes``.  The curve is traced in polar form s(phi) about the pole on
+    a uniform phi grid, so the periodic trapezoid sums converge spectrally.
     The grid starts at ``n_nodes`` halved while it stays even and at least
     256, and doubles, up to ``n_nodes``, until each of the four sums is
     within 4 ulp of its sum on the even n/2 nodes.  A doubling traces only
@@ -487,6 +493,8 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
         raise CriticalLevelError(
             f"level t={t} passes near a critical point (min |grad G| = {absg.min():.3g})"
         )
+    if not change <= _CEILING_CHANGE:
+        raise CriticalLevelError(f"level t={t} is not resolved on {n} nodes (sums move by {change:.3g} from n/2)")
     flux, length, density, area = (float(x) for x in sums)
     # each root is good to the bracket width at which find_root_monotone stops, rel_tol * s
     root_err = float(np.sum(s * (_TRACE_REL_TOL * s)) * dphi)
@@ -503,9 +511,9 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
     )
 
 
-def _sublevel_box(green, t, n_rays=128):
+def _sublevel_box(green, t):
     """Axis-aligned bounding box of { G < t }, from a coarse polar trace."""
-    phis = np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    phis = np.arange(_BOX_RAYS) * (2.0 * math.pi / _BOX_RAYS)
     pts = green.pole + _crossings(green, t, phis) * np.exp(1j * phis)
     x0, x1 = pts.real.min(), pts.real.max()
     y0, y1 = pts.imag.min(), pts.imag.max()
@@ -583,21 +591,19 @@ def _open_hits(green, t, box, words):
     return (int(np.count_nonzero(green.value(z) < t)) if z.size else 0), z.size
 
 
-def sublevel_volume(obj, t, stream=None, count=2**20):
-    """Volume of { G < t } with its hit-counting standard error.
+def sublevel_volume(green, t, stream, count=2**20):
+    """Volume of { G < t }, t < 0, of a Green object, with its hit-counting standard error.
 
-    ``obj`` is either a balanced domain spec (sublevel volume is the exact
-    scaling e^{2nt} lambda(domain) of the Minkowski functional) or a Green
-    object, in which case points are counted inside a bounding box fitted to
-    the sublevel component around the pole.  The box is split into side x side
-    Harnack cells, side = 2^k = 2^max(0, floor(log2 count)//2 - 2) (256 at
-    2^20 points), so a point's cell is floor(u side) of its Sobol coordinates:
-    the top k bits of their words.  ``value`` at a cell's centre bounds G on
-    the whole cell, by Harnack's inequality for G less the disk's Green
-    function (``_cell_bounds``); a cell whose bounds clear t by the margin, or
-    that lies outside the domain, is counted whole, and only the points of the
-    other cells take ``in_domain`` and ``value``.  The cells are settled
-    coarse to fine (``_cell_states``).  The count is that of ``value(z) < t``
+    ``count`` points of ``stream`` are counted inside a bounding box fitted
+    to the sublevel component around the pole.  The box is split into side x
+    side Harnack cells, side = 2^k = 2^max(0, floor(log2 count)//2 - 2) (256
+    at 2^20 points), so a point's cell is floor(u side) of its Sobol
+    coordinates: the top k bits of their words.  ``value`` at a cell's centre
+    bounds G on the whole cell, by Harnack's inequality for G less the disk's
+    Green function (``_cell_bounds``); a cell whose bounds clear t by the
+    margin, or that lies outside the domain, is counted whole, and only the
+    points of the other cells take ``in_domain`` and ``value``.  The cells
+    are settled coarse to fine (``_cell_states``).  The count is that of ``value(z) < t``
     over the points in the domain.  The points come from ``stream.words`` in
     aligned blocks of ``_CHUNK``, each the first block B xor-ed with a key;
     the cell index commutes with that xor, so B's cells are found once and a
@@ -610,16 +616,8 @@ def sublevel_volume(obj, t, stream=None, count=2**20):
     settled, the centres and the points that took ``value``.  This is the
     check route for the traced area of ``level_flux_and_isoperimetric``.
     """
-    if t > 0.0:
-        raise ValueError("require t <= 0")
-    if isinstance(obj, (domains.Ellipsoid, domains.Polydisk)):
-        n = obj.dimension
-        return domains.volume(obj) * math.exp(2 * n * t), 0.0
-    green = obj
-    if t == 0.0:
-        raise ValueError("t = 0 needs no sampling: the sublevel set is the domain")
-    if stream is None:
-        stream = SampleStream(dimension=2, seed=0)
+    if t >= 0.0:
+        raise ValueError("levels must be negative: at t = 0 the sublevel set is the domain")
     x0, x1, y0, y1 = _sublevel_box(green, t)
     dx, dy = x1 - x0, y1 - y0
     k = max(0, (int(count).bit_length() - 1) // 2 - 2)

@@ -17,7 +17,7 @@ import numpy as np
 from . import bergman, domains, green1d, indicatrix
 from .bergman import KernelValue
 from .domains import Annulus, Ellipsoid, EllipsoidFamilyParams, Polydisk, SymmetrizedBidisk
-from .numerics import SampleStream, golden_section_max
+from .numerics import golden_section_max
 
 __all__ = [
     "SuitaRatio",
@@ -241,24 +241,22 @@ def check_reverse_suita(r):
     return ReverseSuitaResult(radius=r, kernel=k.value, capacity=c, ratio=ratio, bound=bound)
 
 
-def monotonicity_experiment(r, w, t_grid, stream=None, count=2**20):
+def monotonicity_experiment(r, w, t_grid, stream, count=2**20):
     """Normalized sublevel curve on the annulus with monotonicity verdicts.
 
     Checks that e^{-2t} lambda({G < t}) is non-decreasing within 3 standard
     errors, reports discrete convexity evidence for log lambda({G < t}) from
     the differences of its slopes between grid levels (evidence only: the
     conjecture is open), and compares the most negative grid value against
-    the capacity limit pi/c^2.  The volumes are traced areas; a level that
-    is not a radial graph around the pole falls back to hit counting
-    ``count`` points of ``stream.split(i)``, and at the largest traced level
+    the capacity limit pi/c^2.  The volumes are traced areas; a level the
+    trace refuses falls back to hit counting ``count`` points of the 2-d
+    ``SampleStream`` ``stream.split(i)``, and at the largest traced level
     the same count is hit-counted as well, to agree within 3 standard
     errors.  Raises ValueError for an empty t grid or a repeated level.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or len(set(t_grid)) < len(t_grid):
         raise ValueError("t grid must be non-empty, without repeated levels")
-    if stream is None:
-        stream = SampleStream(dimension=2, seed=0)
     wc = complex(w)
     g = green1d.AnnulusGreen(r, wc)
     samples = []

@@ -9,11 +9,10 @@ test-only.  Each test prints a PASS/FAIL line with the measured quantity
 before asserting, so a full run doubles as a verification report.
 """
 import functools
-import math
 
 import numpy as np
 
-from suitaverify import bergman, checks, domains, green1d, suita
+from suitaverify import bergman, checks, domains, suita
 from suitaverify.domains import Ellipsoid
 
 # checks whose verdicts are separate criteria: 2a (location) and 2b (value)
@@ -62,19 +61,12 @@ def test_criterion_13_property_suite():
         contact = max(contact, abs(inner - outer), abs(d_inner - (-1.0)))
     contact_ok = contact < 1e-12
 
-    # balanced-center identities: F = 1 and e^{-2nt} lambda({G<t}) = lambda
+    # balanced-center identities: F = 1 and e^{-2nt} lambda({G<t}) = lambda, a zero margin of the lower bound
     center_ok = True
     for dom in (domains.ball(2), Ellipsoid((0.5, 2.0)), domains.Polydisk(2)):
         center_ok = center_ok and suita.suita_F(dom).F == 1.0
-        n = dom.dimension
         for t in (-2.0, -0.5):
-            v, e = green1d.sublevel_volume(dom, t)
-            scaled = math.exp(-2 * n * t) * v
-            center_ok = (
-                center_ok
-                and e == 0.0
-                and abs(scaled / domains.volume(dom) - 1.0) < 1e-12
-            )
+            center_ok = center_ok and suita.check_lower_bound_est1(dom, None, t) == (0.0, 0.0)
 
     # scaling covariance: K_{c Omega}(c w) = K_Omega(w) / c^{2n}
     c = 1.7

@@ -58,6 +58,10 @@ class TestKernelCommand:
         # the terms fall by about 0.3^2 per degree, so 1e-17 is reached before degree 40
         assert 9 <= payload["terms"] <= 40
 
+    def test_g2_off_the_origin_is_validation_error(self, capsys):
+        assert run(["kernel", "--g2", "--w", "[0.1, 0]"]) == 1
+        assert capsys.readouterr().err == "error: the symmetrized bidisk kernel is known at the origin only\n"
+
     def test_missing_selector_is_validation_error(self, capsys):
         assert run(["kernel"]) == 1
         assert "error" in capsys.readouterr().err
@@ -257,6 +261,13 @@ class TestScanCommand:
         assert lines[1].startswith("ell1 m=0.5 n=2,0.001,1.0000")
         assert len(lines) == 9
         assert json.loads((tmp_path / "scan.csv.json").read_text())["kind"] == "figure-scan"
+
+    @pytest.mark.parametrize("n, curves", [("3", [3]), ("2,4", [2, 4])], ids=["one", "list"])
+    def test_ell1_n_without_a_range(self, n, curves, capsys):
+        assert run(["scan", "--family", "ell1", "--n", n, "--grid", "2"]) == 0
+        payload = _json_out(capsys)
+        assert payload["grid"]["n_list"] == curves
+        assert [row["curve"] for row in payload["samples"]] == [f"ell1 m=0.5 n={k}" for k in curves for _ in range(2)]
 
     def test_grid_too_small(self, capsys):
         assert run(["scan", "--family", "ell1", "--grid", "1"]) == 1

@@ -1,5 +1,8 @@
-"""The package's export lists agree with what its modules define, and neither
-importing it nor running a command loads scipy."""
+"""The package's export lists agree with what its modules define, its modules import
+one another without a cycle, and neither importing it nor running a command loads
+scipy."""
+import ast
+import graphlib
 import importlib
 import json
 import os
@@ -20,6 +23,39 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"suitaverify.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+PACKAGE = Path(suitaverify.__file__).parent
+
+
+def _package_imports(name):
+    """The package modules that module ``name`` imports, anywhere in its source, read from its AST."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            dotted = "suitaverify" + (f".{node.module}" if node.module else "") if node.level else node.module
+            if dotted == "suitaverify":
+                found |= {alias.name for alias in node.names}
+            elif dotted.startswith("suitaverify."):
+                found.add(dotted.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("suitaverify.")}
+    return found
+
+
+IMPORTS = {path.stem: _package_imports(path.stem) for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+
+
+def test_module_imports_are_acyclic():
+    assert set(IMPORTS) == set(MODULES) | {"cli"}
+    order = list(graphlib.TopologicalSorter(IMPORTS).static_order())  # raises CycleError on a cycle
+    assert order[0] == "numerics" and order[-1] == "cli"
+
+
+def test_numerical_layers():
+    # numerics is the base layer, and the Green functions rest on it alone
+    assert IMPORTS["numerics"] == set()
+    assert IMPORTS["green1d"] == {"numerics"}
 
 
 COMMANDS = [

@@ -1,6 +1,7 @@
 import cmath
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from suitaverify import domains
 from suitaverify.green1d import (
     AnnulusGreen,
     CriticalLevelError,
@@ -19,7 +19,7 @@ from suitaverify.green1d import (
     robin_capacity,
     sublevel_volume,
 )
-from suitaverify.green1d import _CELL_MARGIN, _cell_bounds, _cell_states, _crossings, _sublevel_box
+from suitaverify.green1d import _CEILING_CHANGE, _CELL_MARGIN, _cell_bounds, _cell_states, _crossings, _sublevel_box
 from suitaverify.numerics import SampleStream
 from suitaverify.suita import monotonicity_experiment
 
@@ -367,16 +367,46 @@ class TestLevelCurves:
         assert (t, nodes, ceiling) == (-2.0, st.nodes, False) and st.nodes == 256
         assert change <= 4 * 2.0**-52
 
-    def test_levels_near_the_saddle_refused_or_as_on_2048_nodes(self, annulus_green):
-        t0, accepted = _saddle_level(annulus_green), 0
-        for t in [t0 - 10.0**-k for k in range(1, 9)] + [t0 + 10.0**-k for k in range(3, 9)]:
+    @pytest.mark.parametrize("r, w", [(R, W), (0.05, 0.6), (0.5, 0.7)])
+    def test_levels_near_the_saddle_refused_or_as_on_2048_nodes(self, r, w):
+        g = AnnulusGreen(r, w)
+        t0, accepted = _saddle_level(g), 0
+        levels = [t0 - 10.0**-k for k in range(1, 9)] + [t0 + 10.0**-k for k in range(3, 9)]
+        # at (0.5, 0.7) the saddle lies at -2.6e-6, and the levels above it that reach 0 are no levels
+        for t in [t for t in levels if t < 0.0]:
             try:
-                st = level_flux_and_isoperimetric(annulus_green, t)
+                st = level_flux_and_isoperimetric(g, t)
             except CriticalLevelError:
                 continue
             accepted += 1
-            assert abs(st.area - _one_shot_area(annulus_green, t, 2048)) <= 1e-12
+            assert abs(st.area - _one_shot_area(g, t, 2048)) <= 1e-12
         assert accepted
+
+    def test_level_still_moving_at_the_ceiling_refused(self):
+        # 0.024 below the saddle value (-0.076): at 2048 nodes its sums still move by 1.25e-3 from 1024,
+        # and its flux would be 1.4e-4 off 2 pi
+        with pytest.raises(CriticalLevelError, match=r"t=-0\.1 is not resolved on 2048 nodes \(sums move by 0\.00125 from n/2\)"):
+            level_flux_and_isoperimetric(AnnulusGreen(0.05, 0.6), -0.1)
+
+    def test_level_slow_at_the_ceiling_kept(self, caplog):
+        # its sums move by 3.9e-9 from 1024 to 2048 nodes, far above rounding and below the refusal
+        with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
+            st = level_flux_and_isoperimetric(AnnulusGreen(0.5, 0.7), -0.01)
+        (rec,) = [r for r in caplog.records if r.getMessage().startswith("level t=")]
+        t, nodes, change, ceiling = rec.args
+        assert (nodes, ceiling) == (2048, True) and 1e-9 < change < _CEILING_CHANGE
+        assert st.nodes == 2048 and abs(st.flux - 2 * math.pi) <= 5e-15
+
+    def test_level_with_a_small_gradient_refused(self):
+        # no critical point: on a thin annulus this level runs along the outer circle far from the pole,
+        # where |grad G| falls to 3.1e-5
+        with pytest.raises(CriticalLevelError, match=r"min \|grad G\| = 3\.14e-05"):
+            level_flux_and_isoperimetric(AnnulusGreen(0.99, math.sqrt(0.99)), -1e-7)
+
+    def test_level_hugging_the_boundary_refused(self):
+        # 1e-12 below 0 the ray through the saddle, phi = pi, meets no crossing before the inner circle
+        with pytest.raises(CriticalLevelError, match=f"no level crossing found along ray phi={re.escape(str(math.pi))}$"):
+            level_flux_and_isoperimetric(AnnulusGreen(0.5, 0.7), -1e-12)
 
     def test_odd_or_few_nodes_refused(self, annulus_green):
         # s[::2] of an odd grid is no uniform half grid: at 101 nodes area_err was 1.1e-2 of the area
@@ -451,10 +481,10 @@ class TestLevelCurves:
 
 
 def _saddle_level(g):
-    """Value of G at its saddle, on the negative real axis between the two circles."""
+    """Value of G at its saddle, on the negative real axis between the two circles, for a pole on the positive axis."""
     res = minimize_scalar(
         lambda x: float(np.abs(g.grad(np.array([x + 0j]))[0])),
-        bounds=(-0.95, -R - 0.02),
+        bounds=(-0.95, -g.inner - 0.02),
         method="bounded",
     )
     return float(g.value(np.array([res.x + 0j]))[0])
@@ -500,12 +530,6 @@ class TestSublevelVolume:
             v, e = sublevel_volume(g, t, SampleStream(2, seed=0), 2**18)
             assert abs(v - math.pi * math.exp(2 * t)) < max(3 * e, 1e-4)
 
-    def test_balanced_exact(self):
-        dom = domains.Ellipsoid((0.5, 1.0))
-        v, e = sublevel_volume(dom, -1.0)
-        assert e == 0.0
-        assert v == pytest.approx(domains.volume(dom) * math.exp(-4.0), rel=1e-14)
-
     def test_annulus_normalized_limit(self, annulus_green):
         v, e = sublevel_volume(annulus_green, -4.0, SampleStream(2, seed=3), 2**19)
         normalized = math.exp(8.0) * v
@@ -533,9 +557,20 @@ class TestSublevelVolume:
         logged = [r.getMessage().split(": ")[1].split()[0] for r in caplog.records]
         assert logged == routes
 
+    def test_curve_falls_back_to_hit_counting_where_the_trace_is_unresolved(self):
+        # the level of test_level_still_moving_at_the_ceiling_refused
+        stream = SampleStream(2, seed=5)
+        report = monotonicity_experiment(0.05, 0.6, [-0.5, -0.1], stream, 2**14)
+        assert [row["route"] for row in report.samples] == ["trace", "hit-count"]
+        v, e = sublevel_volume(AnnulusGreen(0.05, 0.6), -0.1, stream.split(1), 2**14)
+        assert (report.samples[1]["lambda"], report.samples[1]["stderr"]) == (v, e)
+        assert report.verdicts["hit_count_matches_trace_3sigma"] is True
+
     def test_positive_t_rejected(self, annulus_green):
-        with pytest.raises(ValueError):
-            sublevel_volume(annulus_green, 0.5)
+        # and t = 0, where the sublevel set is the whole domain
+        for t in (0.5, 0.0):
+            with pytest.raises(ValueError, match="levels must be negative"):
+                sublevel_volume(annulus_green, t, SampleStream(2, seed=0))
 
 
 # (r, pole, level) of the Harnack-cell hit count: from r = 1e-8 to a thin annulus, poles off the axis
