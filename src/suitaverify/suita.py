@@ -191,7 +191,9 @@ def check_lower_bound_est1(domain, w, t):
     (sigma 0, margin 0 by scaling), and so is the annulus at t = 0, where the
     sublevel set is the whole annulus; below 0 the annulus propagates the
     error bound of the traced sublevel area, and raises CriticalLevelError at
-    a level that is not a radial graph around the pole.
+    a level the trace refuses: one whose sums do not settle on its nodes (near
+    the saddle), or whose flux is not 2 pi (a curve that also encloses the
+    hole).
     """
     if t > 0:
         raise ValueError("require t <= 0")

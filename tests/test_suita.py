@@ -107,6 +107,12 @@ class TestSuitaF:
         assert series.method == "monomial-series"
         assert series.value == bergman.kernel_reinhardt(Ellipsoid((m, 2.0)), np.array([b, 0.0], dtype=complex)).value
 
+    @pytest.mark.xfail(strict=True, reason="the grid envelope of indicatrix_volume_numeric misses the volume near b = 0")
+    def test_numeric_F_at_least_one_near_the_centre(self):
+        # the grid gives F = 0.50033 here (0.49999998509 at b = 1e-300), where pi^2 _arc_volume(2, b, 1) gives
+        # F = 1 to rounding; the arc volume (ROADMAP item 2) turns this into a pass
+        assert suita_F(Ellipsoid((2.0, 1.0)), (1e-8, 0.0)).F >= 1.0 - 1e-12
+
     def test_off_axis_rejected(self):
         # off the axis, off the symmetrized-bidisk origin, or of the wrong dimension
         for call in (
@@ -168,6 +174,12 @@ class TestLowerBound:
         assert margin > 3.0 * sigma
         assert sigma > 0.0
 
+    def test_annulus_level_around_the_hole_refused(self):
+        # at r = 0.01 and w = 0.901 e^{2i} the trace of t = -0.01 settles around the hole too, with an area
+        # at least pi r^2 too large, and its flux falls short of 2 pi: the margin would read 8.62 +- 8.2e-13
+        with pytest.raises(green1d.CriticalLevelError, match="flux"):
+            check_lower_bound_est1(Annulus(0.01), 0.901 * np.exp(2j), -0.01)
+
     def test_annulus_at_level_zero_is_exact(self):
         # the sublevel set at t = 0 is the whole annulus, of volume pi (1 - r^2); tracing would refuse it
         margin, sigma = check_lower_bound_est1(Annulus(0.2), 0.45, 0.0)
@@ -226,6 +238,11 @@ class TestExperiments:
         assert report.metadata["hit_count_t"] == -1.0
         assert report.metadata["hit_count"] == hit
         assert report.metadata["hit_count_stderr"] == err
+
+    def test_level_around_the_hole_is_hit_counted(self):
+        report = monotonicity_experiment(0.01, 0.901 * np.exp(2j), [-0.5, -0.01], SampleStream(2, seed=0), 2**16)
+        assert [row["route"] for row in report.samples] == ["trace", "hit-count"]
+        assert report.metadata["hit_count_t"] == -0.5
 
     def test_wrong_traced_area_fails_the_cross_check(self, monkeypatch):
         level = green1d.level_flux_and_isoperimetric
