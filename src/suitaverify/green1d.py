@@ -57,11 +57,12 @@ _POLE_MIN = 2.0**-53
 _CELL_MARGIN = 2.0**-16
 # ... and enlarges each cell's half-diagonal by _CELL_SLACK: the box, the sublevel component padded by a
 # fifth of its extent, lies within 1.4 of 0, where every rounding of a point, of a centre and of their
-# distances is below 1e-15, so a settled cell holds no point that in_domain would refuse.
+# distances is below 1e-15, so each point of a settled cell has clearance of the sign its centre's
+# clearance gave the cell, the one membership rule that also filters the open cells' points.
 _CELL_SLACK = 2.0**-44
-# The count takes its Sobol points in blocks of this many, and cell centres and the open cells' points go
-# through value and in_domain in chunks of this many (128 KiB per float array): its memory is O(_CHUNK),
-# besides the table of cell states.
+# The count takes its Sobol points in blocks of this many, and cell centres go through value in chunks of
+# this many; the open cells' points gather in a list and go through clearance and value at most this many
+# at a time (128 KiB per float array): its memory is O(_CHUNK), besides the table of cell states.
 _CHUNK = 2**14
 # Cells are settled first on a grid of this side, and an open cell is split into four down to the final side.
 _COARSE_SIDE = 16
@@ -102,9 +103,6 @@ class DiskGreen:
         z = np.asarray(z, dtype=complex)
         wc = np.conj(self.pole)
         return np.conj(1.0 / (z - self.pole) + wc / (1.0 - wc * z))
-
-    def in_domain(self, z):
-        return np.abs(z) < 1.0
 
     def boundary_distance(self, phi):
         """Distance from the pole to the boundary along direction e^{i phi}."""
@@ -326,10 +324,6 @@ class AnnulusGreen:
         # arithmetic, and the computed difference keeps an error in xb to the reflected part
         return np.conj(self._strip.c * np.sin(xb - xa) / z * total)
 
-    def in_domain(self, z):
-        az = np.abs(z)
-        return (az < 1.0) & (az > self.inner)
-
     def clearance(self, z):
         """Distance from each z to the nearer circle, negative outside the annulus."""
         az = np.abs(z)
@@ -507,13 +501,15 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
 
 
 def _sublevel_box(green, t):
-    """Axis-aligned bounding box of { G < t }, from a coarse polar trace."""
+    """Axis-aligned bounding box (x0, dx, y0, dy) = [x0, x0 + dx] x [y0, y0 + dy] of { G < t }, from a
+    coarse polar trace."""
     phis = np.arange(_BOX_RAYS) * (2.0 * math.pi / _BOX_RAYS)
     pts = green.pole + _crossings(green, t, phis) * np.exp(1j * phis)
     x0, x1 = pts.real.min(), pts.real.max()
     y0, y1 = pts.imag.min(), pts.imag.max()
     pad = 0.2 * max(x1 - x0, y1 - y0)
-    return x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    return x0, x1 - x0, y0, y1 - y0
 
 
 def _cell_bounds(green, c, rho):
@@ -540,8 +536,8 @@ def _cell_bounds(green, c, rho):
     return low, high, _CELL_MARGIN * np.abs(g) / q
 
 
-def _cell_states(green, t, x0, dx, y0, dy, side):
-    """Which of the side x side cells of the box [x0, x0 + dx] x [y0, y0 + dy] are settled, and how
+def _cell_states(green, t, box, side):
+    """Which of the side x side cells of the box (x0, dx, y0, dy) are settled, and how
     many centres took ``value``.  Cell ix + side iy is 1 where every point in it is a hit, 0 where
     none is, and -1 where the points must be counted one by one.  A cell settles when both bounds
     of ``_cell_bounds`` over the disc of its half-diagonal rho clear t by the margin, or when it
@@ -551,7 +547,7 @@ def _cell_states(green, t, x0, dx, y0, dy, side):
     settles its sub-cells, whose points lie in its own disc, so only the open cells' sub-cells take
     ``value`` at their centres.
     """
-    n = min(_COARSE_SIDE, side)
+    (x0, dx, y0, dy), n = box, min(_COARSE_SIDE, side)
     state, centres = np.full((n, n), -1, dtype=np.int8), 0
     while True:
         rho = 0.5 * math.hypot(dx, dy) / n + _CELL_SLACK
@@ -579,10 +575,10 @@ def _cell_states(green, t, x0, dx, y0, dy, side):
 
 def _open_hits(green, t, box, words):
     """Hits among the points of the box (x0, dx, y0, dy) at the Sobol words (x, y) that lie in the domain,
-    and their number."""
+    clearance(z) > 0, and their number."""
     (x0, dx, y0, dy), (x, y), scale = box, words, 2.0**-SOBOL_BITS
     z = (x0 + dx * (x * scale)) + 1j * (y0 + dy * (y * scale))
-    z = z[green.in_domain(z)]
+    z = z[green.clearance(z) > 0.0]
     return (int(np.count_nonzero(green.value(z) < t)) if z.size else 0), z.size
 
 
@@ -596,15 +592,17 @@ def sublevel_volume(green, t, stream, count=2**20):
     coordinates: the top k bits of their words.  ``value`` at a cell's centre
     bounds G on the whole cell, by Harnack's inequality for G less the disk's
     Green function (``_cell_bounds``); a cell whose bounds clear t by the
-    margin, or that lies outside the domain, is counted whole, and only the
-    points of the other cells take ``in_domain`` and ``value``.  The cells
-    are settled coarse to fine (``_cell_states``).  The count is that of ``value(z) < t``
-    over the points in the domain.  The points come from ``stream.words`` in
+    margin, or that lies outside the domain by ``clearance``, is counted
+    whole, and only the points of the other cells take ``clearance`` and
+    ``value``.  The cells are settled coarse to fine (``_cell_states``).
+    The count is that of ``value(z) < t`` over the points with
+    ``clearance(z) > 0``.  The points come from ``stream.words`` in
     aligned blocks of ``_CHUNK``, each the first block B xor-ed with a key;
     the cell index commutes with that xor, so B's cells are found once and a
     block's by one xor with the key's cell and one gather from the cell
-    table.  Only the open cells' points become floats, and they take
-    ``value`` whenever a full ``_CHUNK`` of them has gathered, so memory does
+    table.  Only the open cells' points become floats: their words gather
+    in a list, which is joined and takes ``value`` before a block would
+    push it past ``_CHUNK`` words and once at the end, so memory does
     not grow with ``count`` beyond the table of side^2 <= count/16 bytes, and
     the count is that over ``stream.points(count)`` (``value`` works point by
     point).  A DEBUG record gives the points, the hits, the cells, the cells
@@ -613,12 +611,10 @@ def sublevel_volume(green, t, stream, count=2**20):
     """
     if t >= 0.0:
         raise ValueError("levels must be negative: at t = 0 the sublevel set is the domain")
-    x0, x1, y0, y1 = _sublevel_box(green, t)
-    dx, dy = x1 - x0, y1 - y0
+    box = _sublevel_box(green, t)
     k = max(0, (int(count).bit_length() - 1) // 2 - 2)
     side = 1 << k
-    cells, centres = _cell_states(green, t, x0, dx, y0, dy, side)
-    box = x0, dx, y0, dy
+    cells, centres = _cell_states(green, t, box, side)
     # cell (iy << k) | ix of the words x, y, ix and iy their top k bits: shifts and the or of disjoint
     # bits commute with xor, so the cell of B ^ key is the cell of B xor the cell of key
     drop = SOBOL_BITS - k
@@ -626,10 +622,9 @@ def sublevel_volume(green, t, stream, count=2**20):
     def cell(x, y):
         return ((y >> drop) << k) | (x >> drop)
 
-    # the open cells' words gather in held and take value a full chunk at a time: on the few hundred
+    # the open cells' words gather in held and take value up to a chunk at a time: on the few hundred
     # open points of one block its cost is mostly per call
-    hit_count, evaluated, base_cells = 0, 0, None
-    held, n_held = np.empty((2, _CHUNK), dtype=np.uint32), 0
+    hit_count, evaluated, base_cells, held, n_held = 0, 0, None, [], 0
     for base, key in stream.words(count, _CHUNK):
         if base_cells is None:
             base_cells = cell(base[0], base[1]).astype(np.intp)
@@ -637,22 +632,19 @@ def sublevel_volume(green, t, stream, count=2**20):
         hit_count += int(np.count_nonzero(state == 1))
         rest = base[:2].take(np.flatnonzero(state < 0), axis=1)
         rest ^= key[:2, None]
-        take = min(_CHUNK - n_held, rest.shape[1])
-        held[:, n_held : n_held + take] = rest[:, :take]
-        n_held += take
-        if n_held == _CHUNK:
-            hits, took = _open_hits(green, t, box, held)
-            hit_count, evaluated = hit_count + hits, evaluated + took
-            n_held = rest.shape[1] - take
-            held[:, :n_held] = rest[:, take:]
-    hits, took = _open_hits(green, t, box, held[:, :n_held])
+        if n_held + rest.shape[1] > _CHUNK:
+            hits, took = _open_hits(green, t, box, np.concatenate(held, axis=1))
+            hit_count, evaluated, held, n_held = hit_count + hits, evaluated + took, [], 0
+        held.append(rest)
+        n_held += rest.shape[1]
+    hits, took = _open_hits(green, t, box, np.concatenate(held, axis=1))
     hit_count, evaluated = hit_count + hits, evaluated + took
     log.debug(
         "hit count at t=%g: %d points, %d hits, %d cells, %d settled, %d centres took value, %d points took value",
         t, count, hit_count, cells.size, np.count_nonzero(cells >= 0), centres, evaluated,
     )
     p = hit_count / count
-    box_area = dx * dy
+    box_area = box[1] * box[3]
     value = box_area * p
     stderr = box_area * math.sqrt(max(p * (1.0 - p), 1.0 / count) / count)
     return value, stderr

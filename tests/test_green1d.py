@@ -611,16 +611,17 @@ def _assert_cells_agree(g, t, stream, record):
     point of a settled cell must be a hit where its cell's state is 1 and none where it is 0, so that no
     error in one cell can hide behind a compensating error in another."""
     count, hits, cells, settled = record[:4]
-    x0, x1, y0, y1 = _sublevel_box(g, t)
+    box = x0, dx, y0, dy = _sublevel_box(g, t)
     side = math.isqrt(cells)
-    states, _ = _cell_states(g, t, x0, x1 - x0, y0, y1 - y0, side)
+    states, _ = _cell_states(g, t, box, side)
     u = stream.points(count)
     state = states[(u[:, 1] * side).astype(np.intp) * side + (u[:, 0] * side).astype(np.intp)]
-    z = (x0 + (x1 - x0) * u[:, 0]) + 1j * (y0 + (y1 - y0) * u[:, 1])
+    z = (x0 + dx * u[:, 0]) + 1j * (y0 + dy * u[:, 1])
     hit = np.zeros(count, dtype=bool)
     for lo in range(0, count, 2**16):
         part = z[lo : lo + 2**16]
-        inside = g.in_domain(part)
+        # membership from |z| itself, not from the library's clearance
+        inside = (np.abs(part) < 1.0) & (np.abs(part) > getattr(g, "inner", 0.0))
         hit[lo : lo + 2**16][inside] = g.value(part[inside]) < t
     assert np.all(hit[state == 1]) and not np.any(hit[state == 0])
     assert settled == int(np.count_nonzero(states >= 0))
@@ -656,6 +657,15 @@ class TestHarnackCells:
     @pytest.mark.parametrize("count", COUNTS)
     def test_count_is_brute_force_on_the_disk(self, caplog, count):
         _assert_count_is_brute_force(caplog, DiskGreen(0.6 * cmath.exp(0.7j)), -0.7, count)
+
+    @pytest.mark.parametrize("g", [DiskGreen(W * cmath.exp(2.5j)), AnnulusGreen(R, W)], ids=["disk", "annulus"])
+    def test_clearance_is_positive_exactly_in_the_open_domain(self, g):
+        # the count's one membership rule: clearance(z) > 0 is False on each circle and True one ulp inside
+        circles = [(1.0, 0.0)] + ([(g.inner, 1.0)] if isinstance(g, AnnulusGreen) else [])
+        for rho, inward in circles:
+            for unit in (1.0, -1j):
+                assert not g.clearance(unit * rho) > 0.0
+                assert g.clearance(unit * np.nextafter(rho, inward)) > 0.0
 
     def test_criterion_10_count_is_pinned(self, annulus_green, caplog):
         # criterion 10's cross-check of the trace at t = -0.5, the same count since before the cells
