@@ -5,12 +5,12 @@ Closed form on the unit disk, a sum of strip images on the annulus
 and logarithmic capacity, the covering-map upper bound for the capacity,
 traced level curves with flux / co-area density / isoperimetric ratio
 (their area is the sublevel-set volume), and deterministic hit counting as
-the check route for that volume.  The count settles whole Harnack cells of
-its box from the value of G at each centre, coarse to fine, so G is
-evaluated only at the centres of the cells that a coarser level left open
-and at the points of the cells that straddle the level; it takes its points
-a block at a time as Sobol words, finds their cells by xor on the words, and
-holds no more than the cell table and a few blocks, whatever their count.
+the check route for that volume.  The count takes no trace: it settles
+whole Harnack cells of a closed-form box from G at each centre, coarse to
+fine, so G is evaluated only at the centres of the cells that a coarser
+level left open and at the points of the cells that straddle the level; it
+takes its points a block at a time as Sobol words, finds their cells by xor
+on the words, and holds the cell table and a few blocks, whatever their count.
 """
 from __future__ import annotations
 
@@ -55,10 +55,10 @@ _POLE_MIN = 2.0**-53
 # value against perfbench/oracle.annulus_green (1.1e-7, at r = 1e-16 and w = sqrt(r)), so no point of a
 # settled cell can count otherwise under value(z) < t.
 _CELL_MARGIN = 2.0**-16
-# ... and enlarges each cell's half-diagonal by _CELL_SLACK: the box, the sublevel component padded by a
-# fifth of its extent, lies within 1.4 of 0, where every rounding of a point, of a centre and of their
-# distances is below 1e-15, so each point of a settled cell has clearance of the sign its centre's
-# clearance gave the cell, the one membership rule that also filters the open cells' points.
+# ... and enlarges each cell's half-diagonal by _CELL_SLACK: the box, that of a disc in the unit disk, lies
+# within sqrt(2) of 0, where every rounding of a point, of a centre and of their distances is below 1e-15,
+# so each point of a settled cell has clearance of the sign its centre's clearance gave the cell, the one
+# membership rule that also filters the open cells' points.
 _CELL_SLACK = 2.0**-44
 # The count takes its Sobol points in blocks of this many, and cell centres go through value in chunks of
 # this many; the open cells' points gather in a list and go through clearance and value at most this many
@@ -66,13 +66,13 @@ _CELL_SLACK = 2.0**-44
 _CHUNK = 2**14
 # Cells are settled first on a grid of this side, and an open cell is split into four down to the final side.
 _COARSE_SIDE = 16
-# The count's box is fitted to the crossings of this many rays.
-_BOX_RAYS = 128
+# A count's disc radius within this many float spacings of |w| is refused: points next to w resolve no finer.
+_BOX_SPACINGS = 2.0**20
 
 
 class CriticalLevelError(RuntimeError):
-    """The requested level cannot be traced: its start rounds onto the pole, a ray has no crossing, or on
-    the trace's nodes its sums do not settle or its flux is not 2 pi (it encloses the hole too)."""
+    """The level cannot be traced (its start rounds onto the pole, a ray has no crossing, or on the nodes its
+    sums do not settle or its flux is not 2 pi: it encloses the hole too) or counted (its disc is too small)."""
 
 
 class DiskGreen:
@@ -501,15 +501,16 @@ def level_flux_and_isoperimetric(green, t, n_nodes=2048):
 
 
 def _sublevel_box(green, t):
-    """Axis-aligned bounding box (x0, dx, y0, dy) = [x0, x0 + dx] x [y0, y0 + dy] of { G < t }, from a
-    coarse polar trace."""
-    phis = np.arange(_BOX_RAYS) * (2.0 * math.pi / _BOX_RAYS)
-    pts = green.pole + _crossings(green, t, phis) * np.exp(1j * phis)
-    x0, x1 = pts.real.min(), pts.real.max()
-    y0, y1 = pts.imag.min(), pts.imag.max()
-    pad = 0.2 * max(x1 - x0, y1 - y0)
-    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    return x0, x1 - x0, y0, y1 - y0
+    """Box (x0, dx, y0, dy) of the disc { G_D < t }, which holds { G < t } as G >= G_D (see _cell_bounds): centre
+    w (1 - e^{2t}) / D, radius e^t (1 - |w|^2) / D plus 2^-40 for rounding, D = 1 - |w|^2 + |w|^2 (1 - e^{2t})."""
+    w, shrink = green.pole, -math.expm1(2.0 * t)
+    inner = (1.0 - abs(w)) * (1.0 + abs(w))
+    d = inner + abs(w) ** 2 * shrink
+    c, rad = w * shrink / d, math.exp(t) * inner / d
+    if rad < _BOX_SPACINGS * np.spacing(abs(w)):
+        raise CriticalLevelError(f"level t={t} lies too close to the pole to count (box radius {rad:.3g})")
+    rad += 2.0**-40
+    return c.real - rad, 2.0 * rad, c.imag - rad, 2.0 * rad
 
 
 def _cell_bounds(green, c, rho):
@@ -585,29 +586,28 @@ def _open_hits(green, t, box, words):
 def sublevel_volume(green, t, stream, count=2**20):
     """Volume of { G < t }, t < 0, of a Green object, with its hit-counting standard error.
 
-    ``count`` points of ``stream`` are counted inside a bounding box fitted
-    to the sublevel component around the pole.  The box is split into side x
-    side Harnack cells, side = 2^k = 2^max(0, floor(log2 count)//2 - 2) (256
-    at 2^20 points), so a point's cell is floor(u side) of its Sobol
-    coordinates: the top k bits of their words.  ``value`` at a cell's centre
-    bounds G on the whole cell, by Harnack's inequality for G less the disk's
-    Green function (``_cell_bounds``); a cell whose bounds clear t by the
-    margin, or that lies outside the domain by ``clearance``, is counted
-    whole, and only the points of the other cells take ``clearance`` and
-    ``value``.  The cells are settled coarse to fine (``_cell_states``).
-    The count is that of ``value(z) < t`` over the points with
-    ``clearance(z) > 0``.  The points come from ``stream.words`` in
-    aligned blocks of ``_CHUNK``, each the first block B xor-ed with a key;
-    the cell index commutes with that xor, so B's cells are found once and a
-    block's by one xor with the key's cell and one gather from the cell
-    table.  Only the open cells' points become floats: their words gather
-    in a list, which is joined and takes ``value`` before a block would
-    push it past ``_CHUNK`` words and once at the end, so memory does
-    not grow with ``count`` beyond the table of side^2 <= count/16 bytes, and
-    the count is that over ``stream.points(count)`` (``value`` works point by
-    point).  A DEBUG record gives the points, the hits, the cells, the cells
-    settled, the centres and the points that took ``value``.  This is the
-    check route for the traced area of ``level_flux_and_isoperimetric``.
+    ``count`` points of ``stream`` are counted inside the box of a disc that
+    holds { G < t } (``_sublevel_box``), split into side x side Harnack
+    cells, side = 2^k = 2^max(0, floor(log2 count)//2 - 2) (256 at 2^20
+    points), so a point's cell is floor(u side) of its Sobol coordinates: the
+    top k bits of their words.  ``value`` at a cell's centre bounds G on the
+    whole cell, by Harnack's inequality for G less the disk's Green function
+    (``_cell_bounds``); a cell whose bounds clear t by the margin, or that
+    lies outside the domain by ``clearance``, is counted whole, and the
+    count is that of ``value(z) < t`` over the other cells' points with
+    ``clearance(z) > 0``.  The cells are settled coarse to fine
+    (``_cell_states``).  The points come from ``stream.words`` in aligned
+    blocks of ``_CHUNK``, each the first block B xor-ed with a key; the cell
+    index commutes with that xor, so B's cells are found once and a block's
+    by one xor with the key's cell and one gather from the cell table.  Only
+    the open cells' points become floats: their words gather in a list,
+    which is joined and takes ``value`` before a block would push it past
+    ``_CHUNK`` words and once at the end, so memory does not grow with
+    ``count`` beyond the table of side^2 <= count/16 bytes, and the count is
+    that over ``stream.points(count)`` (``value`` works point by point).  A
+    DEBUG record gives the points, the hits, the cells, the cells settled,
+    the centres and the points that took ``value``.  This is the check route
+    for the traced area of ``level_flux_and_isoperimetric``.
     """
     if t >= 0.0:
         raise ValueError("levels must be negative: at t = 0 the sublevel set is the domain")

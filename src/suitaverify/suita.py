@@ -250,11 +250,11 @@ def monotonicity_experiment(r, w, t_grid, stream, count=2**20):
     errors, reports discrete convexity evidence for log lambda({G < t}) from
     the differences of its slopes between grid levels (evidence only: the
     conjecture is open), and compares the most negative grid value against
-    the capacity limit pi/c^2.  The volumes are traced areas; a level the
-    trace refuses falls back to hit counting ``count`` points of the 2-d
-    ``SampleStream`` ``stream.split(i)``, and at the largest traced level
-    the same count is hit-counted as well, to agree within 3 standard
-    errors.  Raises ValueError for an empty t grid or a repeated level.
+    the capacity limit pi/c^2.  Volumes are traced areas; a level the trace
+    refuses is hit-counted on ``count`` points of the 2-d ``SampleStream``
+    ``stream.split(i)``, in a closed-form box that needs no trace, and the
+    largest traced level is hit-counted the same way, to agree within 3
+    standard errors.  Raises ValueError for an empty t grid or a repeated level.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or len(set(t_grid)) < len(t_grid):

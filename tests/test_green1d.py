@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
+from suitaverify import green1d
 from suitaverify.green1d import (
     AnnulusGreen,
     CriticalLevelError,
@@ -578,6 +579,31 @@ class TestSublevelVolume:
         assert (report.samples[1]["lambda"], report.samples[1]["stderr"]) == (v, e)
         assert report.verdicts["hit_count_matches_trace_3sigma"] is True
 
+    def test_count_takes_no_trace(self, annulus_green, monkeypatch):
+        # the check route shares no root finding with the trace it checks
+        expected = sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0), 2**16)
+
+        def traced(*args, **kwargs):
+            raise AssertionError("the count traced the level")
+
+        monkeypatch.setattr(green1d, "_crossings", traced)
+        monkeypatch.setattr(green1d, "find_root_monotone", traced)
+        assert sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0), 2**16) == expected
+
+    def test_level_next_to_zero_counts_the_annulus(self):
+        # { G < -1e-12 } is the annulus less strips about 1e-12 deep along its circles, where no ray of a
+        # trace finds a crossing
+        v, e = sublevel_volume(AnnulusGreen(0.5, 0.7), -1e-12, SampleStream(2, seed=0), 2**16)
+        assert abs(v - math.pi * (1.0 - 0.5**2)) <= 3.0 * e
+
+    def test_deep_level_counted_until_its_box_rounds_at_the_pole(self, annulus_green):
+        # next to the pole { G < t } is the disc |z - w| < e^t / c; the box reaches t = -23 at sqrt(0.2), and at
+        # t = -40 its disc's radius, 3.4e-18, lies below the float spacing at |w|: unrefused, the count reads 0
+        v, e = sublevel_volume(annulus_green, -20.0, SampleStream(2, seed=0), 2**16)
+        assert abs(v - math.pi * math.exp(-40.0) / robin_capacity(annulus_green) ** 2) <= 3.0 * e
+        with pytest.raises(CriticalLevelError, match=r"^level t=-40\.0 lies too close to the pole to count \(box radius 3\.4e-18\)$"):
+            sublevel_volume(annulus_green, -40.0, SampleStream(2, seed=0), 2**16)
+
     def test_positive_t_rejected(self, annulus_green):
         # and t = 0, where the sublevel set is the whole domain
         for t in (0.5, 0.0):
@@ -668,14 +694,14 @@ class TestHarnackCells:
                 assert g.clearance(unit * np.nextafter(rho, inward)) > 0.0
 
     def test_criterion_10_count_is_pinned(self, annulus_green, caplog):
-        # criterion 10's cross-check of the trace at t = -0.5, the same count since before the cells
+        # criterion 10's cross-check of the trace at t = -0.5, in the box of the disc { G_D < t }
         with caplog.at_level(logging.DEBUG, logger="suitaverify.green1d"):
             sublevel_volume(annulus_green, -0.5, SampleStream(2, seed=0).split(6), 2**20)
         points, hits, cells, settled, centres, took_value = record = _count_record(caplog)
-        assert (points, hits, cells) == (2**20, 397856, 256**2)
+        assert (points, hits, cells) == (2**20, 283556, 256**2)
         # the centres and the points of the cells left open
         assert settled > cells * 9 // 10 and centres + took_value < 2**20 // 8
-        # coarse to fine from 16 x 16 cells: 10,386 centres, against 63,462 on the final grid alone
+        # coarse to fine from 16 x 16 cells: 9,158 centres, against 63,462 on the final grid alone
         assert centres <= 12_000
         _assert_cells_agree(annulus_green, -0.5, SampleStream(2, seed=0).split(6), record)
 

@@ -239,6 +239,19 @@ class TestExperiments:
         assert report.metadata["hit_count"] == hit
         assert report.metadata["hit_count_stderr"] == err
 
+    def test_level_next_to_zero_is_hit_counted_in_full(self):
+        # the trace refuses t = -1e-6; the count must hold all of { G < t }, which reaches within about 1e-6 of
+        # both circles
+        report = monotonicity_experiment(0.5, 0.7, [-0.5, -1e-6], SampleStream(2, seed=0), 2**16)
+        row = report.samples[1]
+        assert row["route"] == "hit-count"
+        # the reference: value itself, with membership from |z|, on 2^18 points over [-1, 1]^2
+        u = SampleStream(2, seed=1).points(2**18)
+        z = (2.0 * u[:, 0] - 1.0) + 1j * (2.0 * u[:, 1] - 1.0)
+        z = z[(np.abs(z) < 1.0) & (np.abs(z) > 0.5)]
+        reference = 4.0 * np.count_nonzero(green1d.AnnulusGreen(0.5, 0.7).value(z) < -1e-6) / u.shape[0]
+        assert abs(row["lambda"] - reference) <= 3.0 * row["stderr"]
+
     def test_level_around_the_hole_is_hit_counted(self):
         report = monotonicity_experiment(0.01, 0.901 * np.exp(2j), [-0.5, -0.01], SampleStream(2, seed=0), 2**16)
         assert [row["route"] for row in report.samples] == ["trace", "hit-count"]
